@@ -15,12 +15,10 @@ from pathlib import Path
 from . import evaluate as evaluate_mod
 from . import synth as synth_mod
 from .bursts import BurstParams, write_bursts_csv
-from .profiler import FusionParams, ProfileReport, profile, to_kbps
+from .profiler import UNIT_NOTE, FusionParams, ProfileReport, profile, to_kbps
 from .rate import RateParams, write_rate_csv
 from .synth import GeneratorDefaults, ScenarioSpec, SCENARIOS
 from .trace import demux, load_trace, normalize, write_labels, write_trace
-
-UNIT_NOTE = "rates in bytes per second unless a field is suffixed _kbps"
 
 
 @dataclasses.dataclass
@@ -184,8 +182,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             spec = _spec_from_file(args.spec, args.seed)
             labeled = synth_mod.generate(spec)
         elif args.scenario == evaluate_mod.BULK_SCENARIO:
-            labeled = synth_mod.generate_bulk(60.0, 1e6, cfg.generator.packet_size,
-                                              seed=args.seed or 0)
+            labeled = synth_mod.generate_bulk(evaluate_mod._BULK_DURATION, evaluate_mod._BULK_RATE,
+                                              cfg.generator.packet_size, seed=args.seed or 0)
         else:
             spec = synth_mod.scenario_spec(args.scenario, seed=args.seed or 0,
                                            defaults=cfg.generator)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bursts import BurstParams
-from .profiler import FusionParams, PhaseSegment, ProfileReport, profile, to_kbps
+from .profiler import UNIT_NOTE, FusionParams, PhaseSegment, ProfileReport, profile, to_kbps
 from .rate import RateParams
 from .synth import GeneratorDefaults, LabeledTrace, ScenarioSpec, generate, generate_bulk, scenario_spec
 from .trace import FILLING, OTHER, PHASES, STEADY, PhaseSpan
@@ -235,7 +235,7 @@ def run_scenario(scenario: str, n_runs: int,
         "runs": n_runs,
         "base_seed": base_seed,
         "elapsed_s": time.perf_counter() - started,
-        "unit_note": "rates in bytes per second unless a field is suffixed _kbps",
+        "unit_note": UNIT_NOTE,
         "confusion": cm.to_dict() if scenario != BULK_SCENARIO else None,
         "confusion_diagonal_percent": (
             {phase: cm.diagonal_percent(phase) for phase in PHASES}

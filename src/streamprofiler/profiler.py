@@ -27,6 +27,7 @@ from .trace import FILLING, OTHER, STEADY, FlowKey, PacketRecord, Trace
 _EPS = 1e-9
 
 BYTES_PER_SEC_TO_KBPS = 8.0 / 1000.0
+UNIT_NOTE = "rates in bytes per second unless a field is suffixed _kbps"
 
 
 def to_kbps(bytes_per_sec: float) -> float:
@@ -158,7 +159,7 @@ class ProfileReport:
             if not include_buffer_samples:
                 buffer.pop("samples")
         return {
-            "unit_note": "rates in bytes per second unless a field is suffixed _kbps",
+            "unit_note": UNIT_NOTE,
             "flow": flow,
             "n_packets": self.n_packets,
             "total_bytes": self.total_bytes,

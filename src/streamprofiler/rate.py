@@ -116,32 +116,30 @@ def smooth(rho: np.ndarray, params: RateParams, seed: float | None = None) -> np
     return out
 
 
-def detect_changes(r_smooth: np.ndarray,
-                   params: RateParams) -> tuple[np.ndarray, list[tuple[int, str]]]:
+def detect_changes(r_smooth: np.ndarray, params: RateParams,
+                   running_max: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, list[tuple[int, str]]]:
     """Flag rate changes against the running maximum of the smoothed rate.
 
     The flag starts low (-1). It flips high at bin t when
     ``r[t] > c * max(r[1..t])`` and flips low when ``r[t] < (1-c) * max(r[1..t])``;
     otherwise it carries over. Returns the per-bin flags and the change events
     as (1-based bin index, direction). Events strictly alternate and the first
-    is always an increase.
+    is always an increase. ``running_max`` may pass in ``max(r[1..t])`` when
+    the caller already has it.
     """
     r = np.asarray(r_smooth, dtype=np.float64)
-    n = r.size
-    flags = np.empty(n, dtype=np.int8)
-    events: list[tuple[int, str]] = []
-    running_max = np.maximum.accumulate(r) if n else r
-    f = -1
+    if running_max is None:
+        running_max = np.maximum.accumulate(r)
     c = params.c
-    for t in range(n):
-        m = running_max[t]
-        if f == -1 and r[t] > c * m:
-            f = 1
-            events.append((t + 1, INCREASE))
-        elif f == 1 and r[t] < (1.0 - c) * m:
-            f = -1
-            events.append((t + 1, DECREASE))
-        flags[t] = f
+    # Since c > 0.5 and r[t] <= max(r[1..t]), at most one trigger holds per
+    # bin, so the flag is the direction of the last trigger so far.
+    up = r > c * running_max
+    triggered = up | (r < (1.0 - c) * running_max)
+    last = np.maximum.accumulate(np.where(triggered, np.arange(r.size), -1))
+    flags = np.where((last >= 0) & up[last], 1, -1).astype(np.int8)
+    changed = np.flatnonzero(np.diff(flags, prepend=np.int8(-1)))
+    events = [(t + 1, INCREASE if flags[t] == 1 else DECREASE) for t in changed.tolist()]
     return flags, events
 
 
@@ -149,10 +147,10 @@ def analyze(trace: Trace, params: RateParams, tail: float = 0.0) -> RateSeries:
     """Run the full rate pipeline on one flow and bundle the results."""
     rho = aggregate(trace, params, tail=tail)
     r_s = smooth(rho, params)
-    flags, raw_events = detect_changes(r_s, params)
+    r_max = np.maximum.accumulate(r_s)
+    flags, raw_events = detect_changes(r_s, params, running_max=r_max)
     t0 = trace.t_start
     events = [RateChange(b, d, t0 + (b - 1) * params.delta_t) for b, d in raw_events]
-    r_max = np.maximum.accumulate(r_s) if r_s.size else r_s
     return RateSeries(t0=t0, delta_t=params.delta_t, rho=rho, r_smooth=r_s,
                       r_smooth_max=r_max, flags=flags, events=events)
 

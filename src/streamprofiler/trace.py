@@ -17,7 +17,9 @@ from __future__ import annotations
 import csv
 import io
 import ipaddress
+import warnings
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -221,26 +223,27 @@ def demux(trace: Trace, merge_ports: bool = False) -> dict[FlowKey, Trace]:
 
     The result is a partition: every record lands in exactly one sub-trace.
     With ``merge_ports`` set, flows differing only in destination port are
-    grouped under a portless key (address-level flow scoping).
+    grouped under a portless key (address-level flow scoping). Keys follow
+    first appearance in the packet stream.
     """
-    groups: dict[FlowKey, list[int]] = {}
-    for fid, flow in enumerate(trace.flows):
-        key = flow.without_port() if merge_ports else flow
-        groups.setdefault(key, []).append(fid)
-
+    flow_keys = [f.without_port() for f in trace.flows] if merge_ports else trace.flows
+    group_of_key: dict[FlowKey, int] = {}
+    group_of_flow = np.array([group_of_key.setdefault(k, len(group_of_key)) for k in flow_keys],
+                             dtype=np.intp)
+    keys = list(group_of_key)
+    groups = group_of_flow[trace.flow_ids]
+    # a stable sort keeps record order inside each group, and the first
+    # record of each group's run is its first appearance in the stream
+    order = np.argsort(groups, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=len(keys)))))
+    present = np.flatnonzero(np.diff(bounds))
+    present = present[np.argsort(order[bounds[present]])]
+    times, sizes = trace.times[order], trace.sizes[order]
     out: dict[FlowKey, Trace] = {}
-    seen: set[FlowKey] = set()
-    # key order follows first appearance in the packet stream
-    for fid in trace.flow_ids:
-        flow = trace.flows[fid]
-        key = flow.without_port() if merge_ports else flow
-        if key in seen:
-            continue
-        seen.add(key)
-        ids = groups[key]
-        mask = np.isin(trace.flow_ids, ids)
-        out[key] = Trace(trace.times[mask], trace.sizes[mask],
-                         np.zeros(int(mask.sum()), dtype=np.int32), [key], dict(trace.meta))
+    for gid in present.tolist():
+        lo, hi = bounds[gid], bounds[gid + 1]
+        out[keys[gid]] = Trace(times[lo:hi], sizes[lo:hi], np.zeros(hi - lo, dtype=np.int32),
+                               [keys[gid]], dict(trace.meta))
     return out
 
 
@@ -249,19 +252,31 @@ def demux(trace: Trace, merge_ports: bool = False) -> dict[FlowKey, Trace]:
 
 def _as_text_lines(source) -> Iterator[str]:
     if isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str):
-        yield from io.StringIO(source)
-    elif isinstance(source, io.TextIOBase):
-        yield from source
-    else:  # binary file-like
-        yield from io.TextIOWrapper(source, encoding="utf-8")
+        source = source.decode("utf-8")
+    if isinstance(source, str):
+        return iter(io.StringIO(source))
+    if isinstance(source, io.TextIOBase):
+        return iter(source)
+    return io.TextIOWrapper(source, encoding="utf-8")  # binary file-like
 
 
 def _check_header(row: list[str], expected: tuple[str, ...]) -> None:
     got = tuple(f.strip() for f in row)
     if got != expected:
         raise TraceParseError(1, f"expected header {','.join(expected)!r}, got {','.join(got)!r}")
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _read_header(lines: Iterator[str], expected: tuple[str, ...]) -> int:
+    """Consume rows up to the first non-blank one, check it, return its line number."""
+    for line_no, row in enumerate(csv.reader(lines), start=1):
+        if not _is_blank(row):
+            _check_header(row, expected)
+            return line_no
+    raise TraceParseError(1, "missing header")
 
 
 def _parse_addr(text: str, line_no: int, column: str, seen: set[str]) -> str:
@@ -275,29 +290,92 @@ def _parse_addr(text: str, line_no: int, column: str, seen: set[str]) -> str:
     return text
 
 
-def parse_trace(source: str | bytes | IO, format: str = "csv") -> Trace:
-    """Parse a packet trace from CSV text, bytes, or a file object.
+_CHUNK_LINES = 16384
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_NUMERIC = np.dtype([("t", np.float64), ("size", np.int64)])
 
-    Every well-formed row becomes one record, in input order. A header-only
-    input yields an empty trace; a malformed row raises ``TraceParseError``
-    with its line number.
+
+class _FlowTable:
+    """Flow ids in order of first appearance, shared by both parse paths."""
+
+    def __init__(self):
+        self.flows: list[FlowKey] = []
+        self.index: dict[FlowKey, int] = {}
+        self.valid_addrs: set[str] = set()
+        # raw "src,dst,dst_port" text of a line -> flow id, for the columnar path
+        self.id_of_tail: dict[str, int] = {}
+
+    def flow(self, src: str, dst: str, port_text: str, line_no: int) -> FlowKey:
+        src = _parse_addr(src, line_no, "src", self.valid_addrs)
+        dst = _parse_addr(dst, line_no, "dst", self.valid_addrs)
+        if not port_text:
+            return FlowKey(src, dst, None)
+        try:
+            port = int(port_text)
+        except ValueError:
+            raise TraceParseError(line_no, f"bad dst_port {port_text!r}") from None
+        if not 1 <= port <= 65535:
+            raise TraceParseError(line_no, f"dst_port out of range: {port}")
+        return FlowKey(src, dst, port)
+
+    def id_of(self, flow: FlowKey) -> int:
+        fid = self.index.get(flow)
+        if fid is None:
+            fid = self.index[flow] = len(self.flows)
+            self.flows.append(flow)
+        return fid
+
+
+def _parse_columns(chunk: list[str], table: _FlowTable
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Parse plain data lines column-wise; None if any line needs the row parser.
+
+    Returns ``(times, sizes, flow_ids)``. A chunk that fails a check may
+    already have added flows to ``table``, but only in first-appearance
+    order, which is the order the row parser assigns them in as well.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported trace format: {format!r}")
-    reader = csv.reader(_as_text_lines(source))
+    text = "".join(chunk)
+    # quoting and bare carriage returns change how csv splits a line into fields
+    if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
+        return None
+    rows = [line for line in chunk if not line.isspace()]
+    if not rows:
+        return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "5.0" as an int with a DeprecationWarning; int() refuses it
+            warnings.simplefilter("error", DeprecationWarning)
+            numeric = np.loadtxt(rows, dtype=_NUMERIC, delimiter=",", comments=None,
+                                 usecols=(0, 1), ndmin=1)
+        tails = [line.split(",", 2)[2] for line in rows]
+    except (ValueError, DeprecationWarning, IndexError):
+        return None
+    times, sizes = numeric["t"], numeric["size"]
+    if not (np.isfinite(times).all() and (times >= 0.0).all() and (sizes >= 1).all()):
+        return None
+    id_of_tail = table.id_of_tail
+    for tail in dict.fromkeys(tails):
+        if tail in id_of_tail:
+            continue
+        fields = [f.strip() for f in tail.split(",")]
+        if len(fields) != 3:
+            return None
+        try:
+            id_of_tail[tail] = table.id_of(table.flow(*fields, line_no=0))
+        except TraceParseError:
+            return None
+    return (np.ascontiguousarray(times), np.ascontiguousarray(sizes),
+            np.array([id_of_tail[tail] for tail in tails], dtype=np.int32))
+
+
+def _parse_rows(lines: Iterable[str], line_no: int,
+                table: _FlowTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse data rows one by one; ``line_no`` is the number of the row before them."""
     times: list[float] = []
     sizes: list[int] = []
     ids: list[int] = []
-    flows: list[FlowKey] = []
-    index: dict[FlowKey, int] = {}
-    valid_addrs: set[str] = set()
-    header_seen = False
-    for line_no, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if not header_seen:
-            _check_header(row, TRACE_HEADER)
-            header_seen = True
+    for line_no, row in enumerate(csv.reader(lines), start=line_no + 1):
+        if _is_blank(row):
             continue
         if len(row) != len(TRACE_HEADER):
             raise TraceParseError(line_no, f"expected {len(TRACE_HEADER)} fields, got {len(row)}")
@@ -314,30 +392,44 @@ def parse_trace(source: str | bytes | IO, format: str = "csv") -> Trace:
             raise TraceParseError(line_no, f"bad payload size {size_text!r}") from None
         if size < 1:
             raise TraceParseError(line_no, f"payload size must be >= 1, got {size}")
-        src = _parse_addr(src, line_no, "src", valid_addrs)
-        dst = _parse_addr(dst, line_no, "dst", valid_addrs)
-        if port_text:
-            try:
-                port = int(port_text)
-            except ValueError:
-                raise TraceParseError(line_no, f"bad dst_port {port_text!r}") from None
-            if not 1 <= port <= 65535:
-                raise TraceParseError(line_no, f"dst_port out of range: {port}")
-        else:
-            port = None
-        flow = FlowKey(src, dst, port)
-        fid = index.get(flow)
-        if fid is None:
-            fid = len(flows)
-            index[flow] = fid
-            flows.append(flow)
+        if size > _INT64_MAX:
+            raise TraceParseError(line_no, f"payload size must be <= {_INT64_MAX}, got {size}")
         times.append(t)
         sizes.append(size)
-        ids.append(fid)
-    if not header_seen:
-        raise TraceParseError(1, "missing header")
-    return Trace(np.asarray(times, dtype=np.float64), np.asarray(sizes, dtype=np.int64),
-                 np.asarray(ids, dtype=np.int32), flows)
+        ids.append(table.id_of(table.flow(src, dst, port_text, line_no)))
+    return (np.asarray(times, dtype=np.float64), np.asarray(sizes, dtype=np.int64),
+            np.asarray(ids, dtype=np.int32))
+
+
+def parse_trace(source: str | bytes | IO, format: str = "csv") -> Trace:
+    """Parse a packet trace from CSV text, bytes, or a file object.
+
+    Every well-formed row becomes one record, in input order. A header-only
+    input yields an empty trace; a malformed row raises ``TraceParseError``
+    with its line number.
+
+    Data lines are read in chunks of ``_CHUNK_LINES``, so the input is never
+    held whole. A chunk of plain lines is parsed column-wise; from the first
+    chunk that is not (quoted fields, literals only Python's ``float`` or
+    ``int`` accepts, or a bad row) to the end, rows are parsed one by one.
+    """
+    if format != "csv":
+        raise ValueError(f"unsupported trace format: {format!r}")
+    lines = _as_text_lines(source)
+    line_no = _read_header(lines, TRACE_HEADER)
+    table = _FlowTable()
+    parts = []
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        columns = _parse_columns(chunk, table)
+        if columns is None:
+            parts.append(_parse_rows(chain(chunk, lines), line_no, table))
+            break
+        parts.append(columns)
+        line_no += len(chunk)
+    if not parts:
+        return Trace.empty()
+    times, sizes, ids = (np.concatenate(column) for column in zip(*parts))
+    return Trace(times, sizes, ids, table.flows)
 
 
 def serialize_trace(trace: Trace) -> str:
@@ -361,15 +453,11 @@ def write_trace(trace: Trace, path: str | Path) -> None:
 
 def parse_labels(source: str | bytes | IO) -> list[PhaseSpan]:
     """Parse ground-truth phase labels (CSV ``t_start,t_end,phase``)."""
-    reader = csv.reader(_as_text_lines(source))
+    lines = _as_text_lines(source)
+    line_no = _read_header(lines, LABEL_HEADER)
     spans: list[PhaseSpan] = []
-    header_seen = False
-    for line_no, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if not header_seen:
-            _check_header(row, LABEL_HEADER)
-            header_seen = True
+    for line_no, row in enumerate(csv.reader(lines), start=line_no + 1):
+        if _is_blank(row):
             continue
         if len(row) != 3:
             raise TraceParseError(line_no, f"expected 3 fields, got {len(row)}")
@@ -382,8 +470,6 @@ def parse_labels(source: str | bytes | IO) -> list[PhaseSpan]:
             spans.append(PhaseSpan(t0, t1, phase))
         except ValueError as exc:
             raise TraceParseError(line_no, str(exc)) from None
-    if not header_seen:
-        raise TraceParseError(1, "missing header")
     return spans
 
 

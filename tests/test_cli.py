@@ -106,6 +106,12 @@ class TestAnalyze:
         assert run(["analyze", missing, "--out", tmp_path / "out"]) == 2
         assert str(missing) in capsys.readouterr().err
 
+    def test_oversized_payload_exits_2_with_line_number(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("t,size,src,dst,dst_port\n0.1,99999999999999999999,10.0.0.1,10.0.0.2,443\n")
+        assert run(["analyze", path, "--out", tmp_path / "out"]) == 2
+        assert "line 2: payload size" in capsys.readouterr().err
+
     def test_debug_dumps(self, tmp_path, trace_path):
         out = tmp_path / "dbg"
         assert run(["analyze", trace_path, "--out", out, "--debug"]) == 0

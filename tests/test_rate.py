@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -9,6 +9,29 @@ from streamprofiler.rate import DECREASE, INCREASE, analyze
 from conftest import flow_trace, random_trace
 
 rates = st.floats(min_value=0, max_value=1e7, allow_nan=False, allow_infinity=False)
+# (value, run length) pairs: zero runs and plateaus of equal values
+value_runs = st.lists(st.tuples(st.one_of(st.just(0.0), rates), st.integers(1, 6)), max_size=40)
+
+
+def reference_detect_changes(r_smooth, params):
+    """The per-bin hysteresis loop that ``detect_changes`` vectorizes."""
+    r = np.asarray(r_smooth, dtype=np.float64)
+    n = r.size
+    flags = np.empty(n, dtype=np.int8)
+    events = []
+    running_max = np.maximum.accumulate(r) if n else r
+    f = -1
+    c = params.c
+    for t in range(n):
+        m = running_max[t]
+        if f == -1 and r[t] > c * m:
+            f = 1
+            events.append((t + 1, INCREASE))
+        elif f == 1 and r[t] < (1.0 - c) * m:
+            f = -1
+            events.append((t + 1, DECREASE))
+        flags[t] = f
+    return flags, events
 
 
 class TestParams:
@@ -160,6 +183,26 @@ class TestDetectChanges:
             if f != prev:
                 assert (i + 1) in change_bins
             prev = f
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(value_runs, st.floats(min_value=0.5, max_value=1.0, exclude_min=True, exclude_max=True),
+           st.booleans())
+    @example([], 0.6, False)
+    @example([(0.0, 1)], 0.6, False)
+    @example([(5.0, 1)], 0.6, False)
+    @example([(0.0, 3), (10.0, 2), (0.0, 4), (10.0, 1)], 0.6, True)
+    def test_matches_per_bin_loop(self, runs, c, smoothed):
+        series = np.repeat([v for v, _ in runs], [k for _, k in runs]).astype(np.float64)
+        params = RateParams(c=c)
+        if smoothed:
+            series = smooth(series, params)
+        flags, events = detect_changes(series, params)
+        ref_flags, ref_events = reference_detect_changes(series, params)
+        assert flags.dtype == np.int8
+        assert flags.tolist() == ref_flags.tolist()
+        assert events == ref_events
+        assert all(type(b) is int for b, _ in events)
 
 
 class TestAnalyze:
