@@ -7,7 +7,7 @@ Ships with a synthetic labeled-trace generator and a batch evaluation
 harness.
 """
 
-from .bursts import Burst, BurstParams, PhaseCandidate, classify, confirm_steady, filter_small, segment
+from .bursts import BurstParams, PhaseCandidate, classify, confirm_steady, filter_small, segment
 from .profiler import (
     BufferTrajectory,
     FusionParams,

@@ -6,12 +6,16 @@ bursts at near-reference rate indicate buffer filling, short ones the
 paced steady-state request pattern, everything else is unclassified.
 A run of consecutive steady bursts of minimum length confirms a
 steady-state phase candidate.
+
+Bursts are held as one structured array of ``BURST_DTYPE``, one row per
+burst in time order; a burst's number is its position plus one. Index the
+size column as ``bursts["size"]``: ``ndarray.size`` is the element count.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +25,10 @@ from .trace import FILLING, STEADY, Trace
 KLASS_FILLING = 1
 KLASS_STEADY = -1
 KLASS_NONE = 0
+KLASS_UNSET = 2  # set by ``segment``, replaced by ``classify``
+
+BURST_DTYPE = np.dtype([("t_start", np.float64), ("t_end", np.float64), ("size", np.int64),
+                        ("duration", np.float64), ("rate", np.float64), ("klass", np.int8)])
 
 
 @dataclass(frozen=True)
@@ -54,34 +62,20 @@ class BurstParams:
 
 
 @dataclass(frozen=True)
-class Burst:
-    """A contiguous packet group. ``klass`` is None until classified."""
-
-    index: int
-    t_start: float
-    t_end: float
-    size: int
-    duration: float
-    rate: float
-    klass: int | None = None
-
-
-@dataclass(frozen=True)
 class PhaseCandidate:
     """A phase interval proposed by the burst method."""
 
     kind: str  # FILLING or STEADY
     t_start: float
     t_end: float
-    first_burst: int
-    last_burst: int
 
 
-def segment(trace: Trace, params: BurstParams) -> list[Burst]:
+def segment(trace: Trace, params: BurstParams) -> np.ndarray:
     """Split a flow into maximal bursts at inter-arrival gaps >= ``h_t``.
 
     Every packet belongs to exactly one burst. Burst boundaries are the first
     and last packet arrival times; the gap is measured last-packet-to-first-packet.
+    Every burst comes out with class ``KLASS_UNSET``.
     """
     if len(trace.flows) > 1:
         raise ValueError("burst segmentation expects a single-flow trace; demux first")
@@ -89,32 +83,26 @@ def segment(trace: Trace, params: BurstParams) -> list[Burst]:
         raise ValueError("trace is not time-sorted; normalize first")
     n = len(trace)
     if n == 0:
-        return []
-    gaps = np.diff(trace.times)
-    breaks = np.flatnonzero(gaps >= params.h_t) + 1
-    starts = np.concatenate([[0], breaks]).astype(np.int64)
-    ends = np.concatenate([breaks, [n]]).astype(np.int64)
-    sums = np.add.reduceat(trace.sizes, starts)
-    bursts = []
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        t0 = float(trace.times[s])
-        t1 = float(trace.times[e - 1])
-        size = int(sums[i])
-        duration = t1 - t0
-        rate = size / max(duration, params.rate_duration_floor)
-        bursts.append(Burst(index=i + 1, t_start=t0, t_end=t1, size=size,
-                            duration=duration, rate=rate))
+        return np.zeros(0, dtype=BURST_DTYPE)
+    breaks = np.flatnonzero(np.diff(trace.times) >= params.h_t) + 1
+    starts = np.concatenate([[0], breaks])
+    bursts = np.empty(len(starts), dtype=BURST_DTYPE)
+    bursts["t_start"] = trace.times[starts]
+    bursts["t_end"] = trace.times[np.append(breaks, n) - 1]
+    bursts["size"] = np.add.reduceat(trace.sizes, starts)
+    bursts["duration"] = bursts["t_end"] - bursts["t_start"]
+    bursts["rate"] = bursts["size"] / np.maximum(bursts["duration"], params.rate_duration_floor)
+    bursts["klass"] = KLASS_UNSET
     return bursts
 
 
-def filter_small(bursts: list[Burst], params: BurstParams) -> list[Burst]:
-    """Drop bursts below ``h_s`` bytes and re-index the survivors from 1."""
-    retained = [b for b in bursts if b.size >= params.h_s]
-    return [replace(b, index=i + 1) for i, b in enumerate(retained)]
+def filter_small(bursts: np.ndarray, params: BurstParams) -> np.ndarray:
+    """Drop bursts below ``h_s`` bytes."""
+    return bursts[bursts["size"] >= params.h_s]
 
 
-def classify(bursts: list[Burst], params: BurstParams) -> list[Burst]:
-    """Assign each retained burst a class.
+def classify(bursts: np.ndarray, params: BurstParams) -> np.ndarray:
+    """Return a copy of the retained bursts with each burst's class set.
 
     With r1 the rate of the first retained burst: a burst at rate >= h_r * r1
     is filling (+1) when its duration reaches h_d and steady (-1) otherwise;
@@ -123,20 +111,16 @@ def classify(bursts: list[Burst], params: BurstParams) -> list[Burst]:
     The first burst trivially passes the rate bar and is classed by duration
     alone, which is intended: the initial filling burst is long.
     """
-    if not bursts:
-        return []
-    r1 = bursts[0].rate
-    out = []
-    for b in bursts:
-        if b.rate >= params.h_r * r1:
-            klass = KLASS_FILLING if b.duration >= params.h_d else KLASS_STEADY
-        else:
-            klass = KLASS_NONE
-        out.append(replace(b, klass=klass))
+    out = bursts.copy()
+    if len(out):
+        rate, duration = out["rate"], out["duration"]
+        out["klass"] = np.where(rate >= params.h_r * rate[0],
+                                np.where(duration >= params.h_d, KLASS_FILLING, KLASS_STEADY),
+                                KLASS_NONE)
     return out
 
 
-def confirm_steady(bursts: list[Burst], params: BurstParams) -> list[PhaseCandidate]:
+def confirm_steady(bursts: np.ndarray, params: BurstParams) -> list[PhaseCandidate]:
     """Turn classified bursts into phase candidates.
 
     Adjacent filling bursts merge into one filling candidate. A steady
@@ -144,42 +128,34 @@ def confirm_steady(bursts: list[Burst], params: BurstParams) -> list[PhaseCandid
     bursts; shorter runs and unclassified bursts yield nothing. Candidate
     intervals run from the first burst's start to the last burst's end.
     """
-    candidates: list[PhaseCandidate] = []
-    i = 0
-    n = len(bursts)
-    while i < n:
-        klass = bursts[i].klass
-        if klass is None:
-            raise ValueError("bursts must be classified before confirmation")
-        if klass == KLASS_NONE:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and bursts[j + 1].klass == klass:
-            j += 1
-        run = j - i + 1
-        if klass == KLASS_FILLING:
-            candidates.append(PhaseCandidate(FILLING, bursts[i].t_start, bursts[j].t_end,
-                                             bursts[i].index, bursts[j].index))
-        elif run >= params.h_n:
-            candidates.append(PhaseCandidate(STEADY, bursts[i].t_start, bursts[j].t_end,
-                                             bursts[i].index, bursts[j].index))
-        i = j + 1
-    return candidates
+    klass = bursts["klass"]
+    if np.any(klass == KLASS_UNSET):
+        raise ValueError("bursts must be classified before confirmation")
+    if not len(klass):
+        return []
+    cuts = np.flatnonzero(np.diff(klass)) + 1
+    first = np.concatenate([[0], cuts])
+    last = np.append(cuts, len(klass)) - 1
+    run_klass = klass[first]
+    keep = (run_klass == KLASS_FILLING) | ((run_klass == KLASS_STEADY)
+                                           & (last - first + 1 >= params.h_n))
+    return [PhaseCandidate(FILLING if k == KLASS_FILLING else STEADY, t0, t1)
+            for k, t0, t1 in zip(run_klass[keep].tolist(),
+                                 bursts["t_start"][first[keep]].tolist(),
+                                 bursts["t_end"][last[keep]].tolist())]
 
 
-def detect(trace: Trace, params: BurstParams) -> tuple[list[Burst], list[PhaseCandidate]]:
+def detect(trace: Trace, params: BurstParams) -> tuple[np.ndarray, list[PhaseCandidate]]:
     """Full burst pipeline: segment, filter, classify, confirm."""
     classified = classify(filter_small(segment(trace, params), params), params)
     return classified, confirm_steady(classified, params)
 
 
-def write_bursts_csv(bursts: list[Burst], path: str | Path) -> None:
+def write_bursts_csv(bursts: np.ndarray, path: str | Path) -> None:
     """Debug dump of retained bursts for plotting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "t_start", "t_end", "size", "duration", "rate", "klass"])
-        for b in bursts:
-            writer.writerow([b.index, repr(b.t_start), repr(b.t_end), b.size,
-                             repr(b.duration), repr(b.rate),
-                             "" if b.klass is None else b.klass])
+        for n, (t_start, t_end, size, duration, rate, klass) in enumerate(bursts.tolist(), 1):
+            writer.writerow([n, repr(t_start), repr(t_end), size, repr(duration), repr(rate),
+                             "" if klass == KLASS_UNSET else klass])

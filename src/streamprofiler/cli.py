@@ -62,48 +62,37 @@ class Config:
 
 
 _OVERRIDES = {
-    # flag name -> (config section, field)
-    "delta_t": ("rate", "delta_t"),
-    "a": ("rate", "a"),
-    "c": ("rate", "c"),
-    "h_t": ("burst", "h_t"),
-    "h_d": ("burst", "h_d"),
-    "h_r": ("burst", "h_r"),
-    "h_s": ("burst", "h_s"),
-    "h_n": ("burst", "h_n"),
-    "match_tolerance": ("fusion", "match_tolerance"),
+    # parameter field (flag --field-name) -> (config section, help)
+    "delta_t": ("rate", "rate bin width (s)"),
+    "a": ("rate", "smoothing attenuation factor"),
+    "c": ("rate", "rate-change threshold factor"),
+    "h_t": ("burst", "burst gap threshold (s)"),
+    "h_d": ("burst", "burst duration threshold (s)"),
+    "h_r": ("burst", "burst rate-ratio threshold"),
+    "h_s": ("burst", "minimum burst size (bytes)"),
+    "h_n": ("burst", "consecutive steady bursts required"),
+    "match_tolerance": ("fusion", "method agreement tolerance (s)"),
 }
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="JSON", help="config file with parameter sections")
     group = parser.add_argument_group("parameter overrides")
-    group.add_argument("--delta-t", type=float, help="rate bin width (s)")
-    group.add_argument("--a", type=float, help="smoothing attenuation factor")
-    group.add_argument("--c", type=float, help="rate-change threshold factor")
-    group.add_argument("--h-t", type=float, help="burst gap threshold (s)")
-    group.add_argument("--h-d", type=float, help="burst duration threshold (s)")
-    group.add_argument("--h-r", type=float, help="burst rate-ratio threshold")
-    group.add_argument("--h-s", type=float, help="minimum burst size (bytes)")
-    group.add_argument("--h-n", type=int, help="consecutive steady bursts required")
-    group.add_argument("--match-tolerance", type=float, help="method agreement tolerance (s)")
+    defaults = Config()
+    for name, (section, help_text) in _OVERRIDES.items():
+        group.add_argument("--" + name.replace("_", "-"), help=help_text,
+                           type=type(getattr(getattr(defaults, section), name)))
 
 
 def _build_config(args: argparse.Namespace) -> Config:
     cfg = Config.load(args.config) if getattr(args, "config", None) else Config()
-    sections = {"rate": dataclasses.asdict(cfg.rate),
-                "burst": dataclasses.asdict(cfg.burst),
-                "fusion": dataclasses.asdict(cfg.fusion)}
-    changed = False
-    for flag, (section, name) in _OVERRIDES.items():
-        value = getattr(args, flag, None)
+    changes: dict[str, dict] = {}
+    for name, (section, _) in _OVERRIDES.items():
+        value = getattr(args, name, None)
         if value is not None:
-            sections[section][name] = value
-            changed = True
-    if not changed:
-        return cfg
-    return Config(rate=RateParams(**sections["rate"]), burst=BurstParams(**sections["burst"]),
-                  fusion=FusionParams(**sections["fusion"]), generator=cfg.generator)
+            changes.setdefault(section, {})[name] = value
+    return dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), **values)
+                                       for section, values in changes.items()})
 
 
 def _flow_slug(index: int, flow) -> str:

@@ -67,15 +67,11 @@ class ConfusionMatrix:
         }
 
 
-def _boundaries(items, lo_attr="t_start", hi_attr="t_end") -> tuple[float, float]:
-    return getattr(items[0], lo_attr), getattr(items[-1], hi_attr)
-
-
 def _intersect(predicted: list[PhaseSegment], labels: list[PhaseSpan]) -> np.ndarray:
     if not predicted or not labels:
         raise SpanMismatchError("cannot score empty segments or labels")
-    p_lo, p_hi = _boundaries(predicted)
-    l_lo, l_hi = _boundaries(labels)
+    p_lo, p_hi = predicted[0].t_start, predicted[-1].t_end
+    l_lo, l_hi = labels[0].t_start, labels[-1].t_end
     tol = 1e-6 * max(1.0, abs(l_hi - l_lo))
     if abs(p_lo - l_lo) > tol or abs(p_hi - l_hi) > tol:
         raise SpanMismatchError(

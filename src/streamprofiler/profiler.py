@@ -20,9 +20,9 @@ import numpy as np
 
 from . import bursts as bursts_mod
 from . import rate as rate_mod
-from .bursts import Burst, BurstParams, PhaseCandidate
+from .bursts import BurstParams, PhaseCandidate
 from .rate import DECREASE, INCREASE, RateChange, RateParams, RateSeries
-from .trace import FILLING, OTHER, STEADY, FlowKey, PacketRecord, Trace
+from .trace import FILLING, OTHER, STEADY, FlowKey, Trace
 
 _EPS = 1e-9
 
@@ -147,7 +147,7 @@ class ProfileReport:
     rate_estimate: RateEstimate
     buffer: BufferTrajectory | None
     rate_series: RateSeries | None = field(default=None, repr=False)
-    bursts: list[Burst] | None = field(default=None, repr=False)
+    bursts: np.ndarray | None = field(default=None, repr=False)  # bursts.BURST_DTYPE rows
 
     def to_dict(self, include_buffer_samples: bool = True) -> dict:
         flow = None
@@ -178,10 +178,6 @@ class ProfileReport:
 # -- fusion -----------------------------------------------------------------
 
 
-def _cumulative_bytes(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
-    return trace.times, np.cumsum(trace.sizes)
-
-
 def _bytes_up_to(times: np.ndarray, cum: np.ndarray, t: float, side: str = "right") -> int:
     idx = int(np.searchsorted(times, t, side=side))
     return int(cum[idx - 1]) if idx > 0 else 0
@@ -198,12 +194,16 @@ def fuse(trace: Trace, rate_events: list[RateChange], candidates: list[PhaseCand
     uncovered time becomes ``other``. Segment volumes partition the flow's
     payload exactly; candidate boundaries fall on their own burst's packets,
     so a packet sitting exactly on a boundary is attributed to the candidate
-    segment, not the surrounding ``other`` gap.
+    segment, not the surrounding ``other`` gap. A candidate spanning no time
+    (a single-packet steady run when ``h_n`` is 1) is never confirmed; its
+    bytes fall into the surrounding ``other``.
     """
     if len(trace) == 0:
         return []
     confirmed: list[PhaseCandidate] = []
     for cand in candidates:
+        if cand.t_end - cand.t_start <= _EPS:
+            continue
         wanted = INCREASE if cand.kind == FILLING else DECREASE
         if any(ev.direction == wanted and abs(ev.time - cand.t_start) <= params.match_tolerance
                for ev in rate_events):
@@ -221,7 +221,7 @@ def fuse(trace: Trace, rate_events: list[RateChange], candidates: list[PhaseCand
     if t1 - cursor > _EPS:
         pieces.append((OTHER, cursor, t1))
 
-    times, cum = _cumulative_bytes(trace)
+    times, cum = trace.times, np.cumsum(trace.sizes)
     segments: list[PhaseSegment] = []
     prev_bytes = 0
     for k, (phase, a, b) in enumerate(pieces):
@@ -273,7 +273,7 @@ def estimate_rate(segments: list[PhaseSegment]) -> RateEstimate:
 
 
 def estimate_buffer(trace: Trace, encode_rate: float, playout_start: float,
-                    sample_dt: float, t_stop: float | None = None) -> BufferTrajectory:
+                    sample_dt: float) -> BufferTrajectory:
     """Play-back buffer level: cumulative arrivals minus modeled play-out.
 
     Play-out is linear at ``encode_rate`` from ``playout_start`` onward; the
@@ -285,12 +285,10 @@ def estimate_buffer(trace: Trace, encode_rate: float, playout_start: float,
     if len(trace) == 0:
         return BufferTrajectory(np.zeros(0), np.zeros(0), playout_start, encode_rate)
     t0 = trace.t_start
-    t_last = trace.t_end if t_stop is None else t_stop
-    n = int(np.floor((t_last - t0) / sample_dt)) + 1
+    n = int(np.floor((trace.t_end - t0) / sample_dt)) + 1
     ts = t0 + sample_dt * np.arange(n + 1)
-    times, cum = _cumulative_bytes(trace)
-    idx = np.searchsorted(times, ts, side="right")
-    cum0 = np.concatenate([[0], cum])
+    idx = np.searchsorted(trace.times, ts, side="right")
+    cum0 = np.concatenate([[0], np.cumsum(trace.sizes)])
     arrived = cum0[idx].astype(np.float64)
     played = encode_rate * np.clip(ts - playout_start, 0.0, None)
     levels = np.clip(arrived - played, 0.0, None)
@@ -366,9 +364,6 @@ class StreamProfiler:
             raise ValueError(f"payload_size must be >= 1, got {payload_size}")
         self._times.append(float(t_arrival))
         self._sizes.append(int(payload_size))
-
-    def feed_record(self, record: PacketRecord) -> None:
-        self.feed(record.t_arrival, record.payload_size)
 
     @property
     def n_packets(self) -> int:

@@ -18,6 +18,7 @@ import csv
 import io
 import ipaddress
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
@@ -188,12 +189,6 @@ class Trace:
         for t, s, fid in zip(self.times, self.sizes, self.flow_ids):
             yield PacketRecord(float(t), int(s), self.flows[fid])
 
-    def subset(self, mask: np.ndarray, flows: list[FlowKey] | None = None,
-               flow_ids: np.ndarray | None = None) -> "Trace":
-        ids = flow_ids if flow_ids is not None else self.flow_ids[mask]
-        return Trace(self.times[mask], self.sizes[mask], ids,
-                     flows if flows is not None else list(self.flows), dict(self.meta))
-
     def shifted(self, offset: float) -> "Trace":
         """Same trace with every arrival time moved by ``offset`` seconds."""
         return Trace(self.times + offset, self.sizes.copy(), self.flow_ids.copy(),
@@ -250,14 +245,25 @@ def demux(trace: Trace, merge_ports: bool = False) -> dict[FlowKey, Trace]:
 # -- CSV parsing / serialization ------------------------------------------
 
 
-def _as_text_lines(source) -> Iterator[str]:
+@contextmanager
+def _text_lines(source) -> Iterator[Iterator[str]]:
+    """Lines of text from a str, bytes, text file or binary file.
+
+    A binary file is read through a text wrapper that is detached on exit,
+    so the caller's file stays open.
+    """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     if isinstance(source, str):
-        return iter(io.StringIO(source))
-    if isinstance(source, io.TextIOBase):
-        return iter(source)
-    return io.TextIOWrapper(source, encoding="utf-8")  # binary file-like
+        yield iter(io.StringIO(source))
+    elif isinstance(source, io.TextIOBase):
+        yield iter(source)
+    else:
+        wrapper = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            yield wrapper
+        finally:
+            wrapper.detach()
 
 
 def _check_header(row: list[str], expected: tuple[str, ...]) -> None:
@@ -401,7 +407,7 @@ def _parse_rows(lines: Iterable[str], line_no: int,
             np.asarray(ids, dtype=np.int32))
 
 
-def parse_trace(source: str | bytes | IO, format: str = "csv") -> Trace:
+def parse_trace(source: str | bytes | IO) -> Trace:
     """Parse a packet trace from CSV text, bytes, or a file object.
 
     Every well-formed row becomes one record, in input order. A header-only
@@ -413,19 +419,17 @@ def parse_trace(source: str | bytes | IO, format: str = "csv") -> Trace:
     chunk that is not (quoted fields, literals only Python's ``float`` or
     ``int`` accepts, or a bad row) to the end, rows are parsed one by one.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported trace format: {format!r}")
-    lines = _as_text_lines(source)
-    line_no = _read_header(lines, TRACE_HEADER)
-    table = _FlowTable()
-    parts = []
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        columns = _parse_columns(chunk, table)
-        if columns is None:
-            parts.append(_parse_rows(chain(chunk, lines), line_no, table))
-            break
-        parts.append(columns)
-        line_no += len(chunk)
+    with _text_lines(source) as lines:
+        line_no = _read_header(lines, TRACE_HEADER)
+        table = _FlowTable()
+        parts = []
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            columns = _parse_columns(chunk, table)
+            if columns is None:
+                parts.append(_parse_rows(chain(chunk, lines), line_no, table))
+                break
+            parts.append(columns)
+            line_no += len(chunk)
     if not parts:
         return Trace.empty()
     times, sizes, ids = (np.concatenate(column) for column in zip(*parts))
@@ -453,23 +457,23 @@ def write_trace(trace: Trace, path: str | Path) -> None:
 
 def parse_labels(source: str | bytes | IO) -> list[PhaseSpan]:
     """Parse ground-truth phase labels (CSV ``t_start,t_end,phase``)."""
-    lines = _as_text_lines(source)
-    line_no = _read_header(lines, LABEL_HEADER)
-    spans: list[PhaseSpan] = []
-    for line_no, row in enumerate(csv.reader(lines), start=line_no + 1):
-        if _is_blank(row):
-            continue
-        if len(row) != 3:
-            raise TraceParseError(line_no, f"expected 3 fields, got {len(row)}")
-        a, b, phase = (f.strip() for f in row)
-        try:
-            t0, t1 = float(a), float(b)
-        except ValueError:
-            raise TraceParseError(line_no, f"bad interval bounds {a!r},{b!r}") from None
-        try:
-            spans.append(PhaseSpan(t0, t1, phase))
-        except ValueError as exc:
-            raise TraceParseError(line_no, str(exc)) from None
+    with _text_lines(source) as lines:
+        line_no = _read_header(lines, LABEL_HEADER)
+        spans: list[PhaseSpan] = []
+        for line_no, row in enumerate(csv.reader(lines), start=line_no + 1):
+            if _is_blank(row):
+                continue
+            if len(row) != 3:
+                raise TraceParseError(line_no, f"expected 3 fields, got {len(row)}")
+            a, b, phase = (f.strip() for f in row)
+            try:
+                t0, t1 = float(a), float(b)
+            except ValueError:
+                raise TraceParseError(line_no, f"bad interval bounds {a!r},{b!r}") from None
+            try:
+                spans.append(PhaseSpan(t0, t1, phase))
+            except ValueError as exc:
+                raise TraceParseError(line_no, str(exc)) from None
     return spans
 
 

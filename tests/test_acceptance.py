@@ -152,8 +152,8 @@ class TestPropertySuite:
     def test_burst_partition_and_monotonicity(self, burst_params):
         trace = random_trace(seed=23, duration=6.0, mean_rate=4e4, packet_size=900)
         bursts = burst_segment(trace, burst_params)
-        partitions = sum(b.size for b in bursts) == trace.total_bytes
-        counts = [len([b for b in bursts if b.size >= h]) for h in (1e3, 1e4, 1e5)]
+        partitions = sum(bursts["size"].tolist()) == trace.total_bytes
+        counts = [len([s for s in bursts["size"].tolist() if s >= h]) for h in (1e3, 1e4, 1e5)]
         _verdict(partitions and counts == sorted(counts, reverse=True),
                  "burst segmentation partitions the trace; retention monotone in h_s")
 

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from streamprofiler.cli import Config, main
+from streamprofiler.trace import write_trace
+from conftest import assert_tiles_and_partitions, single_packet_steady_trace
 
 
 def run(argv):
@@ -124,6 +126,15 @@ class TestAnalyze:
         assert run(["analyze", trace_path, "--out", out, "--h-n", 10_000]) == 0
         data = json.loads(next(out.glob("*.json")).read_text())
         assert data["verdict"]["is_video_stream"] is False
+
+    def test_single_packet_steady_run_with_h_n_1(self, tmp_path):
+        path = tmp_path / "lone.csv"
+        write_trace(single_packet_steady_trace(), path)
+        out = tmp_path / "out"
+        assert run(["analyze", path, "--out", out, "--h-n", 1]) == 0
+        data = json.loads(next(out.glob("*.json")).read_text())
+        assert_tiles_and_partitions(data["segments"], data["t_start"], data["t_end"],
+                                    data["total_bytes"])
 
 
 class TestEvaluate:

@@ -1,7 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamprofiler import (
     BurstParams,
@@ -18,10 +21,10 @@ from streamprofiler import (
     profile,
     scenario_spec,
 )
-from streamprofiler.bursts import PhaseCandidate
-from streamprofiler.rate import RateChange
+from streamprofiler.bursts import PhaseCandidate, detect
+from streamprofiler.rate import DECREASE, RateChange, analyze
 from streamprofiler.trace import FILLING, OTHER, STEADY, FlowKey, PacketRecord
-from conftest import TEST_FLOW, flow_trace
+from conftest import TEST_FLOW, assert_tiles_and_partitions, flow_trace, single_packet_steady_trace
 
 
 def seg(phase, t0, t1, volume=0):
@@ -33,15 +36,15 @@ class TestFuse:
     def test_agreeing_methods_tile_the_span(self, fusion_params):
         trace = flow_trace([0.0, 10.0, 41.0, 44.0, 100.0, 560.0])
         events = [RateChange(4, "increase", 0.3), RateChange(431, "decrease", 43.0)]
-        candidates = [PhaseCandidate(FILLING, 0.0, 41.0, 1, 1),
-                      PhaseCandidate(STEADY, 44.0, 560.0, 2, 9)]
+        candidates = [PhaseCandidate(FILLING, 0.0, 41.0),
+                      PhaseCandidate(STEADY, 44.0, 560.0)]
         segments = fuse(trace, events, candidates, fusion_params)
         assert [(s.phase, s.t_start, s.t_end) for s in segments] == [
             (FILLING, 0.0, 41.0), (OTHER, 41.0, 44.0), (STEADY, 44.0, 560.0)]
 
     def test_candidate_without_matching_event_becomes_other(self, fusion_params):
         trace = flow_trace([0.0, 44.0, 560.0])
-        candidates = [PhaseCandidate(STEADY, 44.0, 560.0, 1, 5)]
+        candidates = [PhaseCandidate(STEADY, 44.0, 560.0)]
         segments = fuse(trace, [], candidates, fusion_params)
         assert [s.phase for s in segments] == [OTHER]
         assert segments[0].t_start == 0.0 and segments[0].t_end == 560.0
@@ -49,13 +52,13 @@ class TestFuse:
     def test_event_outside_tolerance_is_no_match(self, fusion_params):
         trace = flow_trace([0.0, 44.0, 560.0])
         events = [RateChange(1, "decrease", 44.0 + fusion_params.match_tolerance + 0.5)]
-        candidates = [PhaseCandidate(STEADY, 44.0, 560.0, 1, 5)]
+        candidates = [PhaseCandidate(STEADY, 44.0, 560.0)]
         assert [s.phase for s in fuse(trace, events, candidates, fusion_params)] == [OTHER]
 
     def test_wrong_event_type_is_no_match(self, fusion_params):
         trace = flow_trace([0.0, 44.0, 560.0])
         events = [RateChange(1, "increase", 44.0)]
-        candidates = [PhaseCandidate(STEADY, 44.0, 560.0, 1, 5)]
+        candidates = [PhaseCandidate(STEADY, 44.0, 560.0)]
         assert [s.phase for s in fuse(trace, events, candidates, fusion_params)] == [OTHER]
 
     def test_empty_trace_yields_no_segments(self, fusion_params):
@@ -64,14 +67,22 @@ class TestFuse:
     def test_volumes_partition_payload(self, fusion_params):
         trace = flow_trace([0.0, 10.0, 41.0, 44.0, 100.0, 560.0], sizes=[10] * 6)
         events = [RateChange(1, "increase", 0.0), RateChange(431, "decrease", 43.0)]
-        candidates = [PhaseCandidate(FILLING, 0.0, 41.0, 1, 1),
-                      PhaseCandidate(STEADY, 44.0, 560.0, 2, 9)]
+        candidates = [PhaseCandidate(FILLING, 0.0, 41.0),
+                      PhaseCandidate(STEADY, 44.0, 560.0)]
         segments = fuse(trace, events, candidates, fusion_params)
         assert sum(s.volume for s in segments) == trace.total_bytes
         # boundary packets at 41.0 and 44.0 belong to the candidates, not the gap
         assert segments[0].volume == 30
         assert segments[1].volume == 0
         assert segments[2].volume == 30
+
+    def test_zero_span_candidate_is_not_confirmed(self, fusion_params):
+        trace = flow_trace([0.0, 11.9, 30.0], sizes=[10, 20, 30])
+        events = [RateChange(120, "decrease", 11.9)]
+        candidates = [PhaseCandidate(STEADY, 11.9, 11.9)]
+        segments = fuse(trace, events, candidates, fusion_params)
+        assert [s.phase for s in segments] == [OTHER]
+        assert_tiles_and_partitions(segments, 0.0, 30.0, 60)
 
 
 class TestDetectStream:
@@ -210,6 +221,20 @@ class TestProfile:
         assert report.segments == []
         assert not report.verdict.is_video_stream
 
+    def test_single_packet_steady_run_with_h_n_1(self):
+        trace = single_packet_steady_trace()
+        params = BurstParams(h_n=1)
+        # the lone packet is a zero-span steady candidate with a decrease nearby
+        lone = [c for c in detect(trace, params)[1] if c.t_start == c.t_end]
+        assert [(c.kind, c.t_start) for c in lone] == [(STEADY, 11.9)]
+        events = analyze(trace, RateParams(), tail=params.h_t).events
+        assert any(ev.direction == DECREASE
+                   and abs(ev.time - 11.9) <= FusionParams().match_tolerance for ev in events)
+        report = profile(trace, burst_params=params)
+        assert_tiles_and_partitions(report.segments, trace.t_start, trace.t_end,
+                                    trace.total_bytes)
+        json.dumps(report.to_dict(), allow_nan=False)
+
     def test_multi_flow_rejected(self):
         records = [PacketRecord(0.0, 10, FlowKey("10.0.0.1", "10.0.0.2", 1)),
                    PacketRecord(0.1, 10, FlowKey("10.0.0.3", "10.0.0.2", 1))]
@@ -227,6 +252,29 @@ class TestProfile:
         report = profile(labeled.trace, include_debug=True)
         assert report.rate_series is not None
         assert report.bursts is not None
+
+
+GAPS = [0.0, 0.0005, 0.01, 0.1, 0.5, 1.49, 1.5, 2.0, 5.0, 20.0]
+
+
+class TestArbitraryFlows:
+    @settings(max_examples=200, deadline=None)
+    @given(packets=st.lists(st.tuples(st.sampled_from(GAPS), st.integers(1, 70_000)),
+                            min_size=1, max_size=150),
+           offset=st.sampled_from([0.0, 3.25, 1.7e9]),
+           h_n=st.integers(1, 4))
+    @example(packets=[(0.0, 500)], offset=0.0, h_n=1)  # one packet
+    @example(packets=[(0.0, 30_000)] * 6, offset=1.7e9, h_n=1)  # zero span
+    def test_profile_never_fails_and_keeps_invariants(self, packets, offset, h_n):
+        gaps, sizes = zip(*packets)
+        trace = flow_trace(offset + np.cumsum((0.0,) + gaps[1:]), sizes=sizes)
+        report = profile(trace, burst_params=BurstParams(h_n=h_n))
+        json.dumps(report.to_dict(), allow_nan=False)
+        if trace.span > 1e-9:
+            assert_tiles_and_partitions(report.segments, trace.t_start, trace.t_end,
+                                        trace.total_bytes)
+        else:
+            assert report.segments == []
 
 
 class TestIncremental:

@@ -1,3 +1,4 @@
+import gc
 import io
 from unittest import mock
 
@@ -101,9 +102,16 @@ class TestParse:
         trace = parse_trace((HEADER + "0.25,99,10.0.0.1,10.0.0.2,80\n").encode())
         assert trace.sizes.tolist() == [99]
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError, match="format"):
-            parse_trace(HEADER, format="pcap")
+    def test_binary_file_stays_open(self):
+        source = io.BytesIO((HEADER + "0.25,99,10.0.0.1,10.0.0.2,80\n").encode())
+        parse_trace(source)
+        labels = io.BytesIO(b"t_start,t_end,phase\n0,1,filling\n")
+        parse_labels(labels)
+        bad = io.BytesIO(b"t_start,t_end,phase\n0,1,depletion\n")
+        with pytest.raises(TraceParseError):
+            parse_labels(bad)
+        gc.collect()
+        assert not (source.closed or labels.closed or bad.closed)
 
 
 MIXED_BODY = (
