@@ -40,7 +40,6 @@ from .trace import (
     PHASES,
     STEADY,
     FlowKey,
-    PacketRecord,
     PhaseSpan,
     Trace,
     TraceParseError,

@@ -30,35 +30,29 @@ class Config:
     fusion: FusionParams = dataclasses.field(default_factory=FusionParams)
     generator: GeneratorDefaults = dataclasses.field(default_factory=GeneratorDefaults)
 
-    def to_dict(self) -> dict:
-        return {
-            "rate": dataclasses.asdict(self.rate),
-            "burst": dataclasses.asdict(self.burst),
-            "fusion": dataclasses.asdict(self.fusion),
-            "generator": dataclasses.asdict(self.generator),
-        }
-
     @classmethod
-    def from_dict(cls, data: dict) -> "Config":
-        known = {"rate", "burst", "fusion", "generator"}
-        unknown = set(data) - known
+    def from_dict(cls, data) -> "Config":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+        fields = dataclasses.fields(cls)
+        unknown = set(data) - {f.name for f in fields}
         if unknown:
             raise ValueError(f"unknown config sections: {', '.join(sorted(unknown))}")
-        return cls(
-            rate=RateParams(**data.get("rate", {})),
-            burst=BurstParams(**data.get("burst", {})),
-            fusion=FusionParams(**data.get("fusion", {})),
-            generator=GeneratorDefaults(**data.get("generator", {})),
-        )
+        sections = {}
+        for f in fields:
+            values = data.get(f.name, {})
+            if not isinstance(values, dict):
+                raise ValueError(f"config section {f.name!r} must be a JSON object")
+            try:
+                sections[f.name] = f.default_factory(**values)  # the section's params class
+            except TypeError as exc:
+                raise ValueError(f"bad config section {f.name!r}: {exc}") from None
+        return cls(**sections)
 
     @classmethod
     def load(cls, path: str | Path) -> "Config":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
 
 
 _OVERRIDES = {
@@ -123,11 +117,7 @@ def _write_buffer_csv(report: ProfileReport, path: Path) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    try:
-        trace = load_trace(args.input)
-    except FileNotFoundError:
-        print(f"error: no such trace file: {args.input}", file=sys.stderr)
-        return 2
+    trace = load_trace(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     flows = demux(normalize(trace), merge_ports=args.merge_ports)
@@ -154,6 +144,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _spec_from_file(path: str, seed: int | None) -> ScenarioSpec:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"scenario spec must be a JSON object, got {type(data).__name__}")
     if seed is not None:
         data["rng_seed"] = seed
     data["encode_rates"] = tuple(tuple(pair) for pair in data.get("encode_rates", ()))
@@ -166,23 +158,15 @@ def _spec_from_file(path: str, seed: int | None) -> ScenarioSpec:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    try:
-        if args.spec:
-            spec = _spec_from_file(args.spec, args.seed)
-            labeled = synth_mod.generate(spec)
-        elif args.scenario == evaluate_mod.BULK_SCENARIO:
-            labeled = synth_mod.generate_bulk(evaluate_mod._BULK_DURATION, evaluate_mod._BULK_RATE,
-                                              cfg.generator.packet_size, seed=args.seed or 0)
-        else:
-            spec = synth_mod.scenario_spec(args.scenario, seed=args.seed or 0,
-                                           defaults=cfg.generator)
-            labeled = synth_mod.generate(spec)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.spec:
+        labeled = synth_mod.generate(_spec_from_file(args.spec, args.seed))
+    elif args.scenario == evaluate_mod.BULK_SCENARIO:
+        labeled = synth_mod.generate_bulk(evaluate_mod._BULK_DURATION, evaluate_mod._BULK_RATE,
+                                          cfg.generator.packet_size, seed=args.seed or 0)
+    else:
+        spec = synth_mod.scenario_spec(args.scenario, seed=args.seed or 0,
+                                       defaults=cfg.generator)
+        labeled = synth_mod.generate(spec)
     trace_path = Path(f"{args.out}.csv")
     labels_path = Path(f"{args.out}_labels.csv")
     trace_path.parent.mkdir(parents=True, exist_ok=True)
@@ -195,12 +179,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    try:
-        report = evaluate_mod.run_scenario(args.scenario, args.runs, cfg.rate, cfg.burst,
-                                           cfg.fusion, cfg.generator, base_seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = evaluate_mod.run_scenario(args.scenario, args.runs, cfg.rate, cfg.burst,
+                                       cfg.fusion, cfg.generator, base_seed=args.seed)
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -245,9 +225,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        print(f"error: no such report: {args.path}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"error: not a JSON report: {exc}", file=sys.stderr)
         return 2
@@ -329,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--runs must be >= 1")
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,9 +37,6 @@ class ConfusionMatrix:
     def add(self, predicted: list[PhaseSegment], labels: list[PhaseSpan]) -> None:
         self.seconds += _intersect(predicted, labels)
 
-    def merge(self, other: "ConfusionMatrix") -> None:
-        self.seconds += other.seconds
-
     @property
     def total_seconds(self) -> float:
         return float(self.seconds.sum())

@@ -13,6 +13,7 @@ a play-back buffer trajectory (cumulative arrivals minus modeled play-out).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -22,7 +23,7 @@ from . import bursts as bursts_mod
 from . import rate as rate_mod
 from .bursts import BurstParams, PhaseCandidate
 from .rate import DECREASE, INCREASE, RateChange, RateParams, RateSeries
-from .trace import FILLING, OTHER, STEADY, FlowKey, Trace
+from .trace import _INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace
 
 _EPS = 1e-9
 
@@ -36,24 +37,16 @@ def to_kbps(bytes_per_sec: float) -> float:
 
 @dataclass(frozen=True)
 class FusionParams:
-    """Fusion and session-model knobs.
+    """Fusion knob.
 
     match_tolerance: allowed gap between the two methods' change times (s).
-    silence_timeout: idle gap after which a live session counts as ended (s).
-    startup_delay: extra delay added to the modeled play-out start (s).
     """
 
     match_tolerance: float = 5.0
-    silence_timeout: float = 30.0
-    startup_delay: float = 0.0
 
     def __post_init__(self):
         if not self.match_tolerance > 0:
             raise ValueError(f"match_tolerance must be > 0, got {self.match_tolerance}")
-        if not self.silence_timeout > 0:
-            raise ValueError(f"silence_timeout must be > 0, got {self.silence_timeout}")
-        if self.startup_delay < 0:
-            raise ValueError(f"startup_delay must be >= 0, got {self.startup_delay}")
 
 
 @dataclass(frozen=True)
@@ -113,9 +106,9 @@ class RateEstimate:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class BufferTrajectory:
-    """Estimated play-back buffer level over time."""
+    """Estimated play-back buffer level over time. Holds arrays, so ``==`` is identity."""
 
     times: np.ndarray
     levels: np.ndarray  # bytes, clamped at 0
@@ -133,9 +126,13 @@ class BufferTrajectory:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class ProfileReport:
-    """Everything the profiler can say about one flow."""
+    """Everything the profiler can say about one flow.
+
+    ``==`` is identity, since the buffer and debug fields hold arrays;
+    compare two reports through ``to_json()``.
+    """
 
     flow: FlowKey | None
     n_packets: int
@@ -319,7 +316,7 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
 
     buffer = None
     if rate_estimate.session is not None and len(trace):
-        playout_start = trace.t_start + rp.delta_t + fp.startup_delay
+        playout_start = trace.t_start + rp.delta_t
         buffer = estimate_buffer(trace, rate_estimate.session, playout_start, rp.delta_t)
 
     return ProfileReport(
@@ -357,12 +354,16 @@ class StreamProfiler:
         self._sizes: list[int] = []
 
     def feed(self, t_arrival: float, payload_size: int) -> None:
-        if self._times and t_arrival < self._times[-1]:
+        """Add one packet; a rejected packet raises ``ValueError`` and is not stored."""
+        t = float(t_arrival)
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t_arrival must be finite and >= 0, got {t_arrival!r}")
+        if self._times and t < self._times[-1]:
             raise ValueError(f"packet at t={t_arrival} arrived out of order "
                              f"(last was {self._times[-1]})")
-        if payload_size < 1:
-            raise ValueError(f"payload_size must be >= 1, got {payload_size}")
-        self._times.append(float(t_arrival))
+        if not 1 <= payload_size <= _INT64_MAX:
+            raise ValueError(f"payload_size must be in [1, {_INT64_MAX}], got {payload_size!r}")
+        self._times.append(t)
         self._sizes.append(int(payload_size))
 
     @property
@@ -378,9 +379,3 @@ class StreamProfiler:
     def report(self, include_debug: bool = False) -> ProfileReport:
         return profile(self.trace(), self.rate_params, self.burst_params,
                        self.fusion_params, include_debug=include_debug)
-
-    def session_ended(self, now: float) -> bool:
-        """True once the flow has been silent for the configured timeout."""
-        if not self._times:
-            return False
-        return now - self._times[-1] >= self.fusion_params.silence_timeout

@@ -51,9 +51,12 @@ class RateChange:
     time: float
 
 
-@dataclass
+@dataclass(eq=False)
 class RateSeries:
-    """Per-bin rate series for one flow, bins aligned to the flow's first packet."""
+    """Per-bin rate series for one flow, bins aligned to the flow's first packet.
+
+    Holds arrays, so ``==`` is identity.
+    """
 
     t0: float
     delta_t: float

@@ -69,6 +69,7 @@ class ScenarioSpec:
     ``throttle_windows`` lists (t_start, t_end, cap bytes/s) intervals during
     which the wire is capped; a cap below the active encoding rate degrades
     the client to segments of ``throttle_quality_fraction * cap``.
+    ``name`` labels the spec only; the generated trace does not depend on it.
     """
 
     encode_rates: tuple[tuple[float, float], ...]
@@ -204,11 +205,11 @@ class _Emitter:
     def last_time(self) -> float:
         return float(self.times[-1][-1]) if self.times else 0.0
 
-    def build(self, meta: dict) -> Trace:
+    def build(self) -> Trace:
         if not self.times:
-            return Trace.empty(meta)
+            return Trace.empty()
         return Trace.single_flow(np.concatenate(self.times), np.concatenate(self.sizes),
-                                 _SYNTH_FLOW, meta)
+                                 _SYNTH_FLOW)
 
 
 def _spans_from_marks(marks: list[tuple[float, str]], t_last: float) -> list[PhaseSpan]:
@@ -340,8 +341,7 @@ def generate(spec: ScenarioSpec) -> LabeledTrace:
 
     t_last = em.last_time()
     labels = _spans_from_marks(marks, t_last)
-    meta = {"scenario": spec.name} if spec.name else {}
-    return LabeledTrace(trace=em.build(meta), labels=labels)
+    return LabeledTrace(trace=em.build(), labels=labels)
 
 
 def generate_bulk(duration: float, rate: float, packet_size: int = 1400,
@@ -355,10 +355,10 @@ def generate_bulk(duration: float, rate: float, packet_size: int = 1400,
         raise ValueError("duration must be >= 0, rate > 0, packet_size >= 1")
     nbytes = int(round(duration * rate))
     if nbytes < 1:
-        return LabeledTrace(trace=Trace.empty({"scenario": "bulk"}), labels=[])
+        return LabeledTrace(trace=Trace.empty(), labels=[])
     rng = np.random.default_rng(seed)
     em = _Emitter(packet_size, rng)
     em.burst(0.0, nbytes, rate)
     t_last = em.last_time()
     labels = [PhaseSpan(0.0, t_last, OTHER)] if t_last > 0 else []
-    return LabeledTrace(trace=em.build({"scenario": "bulk"}), labels=labels)
+    return LabeledTrace(trace=em.build(), labels=labels)

@@ -3,8 +3,7 @@
 A trace is a time-ordered collection of downlink packet observations:
 arrival time, transport payload size, and flow addressing. Storage is
 columnar (numpy arrays) so that rate binning and burst segmentation stay
-cheap on traces with hundreds of thousands of packets; ``PacketRecord``
-is the scalar row view used at parse boundaries and in tests.
+cheap on traces with hundreds of thousands of packets.
 
 Canonical trace format is a flat CSV with header ``t,size,src,dst,dst_port``
 (decimal seconds, integer payload bytes, addresses, optional port).
@@ -19,7 +18,7 @@ import io
 import ipaddress
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -64,21 +63,6 @@ class FlowKey:
 
 
 @dataclass(frozen=True, slots=True)
-class PacketRecord:
-    """One observed downlink packet."""
-
-    t_arrival: float
-    payload_size: int
-    flow: FlowKey
-
-    def __post_init__(self):
-        if not (np.isfinite(self.t_arrival) and self.t_arrival >= 0.0):
-            raise ValueError(f"t_arrival must be finite and >= 0, got {self.t_arrival!r}")
-        if self.payload_size < 1:
-            raise ValueError(f"payload_size must be >= 1, got {self.payload_size!r}")
-
-
-@dataclass(frozen=True, slots=True)
 class PhaseSpan:
     """A labeled time interval of a streaming session."""
 
@@ -101,15 +85,13 @@ class PhaseSpan:
 class Trace:
     """Columnar packet trace: parallel arrays plus a flow table.
 
-    ``flow_ids[i]`` indexes into ``flows`` for packet ``i``. ``meta`` holds
-    free-form annotations (scenario name, label file reference).
+    ``flow_ids[i]`` indexes into ``flows`` for packet ``i``.
     """
 
     times: np.ndarray
     sizes: np.ndarray
     flow_ids: np.ndarray
     flows: list[FlowKey]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -121,35 +103,12 @@ class Trace:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def empty(cls, meta: dict | None = None) -> "Trace":
-        return cls(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32),
-                   [], meta or {})
+    def empty(cls) -> "Trace":
+        return cls([], [], [], [])
 
     @classmethod
-    def from_records(cls, records: Iterable[PacketRecord], meta: dict | None = None) -> "Trace":
-        times: list[float] = []
-        sizes: list[int] = []
-        ids: list[int] = []
-        flows: list[FlowKey] = []
-        index: dict[FlowKey, int] = {}
-        for rec in records:
-            fid = index.get(rec.flow)
-            if fid is None:
-                fid = len(flows)
-                index[rec.flow] = fid
-                flows.append(rec.flow)
-            times.append(rec.t_arrival)
-            sizes.append(rec.payload_size)
-            ids.append(fid)
-        return cls(np.asarray(times, dtype=np.float64),
-                   np.asarray(sizes, dtype=np.int64),
-                   np.asarray(ids, dtype=np.int32), flows, meta or {})
-
-    @classmethod
-    def single_flow(cls, times, sizes, flow: FlowKey, meta: dict | None = None) -> "Trace":
-        times = np.asarray(times, dtype=np.float64)
-        return cls(times, np.asarray(sizes, dtype=np.int64),
-                   np.zeros(len(times), dtype=np.int32), [flow], meta or {})
+    def single_flow(cls, times, sizes, flow: FlowKey) -> "Trace":
+        return cls(times, sizes, np.zeros(len(times), dtype=np.int32), [flow])
 
     # -- basic views ------------------------------------------------------
 
@@ -162,8 +121,7 @@ class Trace:
         return (np.array_equal(self.times, other.times)
                 and np.array_equal(self.sizes, other.sizes)
                 and np.array_equal(self.flow_ids, other.flow_ids)
-                and self.flows == other.flows
-                and self.meta == other.meta)
+                and self.flows == other.flows)
 
     @property
     def t_start(self) -> float:
@@ -185,14 +143,10 @@ class Trace:
     def is_time_sorted(self) -> bool:
         return bool(np.all(np.diff(self.times) >= 0.0)) if len(self) > 1 else True
 
-    def records(self) -> Iterator[PacketRecord]:
-        for t, s, fid in zip(self.times, self.sizes, self.flow_ids):
-            yield PacketRecord(float(t), int(s), self.flows[fid])
-
     def shifted(self, offset: float) -> "Trace":
         """Same trace with every arrival time moved by ``offset`` seconds."""
         return Trace(self.times + offset, self.sizes.copy(), self.flow_ids.copy(),
-                     list(self.flows), dict(self.meta))
+                     list(self.flows))
 
 
 # -- operations -----------------------------------------------------------
@@ -205,12 +159,11 @@ def normalize(trace: Trace) -> Trace:
     bit-exactly.
     """
     if len(trace) == 0:
-        return Trace.empty(dict(trace.meta))
+        return Trace.empty()
     order = np.argsort(trace.times, kind="stable")
     times = trace.times[order]
     origin = times[0]
-    return Trace(times - origin, trace.sizes[order], trace.flow_ids[order],
-                 list(trace.flows), dict(trace.meta))
+    return Trace(times - origin, trace.sizes[order], trace.flow_ids[order], list(trace.flows))
 
 
 def demux(trace: Trace, merge_ports: bool = False) -> dict[FlowKey, Trace]:
@@ -238,7 +191,7 @@ def demux(trace: Trace, merge_ports: bool = False) -> dict[FlowKey, Trace]:
     for gid in present.tolist():
         lo, hi = bounds[gid], bounds[gid + 1]
         out[keys[gid]] = Trace(times[lo:hi], sizes[lo:hi], np.zeros(hi - lo, dtype=np.int32),
-                               [keys[gid]], dict(trace.meta))
+                               [keys[gid]])
     return out
 
 

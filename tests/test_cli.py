@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from streamprofiler import BurstParams, FusionParams, GeneratorDefaults, RateParams
 from streamprofiler.cli import Config, main
 from streamprofiler.trace import write_trace
 from conftest import assert_tiles_and_partitions, single_packet_steady_trace
@@ -12,11 +13,13 @@ def run(argv):
 
 
 class TestConfig:
-    def test_round_trips_through_file(self, tmp_path):
-        cfg = Config()
+    def test_loads_hand_written_file(self, tmp_path):
         path = tmp_path / "config.json"
-        cfg.save(path)
-        assert Config.load(path) == cfg
+        path.write_text('{"rate": {"c": 0.7}, "fusion": {"match_tolerance": 3.0}}')
+        cfg = Config.load(path)
+        assert cfg.rate == RateParams(c=0.7)
+        assert cfg.fusion == FusionParams(match_tolerance=3.0)
+        assert (cfg.burst, cfg.generator) == (BurstParams(), GeneratorDefaults())
 
     def test_rejects_unknown_sections(self, tmp_path):
         path = tmp_path / "config.json"
@@ -29,6 +32,25 @@ class TestConfig:
         path.write_text(json.dumps({"rate": {"c": 0.4}}))
         with pytest.raises(ValueError):
             Config.load(path)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"fusion": {"silence_timeout": 30.0}}, "silence_timeout"),  # a removed field
+        ([{"rate": {}}], "JSON object"),
+        ({"burst": [1, 2]}, "'burst' must be a JSON object"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, data, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=message):
+            Config.load(path)
+        assert run(["generate", "MQ", "--config", path, "--out", tmp_path / "x"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "none.json"
+        assert run(["generate", "MQ", "--config", missing, "--out", tmp_path / "x"]) == 2
+        assert str(missing) in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -70,6 +92,12 @@ class TestGenerate:
         spec_path.write_text(json.dumps({"encode_rates": [[0.0, 80750.0]], "bogus_field": 1}))
         assert run(["generate", "--spec", spec_path, "--out", tmp_path / "c"]) == 2
         assert "bogus_field" in capsys.readouterr().err
+
+    def test_non_object_spec_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("[]")
+        assert run(["generate", "--spec", spec_path, "--out", tmp_path / "c"]) == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_missing_scenario_and_spec_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -113,6 +141,16 @@ class TestAnalyze:
         path.write_text("t,size,src,dst,dst_port\n0.1,99999999999999999999,10.0.0.1,10.0.0.2,443\n")
         assert run(["analyze", path, "--out", tmp_path / "out"]) == 2
         assert "line 2: payload size" in capsys.readouterr().err
+
+    def test_directory_input_exits_2(self, tmp_path, capsys):
+        assert run(["analyze", tmp_path, "--out", tmp_path / "out"]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, trace_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["analyze", trace_path, "--out", out]) == 2
+        assert str(out) in capsys.readouterr().err
 
     def test_debug_dumps(self, tmp_path, trace_path):
         out = tmp_path / "dbg"
@@ -178,3 +216,7 @@ class TestReport:
 
     def test_missing_report_exits_2(self, tmp_path):
         assert run(["report", tmp_path / "none.json"]) == 2
+
+    def test_directory_report_exits_2(self, tmp_path, capsys):
+        assert run(["report", tmp_path]) == 2
+        assert str(tmp_path) in capsys.readouterr().err

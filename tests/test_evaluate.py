@@ -3,7 +3,6 @@ import pytest
 
 from streamprofiler import PhaseSegment, PhaseSpan, confusion, nrmse
 from streamprofiler.evaluate import (
-    ConfusionMatrix,
     SpanMismatchError,
     check_report,
     phase_counts,
@@ -66,13 +65,6 @@ class TestConfusion:
         truth = [PhaseSpan(0.0, 10.0, FILLING)]
         cm = confusion([seg(FILLING, 0.0, 10.0)], truth)
         assert cm.diagonal_percent(STEADY) is None
-
-    def test_merge_accumulates(self):
-        a = confusion(spans_to_segments(TRUTH), TRUTH)
-        b = ConfusionMatrix()
-        b.merge(a)
-        b.merge(a)
-        assert np.allclose(b.seconds, 2 * a.seconds)
 
 
 class TestNrmse:

@@ -23,7 +23,7 @@ from streamprofiler import (
 )
 from streamprofiler.bursts import PhaseCandidate, detect
 from streamprofiler.rate import DECREASE, RateChange, analyze
-from streamprofiler.trace import FILLING, OTHER, STEADY, FlowKey, PacketRecord
+from streamprofiler.trace import FILLING, OTHER, STEADY, FlowKey
 from conftest import TEST_FLOW, assert_tiles_and_partitions, flow_trace, single_packet_steady_trace
 
 
@@ -236,10 +236,9 @@ class TestProfile:
         json.dumps(report.to_dict(), allow_nan=False)
 
     def test_multi_flow_rejected(self):
-        records = [PacketRecord(0.0, 10, FlowKey("10.0.0.1", "10.0.0.2", 1)),
-                   PacketRecord(0.1, 10, FlowKey("10.0.0.3", "10.0.0.2", 1))]
+        flows = [FlowKey("10.0.0.1", "10.0.0.2", 1), FlowKey("10.0.0.3", "10.0.0.2", 1)]
         with pytest.raises(ValueError, match="demux"):
-            profile(Trace.from_records(records))
+            profile(Trace([0.0, 0.1], [10, 10], [0, 1], flows))
 
     def test_buffer_uses_session_estimate(self, mq):
         _, report = mq
@@ -252,6 +251,13 @@ class TestProfile:
         report = profile(labeled.trace, include_debug=True)
         assert report.rate_series is not None
         assert report.bursts is not None
+
+    def test_reports_compare_by_identity(self, mq):
+        labeled, report = mq
+        again = profile(labeled.trace, include_debug=True)
+        assert report == report and again.rate_series == again.rate_series
+        assert report != again and report.buffer != again.buffer
+        assert report.to_json() == again.to_json()
 
 
 GAPS = [0.0, 0.0005, 0.01, 0.1, 0.5, 1.49, 1.5, 2.0, 5.0, 20.0]
@@ -297,9 +303,19 @@ class TestIncremental:
         with pytest.raises(ValueError, match="order"):
             prof.feed(0.5, 10)
 
-    def test_session_end_by_silence(self):
-        prof = StreamProfiler(fusion_params=FusionParams(silence_timeout=30.0))
-        assert not prof.session_ended(1e9)
-        prof.feed(0.0, 10)
-        assert not prof.session_ended(10.0)
-        assert prof.session_ended(31.0)
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf"), -0.5])
+    def test_rejects_bad_arrival_time(self, t):
+        prof = StreamProfiler()
+        prof.feed(1.0, 10)
+        with pytest.raises(ValueError, match="finite"):
+            prof.feed(t, 10)
+        assert prof.n_packets == 1
+        prof.feed(2.0, 10)
+        assert prof.report().n_packets == 2
+
+    def test_rejected_size_stores_nothing(self):
+        prof = StreamProfiler()
+        for size in (0, float("nan"), float("inf"), 2**63):
+            with pytest.raises(ValueError):
+                prof.feed(1.0, size)
+        assert prof.n_packets == 0 and len(prof.trace()) == 0

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import streamprofiler.trace as trace_mod
 from streamprofiler import (
     FlowKey,
-    PacketRecord,
     PhaseSpan,
     Trace,
     TraceParseError,
@@ -57,9 +56,10 @@ def assert_same_outcome(got, want):
 class TestParse:
     def test_single_row_maps_fields(self):
         trace = parse_trace(HEADER + "0.020,1200,10.0.0.1,192.168.1.5,443\n")
-        assert len(trace) == 1
-        rec = next(trace.records())
-        assert rec == PacketRecord(0.020, 1200, FlowKey("10.0.0.1", "192.168.1.5", 443))
+        assert trace.times.tolist() == [0.020]
+        assert trace.sizes.tolist() == [1200]
+        assert trace.flow_ids.tolist() == [0]
+        assert trace.flows == [FlowKey("10.0.0.1", "192.168.1.5", 443)]
 
     def test_header_only_gives_empty_trace(self):
         trace = parse_trace(HEADER)
@@ -246,9 +246,10 @@ class TestRoundTrip:
         st.one_of(st.none(), st.integers(min_value=1, max_value=65535)),
     ), max_size=30))
     def test_round_trip_is_identity(self, rows):
-        records = [PacketRecord(t, s, FlowKey(src, "192.0.2.9", port))
-                   for t, s, src, port in rows]
-        trace = Trace.from_records(records)
+        keys = [FlowKey(src, "192.0.2.9", port) for _, _, src, port in rows]
+        flows = list(dict.fromkeys(keys))  # first-appearance order, as the parser assigns ids
+        trace = Trace([t for t, *_ in rows], [s for _, s, *_ in rows],
+                      [flows.index(k) for k in keys], flows)
         again = parse_trace(serialize_trace(trace))
         assert again == trace
 
@@ -277,9 +278,7 @@ class TestDemux:
     def test_partition_two_flows(self):
         a = FlowKey("10.0.0.1", "10.0.0.9", 443)
         b = FlowKey("10.0.0.2", "10.0.0.9", 443)
-        records = [PacketRecord(t, 10, f) for t, f in
-                   [(0.0, a), (0.1, b), (0.2, a), (0.3, a), (0.4, b)]]
-        trace = Trace.from_records(records)
+        trace = Trace([0.0, 0.1, 0.2, 0.3, 0.4], [10] * 5, [0, 1, 0, 0, 1], [a, b])
         parts = demux(trace)
         assert set(parts) == {a, b}
         assert len(parts[a]) == 3 and len(parts[b]) == 2
@@ -298,7 +297,7 @@ class TestDemux:
     def test_merge_ports(self):
         a = FlowKey("10.0.0.1", "10.0.0.9", 443)
         b = FlowKey("10.0.0.1", "10.0.0.9", 444)
-        trace = Trace.from_records([PacketRecord(0.0, 10, a), PacketRecord(0.1, 20, b)])
+        trace = Trace([0.0, 0.1], [10, 20], [0, 1], [a, b])
         parts = demux(trace, merge_ports=True)
         key = FlowKey("10.0.0.1", "10.0.0.9", None)
         assert list(parts) == [key]
@@ -308,7 +307,7 @@ class TestDemux:
         a = FlowKey("10.0.0.1", "10.0.0.9", 443)
         b = FlowKey("10.0.0.1", "10.0.0.9", None)
         assert a != b
-        trace = Trace.from_records([PacketRecord(0.0, 10, a), PacketRecord(0.1, 20, b)])
+        trace = Trace([0.0, 0.1], [10, 20], [0, 1], [a, b])
         assert len(demux(trace)) == 2
 
 
@@ -321,7 +320,7 @@ class TestDemux:
         ids[:2] = [2, 1]  # first appearance differs from flow-table order
         times = rng.uniform(0.0, 50.0, size=ids.size)  # demux must not sort by time
         sizes = np.arange(1, ids.size + 1)  # each record is identified by its size
-        trace = Trace(times, sizes, ids, flows, {"source": "test"})
+        trace = Trace(times, sizes, ids, flows)
         parts = demux(trace, merge_ports=merge_ports)
 
         key_of = [f.without_port() if merge_ports else f for f in flows]
@@ -331,20 +330,9 @@ class TestDemux:
             assert part.sizes.tolist() == sizes[mine].tolist()
             assert part.times.tolist() == times[mine].tolist()
             assert part.flows == [key] and not part.flow_ids.any()
-            assert part.meta == trace.meta
         merged = np.concatenate([part.sizes for part in parts.values()])
         assert sorted(merged.tolist()) == sizes.tolist()
         assert len(parts) == (2 if merge_ports else 3)
-
-
-class TestRecords:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            PacketRecord(-0.1, 10, TEST_FLOW)
-        with pytest.raises(ValueError):
-            PacketRecord(float("nan"), 10, TEST_FLOW)
-        with pytest.raises(ValueError):
-            PacketRecord(0.0, 0, TEST_FLOW)
 
 
 class TestLabels:
