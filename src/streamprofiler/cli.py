@@ -43,6 +43,11 @@ class Config:
             values = data.get(f.name, {})
             if not isinstance(values, dict):
                 raise ValueError(f"config section {f.name!r} must be a JSON object")
+            defaults = f.default_factory()
+            for name, value in values.items():
+                # JSON true/false would pass as the integers 1/0
+                if isinstance(value, bool) and not isinstance(getattr(defaults, name, False), bool):
+                    raise ValueError(f"config field {f.name}.{name} must be a number, got {value!r}")
             try:
                 sections[f.name] = f.default_factory(**values)  # the section's params class
             except TypeError as exc:

@@ -26,9 +26,17 @@ from .rate import DECREASE, INCREASE, RateChange, RateParams, RateSeries
 from .trace import _INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace
 
 _EPS = 1e-9
+_INITIAL_CAPACITY = 1024  # packets a StreamProfiler holds before its first growth
 
 BYTES_PER_SEC_TO_KBPS = 8.0 / 1000.0
 UNIT_NOTE = "rates in bytes per second unless a field is suffixed _kbps"
+
+# the text ``json.dumps(indent=2)`` writes around the [time, level] buffer samples
+_SAMPLES_MARK = '"samples": []'
+_SAMPLES_OPEN = '"samples": [\n      [\n        '
+_SAMPLE_ITEM_SEP = ",\n        "
+_SAMPLE_SEP = "\n      ],\n      [\n        "
+_SAMPLES_CLOSE = "\n      ]\n    ]"
 
 
 def to_kbps(bytes_per_sec: float) -> float:
@@ -168,8 +176,25 @@ class ProfileReport:
             "buffer": buffer,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(**kwargs), indent=2, sort_keys=True)
+    def to_json(self, include_buffer_samples: bool = True) -> str:
+        """``json.dumps(self.to_dict(...), indent=2, sort_keys=True)``, byte for byte.
+
+        The indenting encoder is pure Python and the buffer samples are most
+        of a report, so the samples are written here from their ``repr``
+        (as ``json`` writes a finite float) and spliced in for an empty list.
+        """
+        data = self.to_dict(include_buffer_samples=False)
+        if not include_buffer_samples or self.buffer is None:
+            return json.dumps(data, indent=2, sort_keys=True)
+        data["buffer"]["samples"] = []
+        text = json.dumps(data, indent=2, sort_keys=True)
+        if not len(self.buffer.times):
+            return text
+        # "buffer" sorts first and holds no string, so the first mark is its own
+        head, _, tail = text.partition(_SAMPLES_MARK)
+        pairs = map(_SAMPLE_ITEM_SEP.join, zip(map(repr, self.buffer.times.tolist()),
+                                               map(repr, self.buffer.levels.tolist())))
+        return "".join((head, _SAMPLES_OPEN, _SAMPLE_SEP.join(pairs), _SAMPLES_CLOSE, tail))
 
 
 # -- fusion -----------------------------------------------------------------
@@ -337,9 +362,12 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
 class StreamProfiler:
     """Incremental per-flow profiler: feed packets, query the current profile.
 
-    Packets must arrive in non-decreasing time order. Queries recompute from
-    the accumulated packets and never mutate state, so interleaving feeds and
-    queries is safe.
+    Packets must arrive in non-decreasing time order. They are stored in two
+    arrays that double in size when full; ``trace()`` hands out read-only
+    views of the filled part, so a query copies nothing. A stored packet is
+    never written again, so later feeds leave earlier traces and reports as
+    they were. Queries recompute from the accumulated packets and never
+    mutate state, so interleaving feeds and queries is safe.
     """
 
     def __init__(self, rate_params: RateParams | None = None,
@@ -350,28 +378,38 @@ class StreamProfiler:
         self.burst_params = burst_params or BurstParams()
         self.fusion_params = fusion_params or FusionParams()
         self.flow = flow or FlowKey("0.0.0.0", "0.0.0.0")
-        self._times: list[float] = []
-        self._sizes: list[int] = []
+        self._times = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
+        self._sizes = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        self._n = 0
+        self._last_t = 0.0
 
     def feed(self, t_arrival: float, payload_size: int) -> None:
         """Add one packet; a rejected packet raises ``ValueError`` and is not stored."""
         t = float(t_arrival)
         if not 0.0 <= t < math.inf:
             raise ValueError(f"t_arrival must be finite and >= 0, got {t_arrival!r}")
-        if self._times and t < self._times[-1]:
+        if t < self._last_t:
             raise ValueError(f"packet at t={t_arrival} arrived out of order "
-                             f"(last was {self._times[-1]})")
+                             f"(last was {self._last_t})")
         if not 1 <= payload_size <= _INT64_MAX:
             raise ValueError(f"payload_size must be in [1, {_INT64_MAX}], got {payload_size!r}")
-        self._times.append(t)
-        self._sizes.append(int(payload_size))
+        n = self._n
+        if n == len(self._times):
+            self._times = np.concatenate([self._times, np.empty_like(self._times)])
+            self._sizes = np.concatenate([self._sizes, np.empty_like(self._sizes)])
+        self._times[n] = t
+        self._sizes[n] = int(payload_size)
+        self._n = n + 1
+        self._last_t = t
 
     @property
     def n_packets(self) -> int:
-        return len(self._times)
+        return self._n
 
     def trace(self) -> Trace:
-        return Trace.single_flow(self._times, self._sizes, self.flow)
+        times, sizes = self._times[:self._n], self._sizes[:self._n]
+        times.flags.writeable = sizes.flags.writeable = False
+        return Trace.single_flow(times, sizes, self.flow)
 
     def segments(self) -> list[PhaseSegment]:
         return self.report().segments

@@ -37,6 +37,9 @@ class TestConfig:
         ({"fusion": {"silence_timeout": 30.0}}, "silence_timeout"),  # a removed field
         ([{"rate": {}}], "JSON object"),
         ({"burst": [1, 2]}, "'burst' must be a JSON object"),
+        ({"burst": {"h_n": True}}, "burst.h_n must be a number"),  # would pass as 1
+        ({"rate": {"a": True}}, "rate.a must be a number"),
+        ({"generator": {"packet_size": False}}, "generator.packet_size must be a number"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, data, message):
         path = tmp_path / "config.json"

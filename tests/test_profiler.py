@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +20,12 @@ from streamprofiler import (
     estimate_rate,
     fuse,
     generate,
+    generate_bulk,
     profile,
     scenario_spec,
 )
-from streamprofiler.bursts import PhaseCandidate, detect
+from streamprofiler.bursts import PhaseCandidate, detect, write_bursts_csv
+from streamprofiler.profiler import _INITIAL_CAPACITY, BufferTrajectory
 from streamprofiler.rate import DECREASE, RateChange, analyze
 from streamprofiler.trace import FILLING, OTHER, STEADY, FlowKey
 from conftest import TEST_FLOW, assert_tiles_and_partitions, flow_trace, single_packet_steady_trace
@@ -276,6 +280,7 @@ class TestArbitraryFlows:
         trace = flow_trace(offset + np.cumsum((0.0,) + gaps[1:]), sizes=sizes)
         report = profile(trace, burst_params=BurstParams(h_n=h_n))
         json.dumps(report.to_dict(), allow_nan=False)
+        assert report.to_json() == slow_json(report)
         if trace.span > 1e-9:
             assert_tiles_and_partitions(report.segments, trace.t_start, trace.t_end,
                                         trace.total_bytes)
@@ -319,3 +324,133 @@ class TestIncremental:
             with pytest.raises(ValueError):
                 prof.feed(1.0, size)
         assert prof.n_packets == 0 and len(prof.trace()) == 0
+
+
+def slow_json(report, **kwargs) -> str:
+    """The report's JSON through the standard encoder alone."""
+    return json.dumps(report.to_dict(**kwargs), indent=2, sort_keys=True)
+
+
+def bursts_csv(bursts) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bursts.csv"
+        write_bursts_csv(bursts, path)
+        return path.read_bytes()
+
+
+def fed(packets, flow=TEST_FLOW) -> StreamProfiler:
+    prof = StreamProfiler(flow=flow)
+    for t, s in packets:
+        prof.feed(t, s)
+    return prof
+
+
+def packet_train(n: int, start: float = 0.0):
+    """``n`` packets, 10 ms apart, of varying size."""
+    return [(start + 0.01 * i, 500 + i % 7) for i in range(n)]
+
+
+class TestLiveStorage:
+    """Packets live in two arrays that double when full; traces are views."""
+
+    def test_trace_views_are_read_only(self):
+        trace = fed(packet_train(5)).trace()
+        for column in (trace.times, trace.sizes):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    @pytest.mark.parametrize("n_before", [3, _INITIAL_CAPACITY - 1, _INITIAL_CAPACITY])
+    def test_earlier_trace_and_report_survive_later_feeds(self, n_before):
+        packets = packet_train(2 * _INITIAL_CAPACITY + 3)
+        prof = fed(packets[:n_before])
+        before = prof.trace()
+        times, sizes = before.times.copy(), before.sizes.copy()
+        report = prof.report(include_debug=True)
+        text, csv_bytes = report.to_json(), bursts_csv(report.bursts)
+        for t, s in packets[n_before:]:
+            prof.feed(t, s)
+        assert np.array_equal(before.times, times) and np.array_equal(before.sizes, sizes)
+        assert report.to_json() == text and bursts_csv(report.bursts) == csv_bytes
+        assert prof.n_packets == len(packets)
+        assert np.array_equal(prof.trace().times, [t for t, _ in packets])
+        assert np.array_equal(prof.trace().sizes, [s for _, s in packets])
+
+    @pytest.mark.parametrize("t, size", [(0.0, 100), (float("nan"), 100), (50.0, 0),
+                                         (50.0, 2**63), (50.0, float("nan"))])
+    def test_rejected_feed_at_capacity_changes_nothing(self, t, size):
+        prof = fed(packet_train(_INITIAL_CAPACITY, start=1.0))
+        before = prof.report().to_json()
+        with pytest.raises(ValueError):
+            prof.feed(t, size)
+        assert prof.n_packets == _INITIAL_CAPACITY
+        assert prof.report().to_json() == before
+        prof.feed(50.0, 100)
+        assert prof.n_packets == _INITIAL_CAPACITY + 1
+        assert prof.trace().times[-1] == 50.0 and prof.trace().sizes[-1] == 100
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           n=st.one_of(st.integers(1, 80),
+                       st.sampled_from([_INITIAL_CAPACITY - 1, _INITIAL_CAPACITY,
+                                        _INITIAL_CAPACITY + 1, 2 * _INITIAL_CAPACITY + 1])),
+           offset=st.sampled_from([0.0, 3.25, 1.7e9]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(data=None, n=_INITIAL_CAPACITY + 1, offset=1.7e9, seed=0)
+    def test_report_at_any_cut_equals_profile_of_prefix(self, data, n, offset, seed):
+        rng = np.random.default_rng(seed)
+        times = offset + np.cumsum(np.concatenate([[0.0], rng.choice(GAPS, n - 1)]))
+        sizes = rng.integers(1, 70_001, n)
+        if data is None:
+            cuts = [0, 1, _INITIAL_CAPACITY, n]
+        else:
+            cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=3))) + [n]
+        prof, fed_so_far = StreamProfiler(flow=TEST_FLOW), 0
+        for cut in cuts:
+            for k in range(fed_so_far, cut):
+                prof.feed(float(times[k]), int(sizes[k]))
+            fed_so_far = cut
+            live = prof.report(include_debug=True)
+            batch = profile(flow_trace(times[:cut], sizes=sizes[:cut]), include_debug=True)
+            assert live.to_json() == batch.to_json()
+            assert bursts_csv(live.bursts) == bursts_csv(batch.bursts)
+
+
+class TestToJson:
+    """``to_json`` splices the buffer samples into the standard encoder's text."""
+
+    @pytest.mark.parametrize("preset", ["MQ", "HQ", "QC", "AQ", "bulk"])
+    def test_presets_match_standard_encoder(self, preset):
+        if preset == "bulk":
+            trace = generate_bulk(60.0, 1e6, seed=1).trace
+        else:
+            trace = generate(scenario_spec(preset, seed=4)).trace
+        report = profile(trace)
+        assert (report.buffer is None) == (preset == "bulk")
+        for include in (True, False):
+            assert (report.to_json(include_buffer_samples=include)
+                    == slow_json(report, include_buffer_samples=include))
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 2])
+    def test_short_buffers(self, mq, n_samples):
+        _, report = mq
+        buffer = BufferTrajectory(np.arange(n_samples) + 0.5, np.arange(n_samples) * 1e3,
+                                  playout_start=0.1, encode_rate_used=2.5e5)
+        short = dataclasses.replace(report, buffer=buffer)
+        assert short.to_json() == slow_json(short)
+        assert short.to_json(include_buffer_samples=False) == slow_json(
+            short, include_buffer_samples=False)
+
+    def test_no_buffer(self):
+        report = profile(flow_trace([1.0], sizes=[500]))
+        assert report.buffer is None
+        assert report.to_json() == slow_json(report)
+
+    def test_flow_text_cannot_capture_the_splice(self):
+        flow = FlowKey('"samples": []', 'a"b\\"samples": [', 80)
+        labeled = generate(scenario_spec("MQ", seed=1))
+        prof = fed(zip(labeled.trace.times.tolist(), labeled.trace.sizes.tolist()), flow=flow)
+        report = prof.report()
+        assert report.buffer is not None and report.flow == flow
+        assert report.to_json() == slow_json(report)
+        assert json.loads(report.to_json())["flow"]["src"] == '"samples": []'
