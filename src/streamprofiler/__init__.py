@@ -44,7 +44,6 @@ from .trace import (
     Trace,
     TraceParseError,
     demux,
-    load_labels,
     load_trace,
     normalize,
     parse_labels,

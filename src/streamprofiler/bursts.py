@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -90,9 +91,14 @@ def segment(trace: Trace, params: BurstParams) -> np.ndarray:
     bursts["t_start"] = trace.times[starts]
     bursts["t_end"] = trace.times[np.append(breaks, n) - 1]
     bursts["size"] = np.add.reduceat(trace.sizes, starts)
+    bursts["klass"] = KLASS_UNSET
+    return set_rates(bursts, params)
+
+
+def set_rates(bursts: np.ndarray, params: BurstParams) -> np.ndarray:
+    """Fill in each burst's duration and rate from its bounds and size."""
     bursts["duration"] = bursts["t_end"] - bursts["t_start"]
     bursts["rate"] = bursts["size"] / np.maximum(bursts["duration"], params.rate_duration_floor)
-    bursts["klass"] = KLASS_UNSET
     return bursts
 
 
@@ -128,27 +134,17 @@ def confirm_steady(bursts: np.ndarray, params: BurstParams) -> list[PhaseCandida
     bursts; shorter runs and unclassified bursts yield nothing. Candidate
     intervals run from the first burst's start to the last burst's end.
     """
-    klass = bursts["klass"]
-    if np.any(klass == KLASS_UNSET):
+    klass = bursts["klass"].tolist()
+    if KLASS_UNSET in klass:
         raise ValueError("bursts must be classified before confirmation")
-    if not len(klass):
-        return []
-    cuts = np.flatnonzero(np.diff(klass)) + 1
-    first = np.concatenate([[0], cuts])
-    last = np.append(cuts, len(klass)) - 1
-    run_klass = klass[first]
-    keep = (run_klass == KLASS_FILLING) | ((run_klass == KLASS_STEADY)
-                                           & (last - first + 1 >= params.h_n))
-    return [PhaseCandidate(FILLING if k == KLASS_FILLING else STEADY, t0, t1)
-            for k, t0, t1 in zip(run_klass[keep].tolist(),
-                                 bursts["t_start"][first[keep]].tolist(),
-                                 bursts["t_end"][last[keep]].tolist())]
-
-
-def detect(trace: Trace, params: BurstParams) -> tuple[np.ndarray, list[PhaseCandidate]]:
-    """Full burst pipeline: segment, filter, classify, confirm."""
-    classified = classify(filter_small(segment(trace, params), params), params)
-    return classified, confirm_steady(classified, params)
+    runs, first = [], 0
+    for k, run in groupby(klass):
+        n = len(list(run))
+        if k == KLASS_FILLING or (k == KLASS_STEADY and n >= params.h_n):
+            runs.append((FILLING if k == KLASS_FILLING else STEADY, first, first + n - 1))
+        first += n
+    starts, ends = bursts["t_start"].tolist(), bursts["t_end"].tolist()
+    return [PhaseCandidate(kind, starts[i], ends[j]) for kind, i, j in runs]
 
 
 def write_bursts_csv(bursts: np.ndarray, path: str | Path) -> None:

@@ -243,7 +243,7 @@ def fuse(trace: Trace, rate_events: list[RateChange], candidates: list[PhaseCand
     if t1 - cursor > _EPS:
         pieces.append((OTHER, cursor, t1))
 
-    times, cum = trace.times, np.cumsum(trace.sizes)
+    times, cum = trace.times, trace.cum_bytes
     segments: list[PhaseSegment] = []
     prev_bytes = 0
     for k, (phase, a, b) in enumerate(pieces):
@@ -294,28 +294,40 @@ def estimate_rate(segments: list[PhaseSegment]) -> RateEstimate:
     return RateEstimate(per_steady=tuple(per), session=session)
 
 
+def _sample_times(trace: Trace, sample_dt: float, start: int = 0) -> np.ndarray:
+    """Buffer sample times ``t_start + sample_dt * i``, from ``i = start`` to one
+    sample past the last packet."""
+    n = int(np.floor((trace.t_end - trace.t_start) / sample_dt)) + 1
+    return trace.t_start + sample_dt * np.arange(start, n + 1)
+
+
 def estimate_buffer(trace: Trace, encode_rate: float, playout_start: float,
-                    sample_dt: float) -> BufferTrajectory:
+                    sample_dt: float, arrived: np.ndarray | None = None) -> BufferTrajectory:
     """Play-back buffer level: cumulative arrivals minus modeled play-out.
 
     Play-out is linear at ``encode_rate`` from ``playout_start`` onward; the
     level is clamped at zero (stalls absorb the deficit). Sampled on the rate
-    bin grid from the flow's first packet.
+    bin grid from the flow's first packet. ``arrived`` may pass in the payload
+    bytes arrived by each sample time when the caller already has them.
     """
     if encode_rate <= 0:
         raise ValueError(f"encode_rate must be > 0, got {encode_rate}")
     if len(trace) == 0:
         return BufferTrajectory(np.zeros(0), np.zeros(0), playout_start, encode_rate)
-    t0 = trace.t_start
-    n = int(np.floor((trace.t_end - t0) / sample_dt)) + 1
-    ts = t0 + sample_dt * np.arange(n + 1)
-    idx = np.searchsorted(trace.times, ts, side="right")
-    cum0 = np.concatenate([[0], np.cumsum(trace.sizes)])
-    arrived = cum0[idx].astype(np.float64)
+    ts = _sample_times(trace, sample_dt)
+    if arrived is None:
+        arrived = trace.cum_bytes[np.searchsorted(trace.times, ts, side="right") - 1]
     played = encode_rate * np.clip(ts - playout_start, 0.0, None)
     levels = np.clip(arrived - played, 0.0, None)
     return BufferTrajectory(times=ts, levels=levels, playout_start=playout_start,
                             encode_rate_used=encode_rate)
+
+
+def _from(trace: Trace, k: int) -> Trace:
+    """The packets of ``trace`` from the ``k``-th on, sorted if ``trace`` is."""
+    part = Trace(trace.times[k:], trace.sizes[k:], trace.flow_ids[k:], trace.flows) if k else trace
+    part.is_time_sorted = trace.is_time_sorted
+    return part
 
 
 def profile(trace: Trace, rate_params: RateParams | None = None,
@@ -326,48 +338,23 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
 
     Deterministic: identical trace and parameters give an identical report.
     Degenerate traces (empty, single packet) yield empty or absent fields,
-    never an error.
+    never an error. This is a ``StreamProfiler`` query that sees the whole
+    flow at once.
     """
-    rp = rate_params or RateParams()
-    bp = burst_params or BurstParams()
-    fp = fusion_params or FusionParams()
-
-    series = rate_mod.analyze(trace, rp, tail=bp.h_t) if len(trace) else None
-    classified, candidates = bursts_mod.detect(trace, bp)
-    events = series.events if series is not None else []
-    segments = fuse(trace, events, candidates, fp)
-    verdict = detect_stream(segments)
-    rate_estimate = estimate_rate(segments)
-
-    buffer = None
-    if rate_estimate.session is not None and len(trace):
-        playout_start = trace.t_start + rp.delta_t
-        buffer = estimate_buffer(trace, rate_estimate.session, playout_start, rp.delta_t)
-
-    return ProfileReport(
-        flow=trace.flows[0] if trace.flows else None,
-        n_packets=len(trace),
-        total_bytes=trace.total_bytes,
-        t_start=trace.t_start,
-        t_end=trace.t_end,
-        segments=segments,
-        verdict=verdict,
-        rate_estimate=rate_estimate,
-        buffer=buffer,
-        rate_series=series if include_debug else None,
-        bursts=classified if include_debug else None,
-    )
+    return StreamProfiler(rate_params, burst_params, fusion_params)._report(trace, include_debug)
 
 
 class StreamProfiler:
     """Incremental per-flow profiler: feed packets, query the current profile.
 
-    Packets must arrive in non-decreasing time order. They are stored in two
-    arrays that double in size when full; ``trace()`` hands out read-only
-    views of the filled part, so a query copies nothing. A stored packet is
-    never written again, so later feeds leave earlier traces and reports as
-    they were. Queries recompute from the accumulated packets and never
-    mutate state, so interleaving feeds and queries is safe.
+    Packets must arrive in non-decreasing time order. ``feed`` only stores
+    them, in arrays that double when full and are never written again, so
+    ``trace()`` views and earlier reports stay as they were. A query resumes
+    each stage of ``profile`` on the packets fed since the last one, keeping
+    what is final (rate bins before the last packet's bin, bursts closed by a
+    gap of at least ``h_t``, buffer arrivals before the last packet), so its
+    cost follows the new packets, bursts, events and buffer samples, not the
+    packets held. Its report equals ``profile()`` of the packets so far.
     """
 
     def __init__(self, rate_params: RateParams | None = None,
@@ -380,8 +367,20 @@ class StreamProfiler:
         self.flow = flow or FlowKey("0.0.0.0", "0.0.0.0")
         self._times = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
         self._sizes = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        self._cum = np.empty(_INITIAL_CAPACITY, dtype=np.int64)  # filled up to ``_k``
         self._n = 0
         self._last_t = 0.0
+        # stage state, for the first ``_k`` packets
+        self._k = 0
+        self._bin_k = 0  # first packet of the first bin not yet final
+        self._series: tuple[np.ndarray, ...] = ()  # rho, r_smooth, r_smooth_max, flags
+        self._events: list[RateChange] = []
+        self._bursts = np.zeros(0, dtype=bursts_mod.BURST_DTYPE)  # of >= h_s bytes, classified
+        self._open = self._bursts  # the last packet's burst, of any size
+        self._open_kept = 0  # 1 when the open burst ends ``_bursts``
+        self._candidates: list[PhaseCandidate] = []
+        self._arrived = np.zeros(0, dtype=np.int64)  # bytes arrived by each final sample
+        self._arrived_k = 0  # packets seen when final samples were last added
 
     def feed(self, t_arrival: float, payload_size: int) -> None:
         """Add one packet; a rejected packet raises ``ValueError`` and is not stored."""
@@ -391,12 +390,15 @@ class StreamProfiler:
         if t < self._last_t:
             raise ValueError(f"packet at t={t_arrival} arrived out of order "
                              f"(last was {self._last_t})")
-        if not 1 <= payload_size <= _INT64_MAX:
-            raise ValueError(f"payload_size must be in [1, {_INT64_MAX}], got {payload_size!r}")
+        if not (1 <= payload_size <= _INT64_MAX and (type(payload_size) is int or (
+                payload_size == int(payload_size)
+                and not isinstance(payload_size, (bool, np.bool_))))):
+            raise ValueError(f"payload_size must be an integer in [1, {_INT64_MAX}], "
+                             f"got {payload_size!r}")
         n = self._n
         if n == len(self._times):
-            self._times = np.concatenate([self._times, np.empty_like(self._times)])
-            self._sizes = np.concatenate([self._sizes, np.empty_like(self._sizes)])
+            self._times, self._sizes, self._cum = (np.concatenate([a, np.empty_like(a)])
+                                                   for a in (self._times, self._sizes, self._cum))
         self._times[n] = t
         self._sizes[n] = int(payload_size)
         self._n = n + 1
@@ -409,11 +411,91 @@ class StreamProfiler:
     def trace(self) -> Trace:
         times, sizes = self._times[:self._n], self._sizes[:self._n]
         times.flags.writeable = sizes.flags.writeable = False
-        return Trace.single_flow(times, sizes, self.flow)
-
-    def segments(self) -> list[PhaseSegment]:
-        return self.report().segments
+        trace = Trace.single_flow(times, sizes, self.flow)
+        trace.is_time_sorted = True  # feed keeps arrivals in order
+        return trace
 
     def report(self, include_debug: bool = False) -> ProfileReport:
-        return profile(self.trace(), self.rate_params, self.burst_params,
-                       self.fusion_params, include_debug=include_debug)
+        trace, k, n = self.trace(), self._k, self._n
+        self._cum[k:n] = np.cumsum(self._sizes[k:n]) + (self._cum[k - 1] if k else 0)
+        trace.cum_bytes = self._cum[:n]
+        trace.cum_bytes.flags.writeable = False
+        return self._report(trace, include_debug)
+
+    def _report(self, trace: Trace, include_debug: bool) -> ProfileReport:
+        """Profile ``trace``, which extends the packets of the previous query."""
+        if len(trace) > self._k:
+            self._advance(trace)
+        segments = fuse(trace, self._events, self._candidates, self.fusion_params)
+        rate_estimate = estimate_rate(segments)
+        buffer = series = None
+        if rate_estimate.session is not None:
+            dt = self.rate_params.delta_t
+            buffer = estimate_buffer(trace, rate_estimate.session, trace.t_start + dt, dt,
+                                     arrived=self._arrivals(trace))
+        if include_debug and len(trace):
+            series = RateSeries(trace.t_start, self.rate_params.delta_t, *self._series,
+                                self._events)
+        return ProfileReport(
+            flow=trace.flows[0] if trace.flows else None,
+            n_packets=len(trace),
+            total_bytes=trace.total_bytes,
+            t_start=trace.t_start,
+            t_end=trace.t_end,
+            segments=segments,
+            verdict=detect_stream(segments),
+            rate_estimate=rate_estimate,
+            buffer=buffer,
+            rate_series=series,
+            bursts=self._bursts if include_debug else None,
+        )
+
+    def _advance(self, trace: Trace) -> None:
+        """Resume every stage on the packets of ``trace`` after the first ``_k``."""
+        rp, bp, k = self.rate_params, self.burst_params, self._k
+        t0, dt = trace.t_start, rp.delta_t
+        b0 = 0  # bins before the last seen packet's bin are final
+        if k:
+            bins = np.floor((trace.times[self._bin_k:k] - t0) / dt)
+            self._bin_k += int(np.searchsorted(bins, bins[-1]))  # first packet of bin b0
+            b0 = int(bins[-1])
+        chunk = _from(trace, self._bin_k)
+        final = [a[:b0] for a in self._series]
+        rho = rate_mod.aggregate(chunk, rp, tail=bp.h_t, t0=t0)
+        r_s = rate_mod.smooth(rho, rp, seed=final[1][-1] if b0 else None)
+        r_max = np.maximum.accumulate(r_s)
+        if b0:
+            np.maximum(r_max, final[2][-1], out=r_max)
+        flags, raw = rate_mod.detect_changes(r_s, rp, running_max=r_max,
+                                             flag=int(final[3][-1]) if b0 else -1)
+        self._series = (tuple(map(np.concatenate, zip(final, (rho, r_s, r_max, flags))))
+                        if b0 else (rho, r_s, r_max, flags))
+        self._events = ([ev for ev in self._events if ev.bin_index <= b0]
+                        + [RateChange(b0 + b, d, t0 + (b0 + b - 1) * dt) for b, d in raw])
+
+        rows = bursts_mod.segment(_from(trace, k), bp)
+        if len(self._open):
+            if trace.times[k] - self._open["t_end"][0] >= bp.h_t:
+                rows = np.concatenate([self._open, rows])
+            else:  # the first new packet continues the open burst
+                rows["t_start"][0] = self._open["t_start"][0]
+                rows["size"][:1] += self._open["size"]
+                bursts_mod.set_rates(rows[:1], bp)
+        closed = self._bursts[:len(self._bursts) - self._open_kept]
+        kept = bursts_mod.filter_small(rows, bp)
+        self._open = rows[-1:]
+        self._open_kept = len(bursts_mod.filter_small(self._open, bp))
+        self._bursts = bursts_mod.classify(np.concatenate([closed, kept]) if len(closed)
+                                           else kept, bp)
+        self._candidates = bursts_mod.confirm_steady(self._bursts, bp)
+        self._k = len(trace)
+
+    def _arrivals(self, trace: Trace) -> np.ndarray:
+        """Payload bytes arrived by each buffer sample time."""
+        k, times = self._arrived_k, trace.times
+        ts = _sample_times(trace, self.rate_params.delta_t, start=len(self._arrived))
+        arrived = trace.cum_bytes[k - 1 + np.searchsorted(times[k:], ts, side="right")]
+        n_final = int(np.searchsorted(ts, times[-1]))  # later packets arrive after these
+        self._arrived = np.concatenate([self._arrived, arrived[:n_final]])
+        self._arrived_k = len(trace)
+        return np.concatenate([self._arrived, arrived[n_final:]])

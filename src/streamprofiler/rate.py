@@ -69,10 +69,6 @@ class RateSeries:
     def __len__(self) -> int:
         return len(self.rho)
 
-    def bin_start(self, bin_index: int) -> float:
-        """Start time of a 1-based bin in the trace time base."""
-        return self.t0 + (bin_index - 1) * self.delta_t
-
 
 def _single_flow_arrays(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     if len(trace.flows) > 1:
@@ -82,7 +78,8 @@ def _single_flow_arrays(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     return trace.times, trace.sizes
 
 
-def aggregate(trace: Trace, params: RateParams, tail: float = 0.0) -> np.ndarray:
+def aggregate(trace: Trace, params: RateParams, tail: float = 0.0,
+              t0: float | None = None) -> np.ndarray:
     """Aggregate payload bytes into contiguous bins of width ``delta_t``.
 
     Bin ``t`` (1-based) covers ``[(t-1)*delta_t, t*delta_t)`` relative to the
@@ -90,16 +87,20 @@ def aggregate(trace: Trace, params: RateParams, tail: float = 0.0) -> np.ndarray
     width, so empty bins read 0 and ``sum(rho) * delta_t`` equals the flow's
     total payload bytes. ``tail`` extends the series with empty bins past the
     last packet so that end-of-flow rate decay stays visible downstream.
+    When ``trace`` holds only the later packets of a flow, ``t0`` gives the
+    flow's first arrival; the series then starts at the bin of the trace's
+    first packet, which must hold all of that bin's packets.
     """
     times, sizes = _single_flow_arrays(trace)
     if len(times) == 0:
         return np.zeros(0)
-    rel = times - times[0]
+    rel = times - (times[0] if t0 is None else t0)
     idx = np.floor(rel / params.delta_t).astype(np.int64)
     n_bins = int(idx[-1]) + 1
     if tail > 0:
         n_bins = max(n_bins, math.ceil((rel[-1] + tail) / params.delta_t))
-    return np.bincount(idx, weights=sizes, minlength=n_bins) / params.delta_t
+    first = int(idx[0])
+    return np.bincount(idx - first, weights=sizes, minlength=n_bins - first) / params.delta_t
 
 
 def smooth(rho: np.ndarray, params: RateParams, seed: float | None = None) -> np.ndarray:
@@ -120,7 +121,7 @@ def smooth(rho: np.ndarray, params: RateParams, seed: float | None = None) -> np
 
 
 def detect_changes(r_smooth: np.ndarray, params: RateParams,
-                   running_max: np.ndarray | None = None
+                   running_max: np.ndarray | None = None, flag: int = -1
                    ) -> tuple[np.ndarray, list[tuple[int, str]]]:
     """Flag rate changes against the running maximum of the smoothed rate.
 
@@ -129,7 +130,8 @@ def detect_changes(r_smooth: np.ndarray, params: RateParams,
     otherwise it carries over. Returns the per-bin flags and the change events
     as (1-based bin index, direction). Events strictly alternate and the first
     is always an increase. ``running_max`` may pass in ``max(r[1..t])`` when
-    the caller already has it.
+    the caller already has it. To resume a series, pass the running maximum
+    over the whole series and ``flag``, the flag of the bin before ``r_smooth``.
     """
     r = np.asarray(r_smooth, dtype=np.float64)
     if running_max is None:
@@ -140,22 +142,10 @@ def detect_changes(r_smooth: np.ndarray, params: RateParams,
     up = r > c * running_max
     triggered = up | (r < (1.0 - c) * running_max)
     last = np.maximum.accumulate(np.where(triggered, np.arange(r.size), -1))
-    flags = np.where((last >= 0) & up[last], 1, -1).astype(np.int8)
-    changed = np.flatnonzero(np.diff(flags, prepend=np.int8(-1)))
+    flags = np.where(last >= 0, np.where(up[last], 1, -1), flag).astype(np.int8)
+    changed = np.flatnonzero(np.diff(flags, prepend=np.int8(flag)))
     events = [(t + 1, INCREASE if flags[t] == 1 else DECREASE) for t in changed.tolist()]
     return flags, events
-
-
-def analyze(trace: Trace, params: RateParams, tail: float = 0.0) -> RateSeries:
-    """Run the full rate pipeline on one flow and bundle the results."""
-    rho = aggregate(trace, params, tail=tail)
-    r_s = smooth(rho, params)
-    r_max = np.maximum.accumulate(r_s)
-    flags, raw_events = detect_changes(r_s, params, running_max=r_max)
-    t0 = trace.t_start
-    events = [RateChange(b, d, t0 + (b - 1) * params.delta_t) for b, d in raw_events]
-    return RateSeries(t0=t0, delta_t=params.delta_t, rho=rho, r_smooth=r_s,
-                      r_smooth_max=r_max, flags=flags, events=events)
 
 
 def write_rate_csv(series: RateSeries, path: str | Path) -> None:

@@ -19,6 +19,7 @@ import ipaddress
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -85,7 +86,9 @@ class PhaseSpan:
 class Trace:
     """Columnar packet trace: parallel arrays plus a flow table.
 
-    ``flow_ids[i]`` indexes into ``flows`` for packet ``i``.
+    ``flow_ids[i]`` indexes into ``flows`` for packet ``i``. The arrays are
+    not modified after construction: ``is_time_sorted`` and ``cum_bytes``
+    are computed once per trace.
     """
 
     times: np.ndarray
@@ -108,7 +111,7 @@ class Trace:
 
     @classmethod
     def single_flow(cls, times, sizes, flow: FlowKey) -> "Trace":
-        return cls(times, sizes, np.zeros(len(times), dtype=np.int32), [flow])
+        return cls(times, sizes, np.broadcast_to(np.int32(0), np.shape(times)), [flow])
 
     # -- basic views ------------------------------------------------------
 
@@ -137,11 +140,16 @@ class Trace:
 
     @property
     def total_bytes(self) -> int:
-        return int(self.sizes.sum())
+        return int(self.cum_bytes[-1]) if len(self) else 0
 
-    @property
+    @cached_property
     def is_time_sorted(self) -> bool:
         return bool(np.all(np.diff(self.times) >= 0.0)) if len(self) > 1 else True
+
+    @cached_property
+    def cum_bytes(self) -> np.ndarray:
+        """Payload bytes up to and including each packet."""
+        return np.cumsum(self.sizes)
 
     def shifted(self, offset: float) -> "Trace":
         """Same trace with every arrival time moved by ``offset`` seconds."""
@@ -435,11 +443,6 @@ def serialize_labels(labels: Iterable[PhaseSpan]) -> str:
     for span in labels:
         out.append(f"{float(span.t_start)!r},{float(span.t_end)!r},{span.phase}")
     return "\n".join(out) + "\n"
-
-
-def load_labels(path: str | Path) -> list[PhaseSpan]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_labels(fh)
 
 
 def write_labels(labels: Iterable[PhaseSpan], path: str | Path) -> None:

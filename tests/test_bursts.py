@@ -13,6 +13,7 @@ from streamprofiler import (
     confirm_steady,
     filter_small,
     generate,
+    profile,
     scenario_spec,
     segment,
 )
@@ -22,7 +23,6 @@ from streamprofiler.bursts import (
     KLASS_NONE,
     KLASS_STEADY,
     KLASS_UNSET,
-    detect,
     write_bursts_csv,
 )
 from streamprofiler.trace import FILLING, STEADY
@@ -294,7 +294,7 @@ class TestDetectPipeline:
         if stage == "segment":
             got, want = segment(trace, bp), ref_segment(trace, bp)
         else:
-            got = detect(trace, bp)[0]
+            got = profile(trace, burst_params=bp, include_debug=True).bursts
             want = ref_classify(ref_filter_small(ref_segment(trace, bp), bp), bp)
         assert len(want) > 3
         write_bursts_csv(got, tmp_path / "got.csv")
@@ -303,7 +303,7 @@ class TestDetectPipeline:
 
     def test_retained_bursts_respect_thresholds(self, burst_params):
         trace = random_trace(seed=4, duration=20.0, mean_rate=3e4, packet_size=1500)
-        bursts, _ = detect(trace, burst_params)
+        bursts = profile(trace, burst_params=burst_params, include_debug=True).bursts
         assert np.all(bursts["size"] >= burst_params.h_s)
         assert np.all(bursts["t_start"][1:] - bursts["t_end"][:-1] >= burst_params.h_t)
 
@@ -338,4 +338,5 @@ class TestDetectPipeline:
         for _, t0, t1, first, last in ref_cands:
             assert classified["t_start"][first - 1] == t0
             assert classified["t_end"][last - 1] == t1
-        assert detect(trace, params)[0].tolist() == classified.tolist()
+        assert profile(trace, burst_params=params, include_debug=True).bursts.tolist() == (
+            classified.tolist())

@@ -24,9 +24,9 @@ from streamprofiler import (
     profile,
     scenario_spec,
 )
-from streamprofiler.bursts import PhaseCandidate, detect, write_bursts_csv
+from streamprofiler.bursts import PhaseCandidate, confirm_steady, write_bursts_csv
 from streamprofiler.profiler import _INITIAL_CAPACITY, BufferTrajectory
-from streamprofiler.rate import DECREASE, RateChange, analyze
+from streamprofiler.rate import DECREASE, RateChange
 from streamprofiler.trace import FILLING, OTHER, STEADY, FlowKey
 from conftest import TEST_FLOW, assert_tiles_and_partitions, flow_trace, single_packet_steady_trace
 
@@ -229,9 +229,10 @@ class TestProfile:
         trace = single_packet_steady_trace()
         params = BurstParams(h_n=1)
         # the lone packet is a zero-span steady candidate with a decrease nearby
-        lone = [c for c in detect(trace, params)[1] if c.t_start == c.t_end]
+        debug = profile(trace, burst_params=params, include_debug=True)
+        lone = [c for c in confirm_steady(debug.bursts, params) if c.t_start == c.t_end]
         assert [(c.kind, c.t_start) for c in lone] == [(STEADY, 11.9)]
-        events = analyze(trace, RateParams(), tail=params.h_t).events
+        events = debug.rate_series.events
         assert any(ev.direction == DECREASE
                    and abs(ev.time - 11.9) <= FusionParams().match_tolerance for ev in events)
         report = profile(trace, burst_params=params)
@@ -255,6 +256,9 @@ class TestProfile:
         report = profile(labeled.trace, include_debug=True)
         assert report.rate_series is not None
         assert report.bursts is not None
+        series = report.rate_series
+        assert [a.dtype for a in (series.rho, series.r_smooth, series.r_smooth_max,
+                                  series.flags)] == [np.float64] * 3 + [np.int8]
 
     def test_reports_compare_by_identity(self, mq):
         labeled, report = mq
@@ -320,7 +324,7 @@ class TestIncremental:
 
     def test_rejected_size_stores_nothing(self):
         prof = StreamProfiler()
-        for size in (0, float("nan"), float("inf"), 2**63):
+        for size in (0, float("nan"), float("inf"), 2**63, 2.5, True, np.True_):
             with pytest.raises(ValueError):
                 prof.feed(1.0, size)
         assert prof.n_packets == 0 and len(prof.trace()) == 0
@@ -336,6 +340,32 @@ def bursts_csv(bursts) -> bytes:
         path = Path(tmp) / "bursts.csv"
         write_bursts_csv(bursts, path)
         return path.read_bytes()
+
+
+def debug_dump(report) -> list:
+    """Everything a debug report holds, bit for bit: its JSON (with the buffer
+    samples as array bytes), the bursts, and the rate series (the bytes of the
+    four arrays ``write_rate_csv`` prints, and the events)."""
+    buffer, series = report.buffer, report.rate_series
+    samples = None if buffer is None else [buffer.times.tobytes(), buffer.levels.tobytes()]
+    rate = None if series is None else [
+        *(getattr(series, name).tobytes() for name in ("rho", "r_smooth", "r_smooth_max", "flags")),
+        series.flags.dtype, series.t0, series.delta_t, series.events]
+    return [report.to_json(include_buffer_samples=False), samples,
+            report.bursts.tobytes(), rate]
+
+
+def assert_queries_match_prefixes(times, sizes, cuts=None, **params):
+    """Feed the packets one by one, query after each cut (by default after
+    every packet) and compare with ``profile()`` of the prefix."""
+    prof, fed_so_far = StreamProfiler(flow=TEST_FLOW, **params), 0
+    for cut in range(len(times) + 1) if cuts is None else cuts:
+        for k in range(fed_so_far, cut):
+            prof.feed(float(times[k]), int(sizes[k]))
+        fed_so_far = cut
+        live = prof.report(include_debug=True)
+        batch = profile(flow_trace(times[:cut], sizes=sizes[:cut]), include_debug=True, **params)
+        assert debug_dump(live) == debug_dump(batch), f"query after {cut} packets"
 
 
 def fed(packets, flow=TEST_FLOW) -> StreamProfiler:
@@ -377,7 +407,8 @@ class TestLiveStorage:
         assert np.array_equal(prof.trace().sizes, [s for _, s in packets])
 
     @pytest.mark.parametrize("t, size", [(0.0, 100), (float("nan"), 100), (50.0, 0),
-                                         (50.0, 2**63), (50.0, float("nan"))])
+                                         (50.0, 2**63), (50.0, float("nan")), (50.0, 2.5),
+                                         (50.0, True)])
     def test_rejected_feed_at_capacity_changes_nothing(self, t, size):
         prof = fed(packet_train(_INITIAL_CAPACITY, start=1.0))
         before = prof.report().to_json()
@@ -405,15 +436,71 @@ class TestLiveStorage:
             cuts = [0, 1, _INITIAL_CAPACITY, n]
         else:
             cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=3))) + [n]
-        prof, fed_so_far = StreamProfiler(flow=TEST_FLOW), 0
-        for cut in cuts:
-            for k in range(fed_so_far, cut):
-                prof.feed(float(times[k]), int(sizes[k]))
-            fed_so_far = cut
-            live = prof.report(include_debug=True)
-            batch = profile(flow_trace(times[:cut], sizes=sizes[:cut]), include_debug=True)
-            assert live.to_json() == batch.to_json()
-            assert bursts_csv(live.bursts) == bursts_csv(batch.bursts)
+        assert_queries_match_prefixes(times, sizes, cuts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(packets=st.lists(st.tuples(st.sampled_from(GAPS), st.integers(1, 70_000)),
+                            min_size=1, max_size=40),
+           offset=st.sampled_from([0.0, 3.25, 1.7e9]),
+           h_n=st.integers(1, 4),
+           delta_t=st.sampled_from([0.01, 0.1, 1.0]),
+           a=st.sampled_from([0.02, 1.0]),
+           h_t=st.sampled_from([0.05, 1.5]))
+    def test_query_after_every_packet_of_a_short_flow(self, packets, offset, h_n, delta_t, a,
+                                                      h_t):
+        gaps, sizes = zip(*packets)
+        times = offset + np.cumsum((0.0,) + gaps[1:])
+        assert_queries_match_prefixes(times, sizes, rate_params=RateParams(delta_t=delta_t, a=a),
+                                      burst_params=BurstParams(h_n=h_n, h_t=h_t))
+
+
+def _targeted_flows():
+    """(id, times, sizes, params) of flows whose queries hit one resumption edge each."""
+    train = 0.05 * np.arange(160)  # an 8 s burst at 100 kB/s
+    steady = np.concatenate([train, *(10.0 + 3.0 * i + 0.1 * np.arange(10) for i in range(4))])
+    burst = 0.1 * np.arange(11)
+    # arrivals on the 0.1 s buffer sample grid, the last steady burst's doubled
+    on_grid = 0.1 * np.concatenate([np.arange(80), *(120 + 30 * i + np.arange(10)
+                                                     for i in range(4)),
+                                    np.repeat(240 + np.arange(10), 2)])
+    single = single_packet_steady_trace()
+    return [
+        ("ties on the last packet", [0.0, 0.02, 0.02, 0.02, 1.0, 1.0, 1.0], [30_000] * 7, {}),
+        ("every packet in the first bin", 0.01 * np.arange(10), [25_000] * 10, {}),
+        ("packets reopen the burst within h_t",
+         np.concatenate([burst, 1.0 + np.cumsum([1.49, 1.5, 1.49, 1.4999])]), [30_000] * 15, {}),
+        ("first retained burst still open", steady, [5_000] * len(steady), {}),
+        ("events only in the tail bins", np.concatenate([burst, [3.0, 3.05, 6.0]]),
+         [50_000] * 14, {"rate_params": RateParams(a=0.5)}),
+        ("h_n = 1", single.times, single.sizes, {"burst_params": BurstParams(h_n=1)}),
+        ("1.7e9 offset", 1.7e9 + steady, [5_000] * len(steady), {}),
+        ("ties on a buffer sample time", on_grid, [5_000] * len(on_grid), {}),
+    ]
+
+
+class TestLiveTargeted:
+    """A query after every packet of flows built to hit one edge of the resumed stages."""
+
+    @pytest.mark.parametrize("times, sizes, params",
+                             [case[1:] for case in _targeted_flows()],
+                             ids=[case[0] for case in _targeted_flows()])
+    def test_query_after_every_packet(self, times, sizes, params):
+        assert_queries_match_prefixes(np.asarray(times, dtype=np.float64), sizes, **params)
+
+    def test_tail_bins_hold_events_of_their_own(self):
+        times, sizes, params = _targeted_flows()[4][1:]
+        report = profile(flow_trace(times[:11], sizes=sizes[:11]), include_debug=True, **params)
+        last_bin = int(np.floor((times[10] - times[0]) / RateParams().delta_t)) + 1
+        assert any(ev.bin_index > last_bin for ev in report.rate_series.events)
+
+    @pytest.mark.parametrize("preset", ["MQ", "QC", "AQ", "bulk"])
+    def test_preset_queried_every_2s_matches_profile(self, preset):
+        if preset == "bulk":
+            trace = generate_bulk(60.0, 1e6, seed=1).trace
+        else:
+            trace = generate(scenario_spec(preset, seed=4)).trace
+        cuts = np.searchsorted(trace.times, np.arange(trace.t_start + 2.0, trace.t_end, 2.0))
+        assert_queries_match_prefixes(trace.times, trace.sizes, [*cuts.tolist(), len(trace)])
 
 
 class TestToJson:

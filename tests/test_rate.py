@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from streamprofiler import RateParams, aggregate, detect_changes, smooth
-from streamprofiler.rate import DECREASE, INCREASE, analyze
+from streamprofiler import RateParams, aggregate, detect_changes, profile, smooth
+from streamprofiler.rate import DECREASE, INCREASE
 from conftest import flow_trace, random_trace
 
 rates = st.floats(min_value=0, max_value=1e7, allow_nan=False, allow_infinity=False)
@@ -85,6 +85,18 @@ class TestAggregate:
         with pytest.raises(ValueError, match="sorted"):
             aggregate(trace, rate_params)
 
+    @pytest.mark.parametrize("offset", [0.0, 1.7e9])
+    def test_later_part_starts_at_its_first_bin(self, rate_params, offset):
+        trace = random_trace(seed=5, duration=4.0).shifted(offset)
+        whole = aggregate(trace, rate_params, tail=1.5)
+        for k in (1, 17, len(trace) // 2, len(trace) - 1):
+            first = int(np.floor((trace.times[k] - trace.t_start) / rate_params.delta_t))
+            k0 = int(np.searchsorted(np.floor((trace.times - trace.t_start)
+                                              / rate_params.delta_t), first))
+            part = flow_trace(trace.times[k0:], sizes=trace.sizes[k0:])
+            got = aggregate(part, rate_params, tail=1.5, t0=trace.t_start)
+            assert got.tobytes() == whole[first:].tobytes()
+
 
 class TestSmooth:
     def test_one_step(self):
@@ -123,6 +135,21 @@ class TestSmooth:
     def test_contraction(self, rho):
         out = smooth(rho, RateParams())
         assert np.max(np.abs(out)) <= max(rho[0], np.max(rho)) + 1e-9
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(rho=arrays(np.float64, st.integers(1, 200), elements=rates),
+           cuts=st.lists(st.integers(0, 200), max_size=6),
+           a=st.sampled_from([0.02, 0.3, 1.0]))
+    def test_resumed_from_last_value_is_bit_exact(self, rho, cuts, a):
+        params = RateParams(a=a)
+        pieces, start, seed = [], 0, None
+        for cut in sorted(c for c in cuts if c < len(rho)) + [len(rho)]:
+            out = smooth(rho[start:cut], params, seed=seed)
+            if len(out):
+                pieces.append(out)
+                seed, start = out[-1], cut
+        assert np.concatenate(pieces).tobytes() == smooth(rho, params).tobytes()
 
 
 class TestDetectChanges:
@@ -205,17 +232,35 @@ class TestDetectChanges:
         assert all(type(b) is int for b, _ in events)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(runs=value_runs.filter(len), cuts=st.lists(st.integers(1, 240), max_size=6))
+    def test_resumed_with_running_max_and_flag(self, runs, cuts):
+        params = RateParams()
+        series = smooth(np.concatenate([np.full(n, v) for v, n in runs]), params)
+        running_max = np.maximum.accumulate(series)
+        want_flags, want_events = detect_changes(series, params)
+        flags, events, start, flag = [], [], 0, -1
+        for cut in sorted(c for c in cuts if c < len(series)) + [len(series)]:
+            f, ev = detect_changes(series[start:cut], params,
+                                   running_max=running_max[start:cut], flag=flag)
+            flags.append(f)
+            events += [(start + b, d) for b, d in ev]
+            start, flag = cut, int(f[-1]) if len(f) else flag
+        assert np.concatenate(flags).tolist() == want_flags.tolist()
+        assert events == want_events
+
+
 class TestAnalyze:
     def test_running_max_matches_brute_force(self, rate_params):
         trace = random_trace(seed=21, duration=8.0)
-        series = analyze(trace, rate_params)
+        series = profile(trace, rate_params=rate_params, include_debug=True).rate_series
         brute = np.array([series.r_smooth[: i + 1].max() for i in range(len(series))])
         assert np.array_equal(series.r_smooth_max, brute)
         assert np.all(np.diff(series.r_smooth_max) >= 0)
 
     def test_event_times_are_bin_starts(self, rate_params):
         trace = flow_trace([10.0, 10.01, 10.02], sizes=[1000, 1000, 1000])
-        series = analyze(trace, rate_params)
+        series = profile(trace, rate_params=rate_params, include_debug=True).rate_series
         assert series.events[0].bin_index == 1
         assert series.events[0].time == 10.0
-        assert series.bin_start(3) == pytest.approx(10.2)
+        assert series.t0 + (3 - 1) * series.delta_t == pytest.approx(10.2)
