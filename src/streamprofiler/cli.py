@@ -153,9 +153,9 @@ def _spec_from_file(path: str, seed: int | None) -> ScenarioSpec:
         raise ValueError(f"scenario spec must be a JSON object, got {type(data).__name__}")
     if seed is not None:
         data["rng_seed"] = seed
-    data["encode_rates"] = tuple(tuple(pair) for pair in data.get("encode_rates", ()))
-    data["throttle_windows"] = tuple(tuple(w) for w in data.get("throttle_windows", ()))
     try:
+        data["encode_rates"] = tuple(tuple(pair) for pair in data.get("encode_rates", ()))
+        data["throttle_windows"] = tuple(tuple(w) for w in data.get("throttle_windows", ()))
         return ScenarioSpec(**data)
     except TypeError as exc:
         raise ValueError(f"bad scenario spec: {exc}") from None
@@ -166,8 +166,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.spec:
         labeled = synth_mod.generate(_spec_from_file(args.spec, args.seed))
     elif args.scenario == evaluate_mod.BULK_SCENARIO:
-        labeled = synth_mod.generate_bulk(evaluate_mod._BULK_DURATION, evaluate_mod._BULK_RATE,
-                                          cfg.generator.packet_size, seed=args.seed or 0)
+        labeled = synth_mod.generate_bulk(packet_size=cfg.generator.packet_size,
+                                          seed=args.seed or 0)
     else:
         spec = synth_mod.scenario_spec(args.scenario, seed=args.seed or 0,
                                        defaults=cfg.generator)
@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("scenario", nargs="?", default=None,
                             help=f"preset name: {', '.join(SCENARIOS)} or bulk")
     p_generate.add_argument("--spec", help="scenario spec JSON instead of a preset")
-    p_generate.add_argument("--seed", type=int, default=0, help="generator seed")
+    p_generate.add_argument("--seed", type=int,
+                            help="generator seed (default: 0, or the spec file's rng_seed)")
     p_generate.add_argument("--out", required=True,
                             help="output prefix; writes <out>.csv and <out>_labels.csv")
     _add_override_flags(p_generate)

@@ -161,8 +161,6 @@ def steady_rate_pairs(report: ProfileReport, spec: ScenarioSpec) -> list[tuple[i
 # -- batch harness -----------------------------------------------------------
 
 BULK_SCENARIO = "bulk"
-_BULK_RATE = 1e6
-_BULK_DURATION = 60.0
 
 
 def run_scenario(scenario: str, n_runs: int,
@@ -196,7 +194,7 @@ def run_scenario(scenario: str, n_runs: int,
     for i in range(n_runs):
         seed = base_seed + i
         if scenario == BULK_SCENARIO:
-            labeled = generate_bulk(_BULK_DURATION, _BULK_RATE, gd.packet_size, seed=seed)
+            labeled = generate_bulk(packet_size=gd.packet_size, seed=seed)
             spec = None
         else:
             spec = scenario_spec(scenario, seed=seed, defaults=gd)

@@ -126,13 +126,6 @@ class BufferTrajectory:
     def samples(self) -> Iterable[tuple[float, float]]:
         return zip(self.times.tolist(), self.levels.tolist())
 
-    def to_dict(self) -> dict:
-        return {
-            "playout_start": self.playout_start,
-            "encode_rate_used_Bps": self.encode_rate_used,
-            "samples": [[t, b] for t, b in self.samples()],
-        }
-
 
 @dataclass(eq=False)
 class ProfileReport:
@@ -160,9 +153,10 @@ class ProfileReport:
             flow = {"src": self.flow.src, "dst": self.flow.dst, "dst_port": self.flow.dst_port}
         buffer = None
         if self.buffer is not None:
-            buffer = self.buffer.to_dict()
-            if not include_buffer_samples:
-                buffer.pop("samples")
+            buffer = {"playout_start": self.buffer.playout_start,
+                      "encode_rate_used_Bps": self.buffer.encode_rate_used}
+            if include_buffer_samples:
+                buffer["samples"] = [[t, b] for t, b in self.buffer.samples()]
         return {
             "unit_note": UNIT_NOTE,
             "flow": flow,

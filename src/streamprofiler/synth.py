@@ -19,12 +19,13 @@ exact ties while keeping label boundaries exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .trace import FILLING, OTHER, PHASES, STEADY, FlowKey, PhaseSpan, Trace
+from .trace import FILLING, OTHER, STEADY, FlowKey, PhaseSpan, Trace
 
 _BPS_PER_KBPS = 1000.0 / 8.0  # bytes/s per kbit/s
 
@@ -60,6 +61,14 @@ class GeneratorDefaults:
     throttling_factor: float = 1.0
 
 
+def _check_whole(value, name: str) -> None:
+    """Reject a boolean or a number that is not a whole number (``1400.5``)."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Complete description of one synthetic session.
@@ -80,8 +89,8 @@ class ScenarioSpec:
     packet_size: int
     rng_seed: int
     throttle_windows: tuple[tuple[float, float, float], ...] = ()
-    throttle_quality_fraction: float = 0.5
-    throttling_factor: float = 1.0
+    throttle_quality_fraction: float = GeneratorDefaults.throttle_quality_fraction
+    throttling_factor: float = GeneratorDefaults.throttling_factor
     name: str = ""
 
     def __post_init__(self):
@@ -102,6 +111,10 @@ class ScenarioSpec:
                             (self.throttling_factor, "throttling_factor")):
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
+            if not math.isfinite(value):  # an infinite or NaN video never ends
+                raise ValueError(f"{name} must be finite, got {value}")
+        _check_whole(self.packet_size, "packet_size")
+        _check_whole(self.rng_seed, "rng_seed")
         if self.packet_size < 1:
             raise ValueError(f"packet_size must be >= 1, got {self.packet_size}")
         if not 0 < self.throttle_quality_fraction <= 1:
@@ -182,7 +195,7 @@ class _Emitter:
     """Accumulates packet bursts with jittered inter-arrival times."""
 
     def __init__(self, packet_size: int, rng: np.random.Generator):
-        self.ps = packet_size
+        self.ps = int(packet_size)
         self.rng = rng
         self.times: list[np.ndarray] = []
         self.sizes: list[np.ndarray] = []
@@ -224,8 +237,20 @@ def _spans_from_marks(marks: list[tuple[float, str]], t_last: float) -> list[Pha
     return spans
 
 
+def _window_at(windows: Sequence[tuple[float, float, float]], t: float):
+    """The throttle window covering wall time ``t``, or None."""
+    for w in windows:
+        if w[0] <= t < w[1]:
+            return w
+    return None
+
+
 def generate(spec: ScenarioSpec) -> LabeledTrace:
     """Generate one labeled session trace from a scenario description.
+
+    One fill rule covers the session start, a quality switch and the end of
+    a biting cap: a fill is then due at the next request instant, and it
+    transfers back to back at line rate until the buffer reaches its target.
 
     Raises ``GenerationError`` when the scenario is infeasible: the fill
     throughput does not exceed an encoding rate (the buffer would never
@@ -238,7 +263,7 @@ def generate(spec: ScenarioSpec) -> LabeledTrace:
                 f"fill_throughput ({spec.fill_throughput:.0f} B/s) must exceed the encoding "
                 f"rate ({r:.0f} B/s) or the buffer never fills")
 
-    rng = np.random.default_rng(spec.rng_seed)
+    rng = np.random.default_rng(int(spec.rng_seed))
     em = _Emitter(spec.packet_size, rng)
     marks: list[tuple[float, str]] = []
 
@@ -247,96 +272,67 @@ def generate(spec: ScenarioSpec) -> LabeledTrace:
     request_gap = seg_d / spec.throttling_factor
     duration = spec.video_duration
     pending_changes = list(spec.encode_rates[1:])
-    windows = list(spec.throttle_windows)
+    windows = spec.throttle_windows
 
-    state = {"media": 0.0, "buf": 0.0, "quality": spec.encode_rates[0][1]}
-
-    def active_window(t: float):
-        for w in windows:
-            if w[0] <= t < w[1]:
-                return w
-        return None
-
-    def do_fill(at: float) -> float:
-        """Back-to-back transfer until the buffer reaches its target."""
-        q = state["quality"]
-        deficit = spec.buffer_target - state["buf"]
-        need = deficit * fill / (fill - q)  # play-out drains while filling
-        room = (duration - state["media"]) * q
-        nbytes = int(round(min(need, room)))
-        if nbytes < 1:
-            return at
-        w = active_window(at)
-        if w is not None and w[2] < fill:
-            raise GenerationError(
-                f"throttle window {w} overlaps a filling period at t={at:.2f}; unsupported")
-        marks.append((at, FILLING))
-        end = em.burst(at, nbytes, fill)
-        state["buf"] += nbytes - q * (end - at)
-        state["media"] += nbytes / q
-        return end
-
-    # initial fill, then request-paced operation
-    t = do_fill(0.0)
-    mode = STEADY
-    if state["media"] < duration - 1e-9:
-        marks.append((t, STEADY))
-    next_req = t + request_gap
-
-    while state["media"] < duration - 1e-9:
-        q = state["quality"]
-        if (duration - state["media"]) * q < 1.0:
+    q = spec.encode_rates[0][1]
+    media = buf = 0.0  # media seconds delivered; true buffer level in bytes
+    capped = False     # degraded by a cap below the encoding rate
+    fill_due = True
+    next_req = 0.0
+    while True:
+        if fill_due:
+            # back-to-back transfer until the buffer reaches its target;
+            # play-out drains while filling
+            need = (spec.buffer_target - buf) * fill / (fill - q)
+            nbytes = int(round(min(need, (duration - media) * q)))
+            end = next_req
+            if nbytes >= 1:
+                w = _window_at(windows, next_req)
+                if w is not None and w[2] < fill:
+                    raise GenerationError(f"throttle window {w} overlaps a filling period "
+                                          f"at t={next_req:.2f}; unsupported")
+                marks.append((next_req, FILLING))
+                end = em.burst(next_req, nbytes, fill)
+                buf += nbytes - q * (end - next_req)
+                media += nbytes / q
+            fill_due = capped = False
+            if media < duration - 1e-9:
+                marks.append((end, STEADY))
+            next_req = end + request_gap
+        if media >= duration - 1e-9 or (duration - media) * q < 1.0:
             break
         # quality switch: discard the buffer and refill at the new rate
         if pending_changes and pending_changes[0][0] <= next_req:
-            _, new_rate = pending_changes.pop(0)
-            state["quality"] = new_rate
-            state["buf"] = 0.0
-            state["media"] = min(state["media"], next_req)  # replay from the play head
-            end = do_fill(next_req)
-            if state["media"] >= duration - 1e-9:
-                break
-            marks.append((end, STEADY))
-            mode = STEADY
-            next_req = end + request_gap
+            _, q = pending_changes.pop(0)
+            buf = 0.0
+            media = min(media, next_req)  # replay from the play head
+            fill_due = True
             continue
 
-        w = active_window(next_req)
+        w = _window_at(windows, next_req)
+        seg_media = min(seg_d, duration - media)
         if w is not None and w[2] < q:
             # cap below the encoding rate: degraded segments at adapted quality
-            if mode != OTHER:
+            if not capped:
                 marks.append((next_req, OTHER))
-                mode = OTHER
-            q_adapted = spec.throttle_quality_fraction * w[2]
-            seg_media = min(seg_d, duration - state["media"])
-            nbytes = max(1, int(round(q_adapted * seg_media)))
-            em.burst(next_req, nbytes, w[2])
-            state["media"] += seg_media
-            state["buf"] += nbytes - q * request_gap
-            if state["buf"] <= 0:
-                raise GenerationError(
-                    f"play-back buffer underrun at t={next_req:.2f}: cap {w[2]:.0f} B/s is "
-                    f"below the encoding rate {q:.0f} B/s for too long")
-            next_req += request_gap
-            continue
-
-        if mode == OTHER:
+                capped = True
+            nbytes = max(1, int(round(spec.throttle_quality_fraction * w[2] * seg_media)))
+            tx = w[2]
+        elif capped:
             # cap lifted: refill the deficit at line rate
-            end = do_fill(next_req)
-            mode = STEADY
-            if state["media"] >= duration - 1e-9:
-                break
-            marks.append((end, STEADY))
-            next_req = end + request_gap
+            fill_due = True
             continue
-
-        # plain steady-state segment; a non-degrading window still caps the wire
-        seg_media = min(seg_d, duration - state["media"])
-        nbytes = max(1, int(round(q * seg_media)))
-        tx = min(fill, w[2]) if w is not None else fill
+        else:
+            # plain steady-state segment; a non-degrading window still caps the wire
+            nbytes = max(1, int(round(q * seg_media)))
+            tx = min(fill, w[2]) if w is not None else fill
         em.burst(next_req, nbytes, tx)
-        state["media"] += seg_media
-        state["buf"] += nbytes - q * request_gap
+        media += seg_media
+        buf += nbytes - q * request_gap
+        if capped and buf <= 0:
+            raise GenerationError(
+                f"play-back buffer underrun at t={next_req:.2f}: cap {tx:.0f} B/s is "
+                f"below the encoding rate {q:.0f} B/s for too long")
         next_req += request_gap
 
     t_last = em.last_time()
@@ -344,19 +340,23 @@ def generate(spec: ScenarioSpec) -> LabeledTrace:
     return LabeledTrace(trace=em.build(), labels=labels)
 
 
-def generate_bulk(duration: float, rate: float, packet_size: int = 1400,
+def generate_bulk(duration: float = 60.0, rate: float = 1e6,
+                  packet_size: int = GeneratorDefaults.packet_size,
                   seed: int = 0) -> LabeledTrace:
     """Continuous non-bursty transfer: the negative control for stream detection.
 
     The whole trace is one uninterrupted packet train (no inter-arrival gap
-    remotely near a burst threshold) labeled ``other``.
+    remotely near a burst threshold) labeled ``other``. The defaults are
+    the ``bulk`` preset: 60 s at 1 MB/s.
     """
+    _check_whole(packet_size, "packet_size")
+    _check_whole(seed, "seed")
     if duration < 0 or rate <= 0 or packet_size < 1:
         raise ValueError("duration must be >= 0, rate > 0, packet_size >= 1")
     nbytes = int(round(duration * rate))
     if nbytes < 1:
         return LabeledTrace(trace=Trace.empty(), labels=[])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(seed))
     em = _Emitter(packet_size, rng)
     em.burst(0.0, nbytes, rate)
     t_last = em.last_time()

@@ -50,6 +50,15 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["generate", "bulk"], ["generate", "MQ"],
+                                      ["evaluate", "MQ", "--runs", 1]])
+    def test_fractional_packet_size_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"generator": {"packet_size": 1400.5}}))
+        assert run([*argv, "--config", path, "--out", tmp_path / "x"]) == 2
+        assert "packet_size must be an integer, got 1400.5" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "none.json"
         assert run(["generate", "MQ", "--config", missing, "--out", tmp_path / "x"]) == 2
@@ -90,11 +99,41 @@ class TestGenerate:
         assert run(["generate", "--spec", spec_path, "--out", tmp_path / "c"]) == 0
         assert (tmp_path / "c.csv").exists()
 
+    def test_spec_seed_used_unless_seed_given(self, tmp_path):
+        spec = {"encode_rates": [[0.0, 80750.0]], "segment_duration": 5.0,
+                "buffer_target": 2e6, "fill_throughput": 807500.0, "video_duration": 60.0,
+                "packet_size": 1400, "rng_seed": 5}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        for out, extra in (("own", []), ("flag", ["--seed", 5]), ("zero", ["--seed", 0])):
+            assert run(["generate", "--spec", spec_path, "--out", tmp_path / out, *extra]) == 0
+        own = (tmp_path / "own.csv").read_bytes()
+        assert own == (tmp_path / "flag.csv").read_bytes()
+        assert own != (tmp_path / "zero.csv").read_bytes()
+
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"encode_rates": [[0.0, 80750.0]], "bogus_field": 1}))
         assert run(["generate", "--spec", spec_path, "--out", tmp_path / "c"]) == 2
         assert "bogus_field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("encode_rates", [5], "bad scenario spec"),
+        ("throttle_windows", [7], "bad scenario spec"),
+        ("packet_size", 1400.5, "packet_size must be an integer"),
+        ("packet_size", True, "packet_size must be an integer"),
+        ("rng_seed", 1.5, "rng_seed must be an integer"),
+        ("video_duration", float("inf"), "video_duration must be finite"),
+    ])
+    def test_malformed_spec_field_exits_2(self, tmp_path, capsys, field, value, message):
+        spec = {"encode_rates": [[0.0, 80750.0]], "segment_duration": 5.0,
+                "buffer_target": 2e6, "fill_throughput": 807500.0, "video_duration": 60.0,
+                "packet_size": 1400, "rng_seed": 0, field: value}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run(["generate", "--spec", spec_path, "--out", tmp_path / "c"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_non_object_spec_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
