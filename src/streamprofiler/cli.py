@@ -215,18 +215,19 @@ def _write_cdf_csvs(report: dict, out_dir: Path) -> None:
 
 
 def _print_evaluation(report: dict) -> None:
-    print(f"scenario {report['scenario']}: {report['runs']} runs in "
-          f"{report['elapsed_s']:.1f} s ({UNIT_NOTE})")
+    lines = [f"scenario {report['scenario']}: {report['runs']} runs in "
+             f"{report['elapsed_s']:.1f} s ({UNIT_NOTE})"]
     diag = report.get("confusion_diagonal_percent")
     if diag:
         parts = [f"{phase}={value:.2f}%" for phase, value in diag.items() if value is not None]
-        print(f"  confusion diagonal: {', '.join(parts)}")
+        lines.append(f"  confusion diagonal: {', '.join(parts)}")
     pooled = report["nrmse"]["pooled"]
     if pooled is not None:
         per = ", ".join(f"phase {k}: {v:.4f}" for k, v in report["nrmse"]["per_steady_phase"].items())
-        print(f"  NRMSE pooled={pooled:.4f} ({per})")
+        lines.append(f"  NRMSE pooled={pooled:.4f} ({per})")
     checks = report["checks"]
-    print(f"  video stream detected in {checks['video_detected_runs']}/{report['runs']} runs")
+    lines.append(f"  video stream detected in {checks['video_detected_runs']}/{report['runs']} runs")
+    print("\n".join(lines))  # nothing is printed if a field is missing
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -252,20 +253,21 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _print_profile(data: dict) -> None:
     flow = data.get("flow") or {}
-    print(f"flow {flow.get('src')} -> {flow.get('dst')} port {flow.get('dst_port')} "
-          f"({UNIT_NOTE})")
-    print(f"  packets={data['n_packets']} bytes={data['total_bytes']} "
-          f"span=[{data['t_start']:.3f}, {data['t_end']:.3f}]")
+    lines = [f"flow {flow.get('src')} -> {flow.get('dst')} port {flow.get('dst_port')} "
+             f"({UNIT_NOTE})",
+             f"  packets={data['n_packets']} bytes={data['total_bytes']} "
+             f"span=[{data['t_start']:.3f}, {data['t_end']:.3f}]"]
     for seg in data["segments"]:
-        print(f"  {seg['phase']:<12} [{seg['t_start']:10.3f}, {seg['t_end']:10.3f}] "
-              f"{seg['volume_bytes']:>12} B  {seg['mean_rate_Bps']:12.1f} B/s "
-              f"= {seg['mean_rate_kbps']:8.1f} kbps")
+        lines.append(f"  {seg['phase']:<12} [{seg['t_start']:10.3f}, {seg['t_end']:10.3f}] "
+                     f"{seg['volume_bytes']:>12} B  {seg['mean_rate_Bps']:12.1f} B/s "
+                     f"= {seg['mean_rate_kbps']:8.1f} kbps")
     verdict = data["verdict"]
-    print(f"  video stream: {verdict['is_video_stream']}")
+    lines.append(f"  video stream: {verdict['is_video_stream']}")
     session = data["rate_estimate"]["session_Bps"]
     if session is not None:
-        print(f"  estimated encoding rate: {session:.1f} B/s "
-              f"= {data['rate_estimate']['session_kbps']:.1f} kbps")
+        lines.append(f"  estimated encoding rate: {session:.1f} B/s "
+                     f"= {data['rate_estimate']['session_kbps']:.1f} kbps")
+    print("\n".join(lines))  # nothing is printed if a field is missing
 
 
 def build_parser() -> argparse.ArgumentParser:

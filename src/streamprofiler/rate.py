@@ -83,15 +83,21 @@ def aggregate(times: np.ndarray, sizes: np.ndarray, params: RateParams, tail: fl
     """
     if len(times) == 0:
         return np.zeros(0)
-    if not (np.diff(times) >= 0.0).all():
+    if not (times[1:] >= times[:-1]).all():
         raise ValueError("trace is not time-sorted; normalize first")
     rel = times - (times[0] if t0 is None else t0)
-    idx = np.floor(rel / params.delta_t).astype(np.int64)
+    span = float(rel[-1])
+    rel /= params.delta_t
+    idx = np.floor(rel, out=rel).astype(np.int64)
     n_bins = int(idx[-1]) + 1
     if tail > 0:
-        n_bins = max(n_bins, math.ceil((rel[-1] + tail) / params.delta_t))
+        n_bins = max(n_bins, math.ceil((span + tail) / params.delta_t))
     first = int(idx[0])
-    return np.bincount(idx - first, weights=sizes, minlength=n_bins - first) / params.delta_t
+    if first:  # only when resuming a series with ``t0``
+        idx -= first
+    rho = np.bincount(idx, weights=sizes, minlength=n_bins - first)
+    rho /= params.delta_t
+    return rho
 
 
 def smooth(rho: np.ndarray, params: RateParams, seed: float | None = None) -> np.ndarray:

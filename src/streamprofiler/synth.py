@@ -193,13 +193,15 @@ def scenario_spec(name: str, seed: int = 0,
 
 
 class _Emitter:
-    """Accumulates packet bursts with jittered inter-arrival times."""
+    """Lays out packet bursts with jittered inter-arrival times in one buffer."""
 
     def __init__(self, packet_size: int, rng: np.random.Generator):
         self.ps = int(packet_size)
         self.rng = rng
-        self.times: list[np.ndarray] = []
-        self.sizes: list[np.ndarray] = []
+        self.times = np.empty(1024)  # arrival times up to ``n``; doubles when full
+        self.n = 0
+        self.short_at: list[int] = []    # position and size of each burst's
+        self.short_size: list[int] = []  # short last packet
 
     def burst(self, start: float, nbytes: int, tx_rate: float) -> float:
         """Emit ``nbytes`` from ``start`` at ``tx_rate``; returns the last arrival."""
@@ -207,23 +209,36 @@ class _Emitter:
         if nbytes < 1:
             raise ValueError("burst needs at least one byte")
         n_full, rem = divmod(nbytes, self.ps)
-        sizes = np.full(n_full + (1 if rem else 0), self.ps, dtype=np.int64)
+        lo, hi = self.n, self.n + n_full + (1 if rem else 0)
+        if hi > len(self.times):
+            grown = np.empty(max(hi, 2 * len(self.times)))
+            grown[:lo] = self.times[:lo]
+            self.times = grown
         if rem:
-            sizes[-1] = rem
-        iat = sizes[1:] / tx_rate * self.rng.uniform(0.9, 1.1, size=len(sizes) - 1)
-        times = start + np.concatenate([[0.0], np.cumsum(iat)])
-        self.times.append(times)
-        self.sizes.append(sizes)
+            self.short_at.append(hi - 1)
+            self.short_size.append(rem)
+        # the gap before packet i is size_i / tx_rate * jitter: packets 1 to
+        # n_full - 1 are full-size, a last one of rem bytes follows if rem > 0
+        iat = self.rng.uniform(0.9, 1.1, size=hi - lo - 1)
+        k = max(n_full - 1, 0)
+        iat[:k] *= self.ps / tx_rate
+        iat[k:] *= rem / tx_rate
+        times = self.times[lo:hi]
+        times[0] = 0.0
+        iat.cumsum(out=times[1:])
+        times += start
+        self.n = hi
         return float(times[-1])
 
     def last_time(self) -> float:
-        return float(self.times[-1][-1]) if self.times else 0.0
+        return float(self.times[self.n - 1]) if self.n else 0.0
 
     def build(self) -> Trace:
-        if not self.times:
+        if not self.n:
             return Trace.empty()
-        return Trace.single_flow(np.concatenate(self.times), np.concatenate(self.sizes),
-                                 _SYNTH_FLOW)
+        sizes = np.full(self.n, self.ps, dtype=np.int64)
+        sizes[self.short_at] = self.short_size
+        return Trace.single_flow(self.times[:self.n], sizes, _SYNTH_FLOW)
 
 
 def _spans_from_marks(marks: list[tuple[float, str]], t_last: float) -> list[PhaseSpan]:

@@ -288,12 +288,19 @@ class TestReport:
         ({"scenario": "MQ"}, "incomplete report: KeyError: 'runs'"),
         ({"segments": [], "n_packets": 0, "total_bytes": 0, "t_start": None, "t_end": 0.0},
          "incomplete report: TypeError"),
+        # the first lines are readable: nothing is printed all the same
+        ({"segments": [], "n_packets": 1, "total_bytes": 1, "t_start": 0.0, "t_end": 1.0,
+          "verdict": {"is_video_stream": False}}, "incomplete report: KeyError: 'rate_estimate'"),
+        ({"scenario": "MQ", "runs": 1, "elapsed_s": 1.0, "nrmse": {"pooled": None}},
+         "incomplete report: KeyError: 'checks'"),
     ])
     def test_not_a_report_exits_2(self, tmp_path, capsys, data, message):
         path = tmp_path / "report.json"
         path.write_text(json.dumps(data))
         assert run(["report", path]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
 
 
 class TestCsvDumps:

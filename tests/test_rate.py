@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from streamprofiler import RateParams, aggregate, detect_changes, profile, smooth
 from streamprofiler.rate import DECREASE, INCREASE
-from conftest import columns, flow_trace, random_trace
+from conftest import columns, flow_trace, random_trace, reference_aggregate
 
 rates = st.floats(min_value=0, max_value=1e7, allow_nan=False, allow_infinity=False)
 # (value, run length) pairs: zero runs and plateaus of equal values
@@ -91,6 +91,51 @@ class TestAggregate:
             got = aggregate(trace.times[k0:], trace.sizes[k0:], rate_params, tail=1.5,
                             t0=trace.t_start)
             assert got.tobytes() == whole[first:].tobytes()
+
+
+@st.composite
+def aggregate_calls(draw):
+    """Sorted arrival times with ties (or one pair out of order), an origin
+    near zero or at an epoch, a bin width, a tail and a resume point ``k``:
+    ``aggregate(times[k:], ...)`` with ``t0=times[0]``, whose first bin is
+    non-zero once ``times[k]`` is a bin or more past ``times[0]``."""
+    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 0.5), st.floats(0.5, 5.0)),
+                         max_size=60))
+    times = draw(st.sampled_from([0.0, 3.25, 1.7e9])) + np.cumsum([0.0] + gaps)
+    if len(times) > 1 and draw(st.sampled_from([False] * 9 + [True])):
+        i = draw(st.integers(0, len(times) - 2))
+        times[i], times[i + 1] = times[i + 1] + 0.01, times[i]
+    sizes = np.array(draw(st.lists(st.integers(1, 65_535), min_size=len(times),
+                                   max_size=len(times))), dtype=np.int64)
+    params = RateParams(delta_t=draw(st.sampled_from([0.1, 0.05, 1.0, 0.3, 7.0])))
+    tail = draw(st.sampled_from([0.0, 1.5, 0.07, 40.0]))
+    k = draw(st.integers(0, max(len(times) - 1, 0)))
+    return times, sizes, params, tail, k
+
+
+def _aggregate_outcome(fn, *args):
+    """The series' dtype and bytes, or the error message."""
+    try:
+        rho = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return rho.dtype, rho.tobytes()
+
+
+class TestAggregateReference:
+    """``aggregate`` bins in place and returns the reference's bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(aggregate_calls())
+    def test_matches_reference(self, call):
+        times, sizes, params, tail, k = call
+        before = times.tobytes(), sizes.tobytes()
+        t0 = float(times[0]) if len(times) else None
+        for args in ((times, sizes, params), (times, sizes, params, tail),
+                     (times[k:], sizes[k:], params, tail, t0)):
+            assert _aggregate_outcome(aggregate, *args) == \
+                _aggregate_outcome(reference_aggregate, *args)
+        assert (times.tobytes(), sizes.tobytes()) == before
 
 
 class TestSmooth:

@@ -18,11 +18,46 @@ from streamprofiler.synth import (
     MEDIUM_RATE,
     SCENARIOS,
     THROTTLE_CAP,
+    _SYNTH_FLOW,
     LabeledTrace,
-    _Emitter,
     _spans_from_marks,
 )
-from streamprofiler.trace import FILLING, OTHER, STEADY
+from streamprofiler.trace import FILLING, OTHER, STEADY, PhaseSpan, Trace
+
+
+class _ReferenceEmitter:
+    """The emitter that kept one array per burst, kept verbatim: ``generate``
+    and ``generate_bulk`` must lay out the same bytes."""
+
+    def __init__(self, packet_size: int, rng: np.random.Generator):
+        self.ps = int(packet_size)
+        self.rng = rng
+        self.times: list[np.ndarray] = []
+        self.sizes: list[np.ndarray] = []
+
+    def burst(self, start: float, nbytes: int, tx_rate: float) -> float:
+        """Emit ``nbytes`` from ``start`` at ``tx_rate``; returns the last arrival."""
+        nbytes = int(nbytes)
+        if nbytes < 1:
+            raise ValueError("burst needs at least one byte")
+        n_full, rem = divmod(nbytes, self.ps)
+        sizes = np.full(n_full + (1 if rem else 0), self.ps, dtype=np.int64)
+        if rem:
+            sizes[-1] = rem
+        iat = sizes[1:] / tx_rate * self.rng.uniform(0.9, 1.1, size=len(sizes) - 1)
+        times = start + np.concatenate([[0.0], np.cumsum(iat)])
+        self.times.append(times)
+        self.sizes.append(sizes)
+        return float(times[-1])
+
+    def last_time(self) -> float:
+        return float(self.times[-1][-1]) if self.times else 0.0
+
+    def build(self) -> Trace:
+        if not self.times:
+            return Trace.empty()
+        return Trace.single_flow(np.concatenate(self.times), np.concatenate(self.sizes),
+                                 _SYNTH_FLOW)
 
 
 def reference_generate(spec):
@@ -35,7 +70,7 @@ def reference_generate(spec):
                 f"rate ({r:.0f} B/s) or the buffer never fills")
 
     rng = np.random.default_rng(spec.rng_seed)
-    em = _Emitter(spec.packet_size, rng)
+    em = _ReferenceEmitter(spec.packet_size, rng)
     marks: list[tuple[float, str]] = []
 
     fill = spec.fill_throughput
@@ -137,6 +172,18 @@ def reference_generate(spec):
 
     t_last = em.last_time()
     labels = _spans_from_marks(marks, t_last)
+    return LabeledTrace(trace=em.build(), labels=labels)
+
+
+def reference_generate_bulk(duration, rate, packet_size, seed):
+    """``generate_bulk`` on valid arguments, through the reference emitter."""
+    nbytes = int(round(duration * rate))
+    if nbytes < 1:
+        return LabeledTrace(trace=Trace.empty(), labels=[])
+    em = _ReferenceEmitter(packet_size, np.random.default_rng(seed))
+    em.burst(0.0, nbytes, rate)
+    t_last = em.last_time()
+    labels = [PhaseSpan(0.0, t_last, OTHER)] if t_last > 0 else []
     return LabeledTrace(trace=em.build(), labels=labels)
 
 
@@ -306,10 +353,10 @@ class TestGenerate:
         assert [s.phase for s in labeled.labels] == [FILLING, STEADY]
 
 
-def _outcome(gen, spec):
+def _outcome(gen, *args):
     """Times and sizes bytes plus labels, or the ``GenerationError`` message."""
     try:
-        labeled = gen(spec)
+        labeled = gen(*args)
     except GenerationError as exc:
         return str(exc)
     return labeled.trace.times.tobytes(), labeled.trace.sizes.tobytes(), labeled.labels
@@ -361,8 +408,26 @@ def session_specs(draw):
     )
 
 
+@st.composite
+def bulk_args(draw):
+    """(duration, rate, packet_size, seed) for ``generate_bulk``: free draws,
+    one-packet transfers and exact multiples of the packet size."""
+    kind = draw(st.sampled_from(["free", "one packet", "multiple"]))
+    # free draws keep packets >= 500 B, so at most 120k packets a trace
+    packet_size = draw(st.integers(500 if kind == "free" else 1, 3000))
+    if kind == "free":
+        duration, rate = draw(st.floats(0.0, 30.0)), draw(st.floats(1.0, 2e6))
+    else:
+        nbytes = (draw(st.integers(1, packet_size)) if kind == "one packet"
+                  else packet_size * draw(st.integers(1, 5000)))
+        duration = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))  # nbytes / duration is exact
+        rate = nbytes / duration
+    return duration, rate, packet_size, draw(st.integers(0, 2**32))
+
+
 class TestReference:
-    """``generate`` writes what the closure-based generator wrote, byte for byte."""
+    """``generate`` writes what the closure-based generator with the per-burst
+    emitter wrote, byte for byte; so does ``generate_bulk``."""
 
     @settings(max_examples=300, deadline=None)
     @given(session_specs())
@@ -374,6 +439,16 @@ class TestReference:
         for seed in range(50):
             spec = scenario_spec(name, seed=seed)
             assert _outcome(generate, spec) == _outcome(reference_generate, spec)
+
+    def test_bulk_seeds_match(self):
+        for seed in range(20):
+            args = (60.0, 1e6, 1400, seed)  # the bulk preset
+            assert _outcome(generate_bulk, *args) == _outcome(reference_generate_bulk, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bulk_args())
+    def test_bulk_random_match(self, args):
+        assert _outcome(generate_bulk, *args) == _outcome(reference_generate_bulk, *args)
 
 
 class TestSpecInputs:
