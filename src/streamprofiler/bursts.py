@@ -14,12 +14,14 @@ size column as ``bursts["size"]``: ``ndarray.size`` is the element count.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
-from .trace import FILLING, STEADY
+from .trace import FILLING, STEADY, check_times
 
 KLASS_FILLING = 1
 KLASS_STEADY = -1
@@ -52,11 +54,12 @@ class BurstParams:
 
     def __post_init__(self):
         for name in ("h_t", "h_d", "h_r", "h_s", "rate_duration_floor"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not self.h_r < 1:
             raise ValueError(f"h_r must be < 1, got {self.h_r}")
-        if not (isinstance(self.h_n, int) and self.h_n >= 1):
+        if not (isinstance(self.h_n, numbers.Integral) and not isinstance(self.h_n, bool)
+                and self.h_n >= 1):
             raise ValueError(f"h_n must be a positive integer, got {self.h_n}")
 
 
@@ -72,7 +75,7 @@ class PhaseCandidate:
 def segment(times: np.ndarray, sizes: np.ndarray, params: BurstParams) -> np.ndarray:
     """Split a flow into maximal bursts at inter-arrival gaps >= ``h_t``.
 
-    ``times`` (non-decreasing) and ``sizes`` are the flow's packet arrival
+    ``times`` (finite, non-decreasing) and ``sizes`` are the flow's packet arrival
     times and payload bytes. Every packet belongs to exactly one burst. Burst
     boundaries are the first and last packet arrival times; the gap is
     measured last-packet-to-first-packet. Every burst comes out with class
@@ -81,9 +84,8 @@ def segment(times: np.ndarray, sizes: np.ndarray, params: BurstParams) -> np.nda
     n = len(times)
     if n == 0:
         return np.zeros(0, dtype=BURST_DTYPE)
+    check_times(times)
     gaps = np.diff(times)
-    if not (gaps >= 0.0).all():
-        raise ValueError("trace is not time-sorted; normalize first")
     breaks = np.flatnonzero(gaps >= params.h_t) + 1
     starts = np.concatenate([[0], breaks])
     bursts = np.empty(len(starts), dtype=BURST_DTYPE)

@@ -53,8 +53,9 @@ class FusionParams:
     match_tolerance: float = 5.0
 
     def __post_init__(self):
-        if not self.match_tolerance > 0:
-            raise ValueError(f"match_tolerance must be > 0, got {self.match_tolerance}")
+        if not 0 < self.match_tolerance < math.inf:
+            raise ValueError(f"match_tolerance must be finite and > 0, "
+                             f"got {self.match_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,9 @@ def _bytes_up_to(times: np.ndarray, cum: np.ndarray, t: float, side: str = "righ
     return int(cum[idx - 1]) if idx > 0 else 0
 
 
-def fuse(trace: Trace, rate_events: list[RateChange], candidates: list[PhaseCandidate],
-         params: FusionParams) -> list[PhaseSegment]:
-    """Cross-check the two methods and tile the flow span with segments.
+def fuse(times: np.ndarray, cum: np.ndarray, candidates: list[PhaseCandidate],
+         rate_events: list[RateChange], params: FusionParams) -> list[PhaseSegment]:
+    """Cross-check the two methods and tile the span of one flow's packet ``times``.
 
     A filling candidate is confirmed by a rate increase, a steady candidate by
     a rate decrease, when the event time lies within ``match_tolerance`` of the
@@ -212,9 +213,10 @@ def fuse(trace: Trace, rate_events: list[RateChange], candidates: list[PhaseCand
     so a packet sitting exactly on a boundary is attributed to the candidate
     segment, not the surrounding ``other`` gap. A candidate spanning no time
     (a single-packet steady run when ``h_n`` is 1) is never confirmed; its
-    bytes fall into the surrounding ``other``.
+    bytes fall into the surrounding ``other``. ``cum`` is the cumulative payload
+    bytes per packet.
     """
-    if len(trace) == 0:
+    if len(times) == 0:
         return []
     confirmed: list[PhaseCandidate] = []
     for cand in candidates:
@@ -226,7 +228,7 @@ def fuse(trace: Trace, rate_events: list[RateChange], candidates: list[PhaseCand
             confirmed.append(cand)
     confirmed.sort(key=lambda c: c.t_start)
 
-    t0, t1 = trace.t_start, trace.t_end
+    t0, t1 = float(times[0]), float(times[-1])
     pieces: list[tuple[str, float, float]] = []
     cursor = t0
     for cand in confirmed:
@@ -237,7 +239,6 @@ def fuse(trace: Trace, rate_events: list[RateChange], candidates: list[PhaseCand
     if t1 - cursor > _EPS:
         pieces.append((OTHER, cursor, t1))
 
-    times, cum = trace.times, trace.cum_bytes
     segments: list[PhaseSegment] = []
     prev_bytes = 0
     for k, (phase, a, b) in enumerate(pieces):
@@ -288,29 +289,30 @@ def estimate_rate(segments: list[PhaseSegment]) -> RateEstimate:
     return RateEstimate(per_steady=tuple(per), session=session)
 
 
-def _sample_times(trace: Trace, sample_dt: float, start: int = 0) -> np.ndarray:
-    """Buffer sample times ``t_start + sample_dt * i``, from ``i = start`` to one
+def _sample_times(times: np.ndarray, sample_dt: float, start: int = 0) -> np.ndarray:
+    """Buffer sample times ``times[0] + sample_dt * i``, from ``i = start`` to one
     sample past the last packet."""
-    n = int(np.floor((trace.t_end - trace.t_start) / sample_dt)) + 1
-    return trace.t_start + sample_dt * np.arange(start, n + 1)
+    n = int(np.floor((times[-1] - times[0]) / sample_dt)) + 1
+    return times[0] + sample_dt * np.arange(start, n + 1)
 
 
-def estimate_buffer(trace: Trace, encode_rate: float, playout_start: float,
+def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, playout_start: float,
                     sample_dt: float, arrived: np.ndarray | None = None) -> BufferTrajectory:
     """Play-back buffer level: cumulative arrivals minus modeled play-out.
 
     Play-out is linear at ``encode_rate`` from ``playout_start`` onward; the
     level is clamped at zero (stalls absorb the deficit). Sampled on the rate
-    bin grid from the flow's first packet. ``arrived`` may pass in the payload
-    bytes arrived by each sample time when the caller already has them.
+    bin grid from the flow's first packet of ``times``, with ``cum`` bytes by
+    each packet. ``arrived`` may pass in the payload bytes arrived by each
+    sample time when the caller already has them.
     """
     if encode_rate <= 0:
         raise ValueError(f"encode_rate must be > 0, got {encode_rate}")
-    if len(trace) == 0:
+    if len(times) == 0:
         return BufferTrajectory(np.zeros(0), np.zeros(0), playout_start, encode_rate)
-    ts = _sample_times(trace, sample_dt)
+    ts = _sample_times(times, sample_dt)
     if arrived is None:
-        arrived = trace.cum_bytes[np.searchsorted(trace.times, ts, side="right") - 1]
+        arrived = cum[np.searchsorted(times, ts, side="right") - 1]
     played = encode_rate * np.clip(ts - playout_start, 0.0, None)
     levels = np.clip(arrived - played, 0.0, None)
     return BufferTrajectory(times=ts, levels=levels, playout_start=playout_start,
@@ -328,7 +330,15 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
     never an error. This is a ``StreamProfiler`` query that sees the whole
     flow at once.
     """
-    return StreamProfiler(rate_params, burst_params, fusion_params)._report(trace, include_debug)
+    if len(trace) and len(trace.flows) > 1:
+        raise ValueError("rate analysis expects a single-flow trace; demux first")
+    prof = StreamProfiler(rate_params, burst_params, fusion_params)
+    if len(trace):
+        prof._advance(trace.times, trace.sizes)
+    # the cumulative bytes come after the stages: allocated before their
+    # temporaries, they left malloc faulting fresh pages in on every call
+    return prof._report(trace.times, np.cumsum(trace.sizes),
+                        trace.flows[0] if trace.flows else None, include_debug)
 
 
 class StreamProfiler:
@@ -401,32 +411,32 @@ class StreamProfiler:
         return Trace.single_flow(times, sizes, self.flow)
 
     def report(self, include_debug: bool = False) -> ProfileReport:
-        trace, k, n = self.trace(), self._k, self._n
+        k, n = self._k, self._n
+        if n > k:
+            self._advance(self._times[:n], self._sizes[:n])
         self._cum[k:n] = np.cumsum(self._sizes[k:n]) + (self._cum[k - 1] if k else 0)
-        trace.cum_bytes = self._cum[:n]
-        trace.cum_bytes.flags.writeable = False
-        return self._report(trace, include_debug)
+        return self._report(self._times[:n], self._cum[:n], self.flow, include_debug)
 
-    def _report(self, trace: Trace, include_debug: bool) -> ProfileReport:
-        """Profile ``trace``, which extends the packets of the previous query."""
-        if len(trace) > self._k:
-            self._advance(trace)
-        segments = fuse(trace, self._events, self._candidates, self.fusion_params)
+    def _report(self, times: np.ndarray, cum: np.ndarray, flow: FlowKey | None,
+                include_debug: bool) -> ProfileReport:
+        """Fuse the stage results on packets ``times``, with ``cum`` bytes by each."""
+        n = len(times)
+        segments = fuse(times, cum, self._candidates, self._events, self.fusion_params)
         rate_estimate = estimate_rate(segments)
         buffer = series = None
+        t_start, t_end = (float(times[0]), float(times[-1])) if n else (0.0, 0.0)
         if rate_estimate.session is not None:
             dt = self.rate_params.delta_t
-            buffer = estimate_buffer(trace, rate_estimate.session, trace.t_start + dt, dt,
-                                     arrived=self._arrivals(trace))
-        if include_debug and len(trace):
-            series = RateSeries(trace.t_start, self.rate_params.delta_t, *self._series,
-                                self._events)
+            buffer = estimate_buffer(times, cum, rate_estimate.session, t_start + dt, dt,
+                                     arrived=self._arrivals(times, cum))
+        if include_debug and n:
+            series = RateSeries(t_start, self.rate_params.delta_t, *self._series, self._events)
         return ProfileReport(
-            flow=trace.flows[0] if trace.flows else None,
-            n_packets=len(trace),
-            total_bytes=trace.total_bytes,
-            t_start=trace.t_start,
-            t_end=trace.t_end,
+            flow=flow,
+            n_packets=n,
+            total_bytes=int(cum[-1]) if n else 0,
+            t_start=t_start,
+            t_end=t_end,
             segments=segments,
             verdict=detect_stream(segments),
             rate_estimate=rate_estimate,
@@ -435,13 +445,10 @@ class StreamProfiler:
             bursts=self._bursts if include_debug else None,
         )
 
-    def _advance(self, trace: Trace) -> None:
-        """Resume every stage on the packets of ``trace`` after the first ``_k``."""
-        if len(trace.flows) > 1:
-            raise ValueError("rate analysis expects a single-flow trace; demux first")
+    def _advance(self, times: np.ndarray, sizes: np.ndarray) -> None:
+        """Resume every stage on the packets after the first ``_k``; there must be some."""
         rp, bp, k = self.rate_params, self.burst_params, self._k
-        times, sizes = trace.times, trace.sizes
-        t0, dt = trace.t_start, rp.delta_t
+        t0, dt = float(times[0]), rp.delta_t
         b0 = 0  # bins before the last seen packet's bin are final
         if k:
             bins = np.floor((times[self._bin_k:k] - t0) / dt)
@@ -476,14 +483,14 @@ class StreamProfiler:
         self._bursts = bursts_mod.classify(np.concatenate([closed, kept]) if len(closed)
                                            else kept, bp)
         self._candidates = bursts_mod.confirm_steady(self._bursts, bp)
-        self._k = len(trace)
+        self._k = len(times)
 
-    def _arrivals(self, trace: Trace) -> np.ndarray:
+    def _arrivals(self, times: np.ndarray, cum: np.ndarray) -> np.ndarray:
         """Payload bytes arrived by each buffer sample time."""
-        k, times = self._arrived_k, trace.times
-        ts = _sample_times(trace, self.rate_params.delta_t, start=len(self._arrived))
-        arrived = trace.cum_bytes[k - 1 + np.searchsorted(times[k:], ts, side="right")]
+        k = self._arrived_k
+        ts = _sample_times(times, self.rate_params.delta_t, start=len(self._arrived))
+        arrived = cum[k - 1 + np.searchsorted(times[k:], ts, side="right")]
         n_final = int(np.searchsorted(ts, times[-1]))  # later packets arrive after these
         self._arrived = np.concatenate([self._arrived, arrived[:n_final]])
-        self._arrived_k = len(trace)
+        self._arrived_k = len(times)
         return np.concatenate([self._arrived, arrived[n_final:]])

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
+from .trace import check_times
+
 INCREASE = "increase"
 DECREASE = "decrease"
 
@@ -29,8 +31,8 @@ class RateParams:
     c: float = 0.6
 
     def __post_init__(self):
-        if not self.delta_t > 0:
-            raise ValueError(f"delta_t must be > 0, got {self.delta_t}")
+        if not 0 < self.delta_t < math.inf:
+            raise ValueError(f"delta_t must be finite and > 0, got {self.delta_t}")
         if not 0 < self.a <= 1:
             raise ValueError(f"a must be in (0, 1], got {self.a}")
         # c <= 0.5 would let the increase and decrease conditions hold at once
@@ -70,7 +72,7 @@ def aggregate(times: np.ndarray, sizes: np.ndarray, params: RateParams, tail: fl
               t0: float | None = None) -> np.ndarray:
     """Aggregate one flow's payload bytes into contiguous bins of width ``delta_t``.
 
-    ``times`` (non-decreasing) and ``sizes`` are the flow's packet arrival
+    ``times`` (finite, non-decreasing) and ``sizes`` are the flow's packet arrival
     times and payload bytes. Bin ``t`` (1-based) covers
     ``[(t-1)*delta_t, t*delta_t)`` relative to the flow's first packet; its
     value is the summed payload divided by the bin width, so empty bins read
@@ -83,8 +85,7 @@ def aggregate(times: np.ndarray, sizes: np.ndarray, params: RateParams, tail: fl
     """
     if len(times) == 0:
         return np.zeros(0)
-    if not (times[1:] >= times[:-1]).all():
-        raise ValueError("trace is not time-sorted; normalize first")
+    check_times(times)
     rel = times - (times[0] if t0 is None else t0)
     span = float(rel[-1])
     rel /= params.delta_t

@@ -16,10 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import ipaddress
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -82,13 +82,24 @@ class PhaseSpan:
         return self.t_end - self.t_start
 
 
+def check_times(times: np.ndarray) -> None:
+    """Raise ``ValueError`` unless packet ``times`` (non-empty) are non-decreasing
+    and finite.
+
+    A sorted array with finite ends is finite throughout, and a NaN among two
+    or more times fails the order check, so only the ends are tested.
+    """
+    if not (times[1:] >= times[:-1]).all():
+        raise ValueError("trace is not time-sorted; normalize first")
+    if not (math.isfinite(times[0]) and math.isfinite(times[-1])):
+        raise ValueError(f"packet times must be finite, got {times[0]} ... {times[-1]}")
+
+
 @dataclass(eq=False)
 class Trace:
     """Columnar packet trace: parallel arrays plus a flow table.
 
-    ``flow_ids[i]`` indexes into ``flows`` for packet ``i``. The arrays are
-    not modified after construction: ``cum_bytes`` is computed once per
-    trace.
+    ``flow_ids[i]`` indexes into ``flows`` for packet ``i``.
     """
 
     times: np.ndarray
@@ -140,12 +151,7 @@ class Trace:
 
     @property
     def total_bytes(self) -> int:
-        return int(self.cum_bytes[-1]) if len(self) else 0
-
-    @cached_property
-    def cum_bytes(self) -> np.ndarray:
-        """Payload bytes up to and including each packet."""
-        return np.cumsum(self.sizes)
+        return int(self.sizes.sum())
 
     def shifted(self, offset: float) -> "Trace":
         """Same trace with every arrival time moved by ``offset`` seconds."""

@@ -19,10 +19,21 @@ def flow_trace(times, sizes=None, flow=TEST_FLOW) -> Trace:
     return Trace.single_flow(times, sizes, flow)
 
 
+# packet times that the stages reject, with the message each gets
+UNUSABLE_TIMES = [([1.0, 0.5], "sorted"), ([0.0, 1.0, 0.5], "sorted"), ([0.0, math.nan], "sorted"),
+                  ([math.nan], "finite"), ([0.0, math.inf], "finite"),
+                  ([math.inf, math.inf], "finite"), ([-math.inf, 0.0], "finite")]
+
+
 def columns(times, sizes=None):
     """The (times, sizes) arrays of ``flow_trace(times, sizes)``."""
     trace = flow_trace(times, sizes)
     return trace.times, trace.sizes
+
+
+def flow_arrays(trace: Trace):
+    """The (times, cumulative bytes) arrays that ``fuse`` and ``estimate_buffer`` take."""
+    return trace.times, np.cumsum(trace.sizes)
 
 
 @pytest.fixture

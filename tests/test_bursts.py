@@ -24,7 +24,8 @@ from streamprofiler.bursts import (
     KLASS_UNSET,
 )
 from streamprofiler.trace import FILLING, STEADY
-from conftest import columns, flow_trace, random_trace, reference_write_bursts_csv
+from conftest import (UNUSABLE_TIMES, columns, flow_trace, random_trace,
+                      reference_write_bursts_csv)
 
 
 def burst(duration, rate, size=10**6, t_start=0.0, klass=KLASS_UNSET):
@@ -133,10 +134,16 @@ class TestParams:
     @pytest.mark.parametrize("kwargs", [
         {"h_t": 0.0}, {"h_d": -1.0}, {"h_r": 0.0}, {"h_r": 1.0},
         {"h_s": 0.0}, {"h_n": 0}, {"h_n": 2.5}, {"rate_duration_floor": 0.0},
+        {"h_t": float("inf")}, {"h_d": float("inf")}, {"h_s": float("inf")},
+        {"h_s": float("nan")}, {"rate_duration_floor": float("inf")},
+        {"h_n": True}, {"h_n": np.True_},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             BurstParams(**kwargs)
+
+    def test_numpy_integer_h_n_valid(self):
+        assert BurstParams(h_n=np.int64(3)) == BurstParams()
 
 
 class TestSegment:
@@ -186,8 +193,9 @@ class TestSegment:
         assert len(bursts) == 0 and bursts.dtype == BURST_DTYPE
 
     def test_unsorted_rejected(self, burst_params):
-        with pytest.raises(ValueError, match="sorted"):
-            segment(*columns([0.0, 1.0, 0.5]), burst_params)
+        for times, message in UNUSABLE_TIMES:
+            with pytest.raises(ValueError, match=message):
+                segment(*columns(times), burst_params)
 
 
 class TestFilterSmall:

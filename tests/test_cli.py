@@ -226,6 +226,12 @@ class TestAnalyze:
         data = json.loads(next(out.glob("*.json")).read_text())
         assert data["verdict"]["is_video_stream"] is False
 
+    def test_infinite_gap_threshold_exits_2(self, tmp_path, trace_path, capsys):
+        out = tmp_path / "out"
+        assert run(["analyze", trace_path, "--out", out, "--h-t", "inf"]) == 2
+        assert "h_t must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_packet_steady_run_with_h_n_1(self, tmp_path):
         path = tmp_path / "lone.csv"
         write_trace(single_packet_steady_trace(), path)
@@ -249,6 +255,11 @@ class TestEvaluate:
         code = run(["evaluate", "MQ", "--runs", 1, "--h-s", 10**12])
         assert code == 1
         assert "THRESHOLD VIOLATED" in capsys.readouterr().out
+
+    def test_infinite_gap_threshold_exits_2(self, capsys):
+        assert run(["evaluate", "MQ", "--runs", 1, "--h-t", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert "h_t must be finite" in err and "Traceback" not in err
 
     def test_zero_runs_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

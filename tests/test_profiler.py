@@ -26,7 +26,8 @@ from streamprofiler.bursts import PhaseCandidate, confirm_steady
 from streamprofiler.profiler import _INITIAL_CAPACITY, BufferTrajectory
 from streamprofiler.rate import DECREASE, RateChange
 from streamprofiler.trace import FILLING, OTHER, STEADY, FlowKey
-from conftest import TEST_FLOW, assert_tiles_and_partitions, flow_trace, single_packet_steady_trace
+from conftest import (TEST_FLOW, assert_tiles_and_partitions, flow_arrays, flow_trace,
+                      single_packet_steady_trace)
 
 
 def seg(phase, t0, t1, volume=0):
@@ -40,14 +41,14 @@ class TestFuse:
         events = [RateChange(4, "increase", 0.3), RateChange(431, "decrease", 43.0)]
         candidates = [PhaseCandidate(FILLING, 0.0, 41.0),
                       PhaseCandidate(STEADY, 44.0, 560.0)]
-        segments = fuse(trace, events, candidates, fusion_params)
+        segments = fuse(*flow_arrays(trace), candidates, events, fusion_params)
         assert [(s.phase, s.t_start, s.t_end) for s in segments] == [
             (FILLING, 0.0, 41.0), (OTHER, 41.0, 44.0), (STEADY, 44.0, 560.0)]
 
     def test_candidate_without_matching_event_becomes_other(self, fusion_params):
         trace = flow_trace([0.0, 44.0, 560.0])
         candidates = [PhaseCandidate(STEADY, 44.0, 560.0)]
-        segments = fuse(trace, [], candidates, fusion_params)
+        segments = fuse(*flow_arrays(trace), candidates, [], fusion_params)
         assert [s.phase for s in segments] == [OTHER]
         assert segments[0].t_start == 0.0 and segments[0].t_end == 560.0
 
@@ -55,23 +56,25 @@ class TestFuse:
         trace = flow_trace([0.0, 44.0, 560.0])
         events = [RateChange(1, "decrease", 44.0 + fusion_params.match_tolerance + 0.5)]
         candidates = [PhaseCandidate(STEADY, 44.0, 560.0)]
-        assert [s.phase for s in fuse(trace, events, candidates, fusion_params)] == [OTHER]
+        segments = fuse(*flow_arrays(trace), candidates, events, fusion_params)
+        assert [s.phase for s in segments] == [OTHER]
 
     def test_wrong_event_type_is_no_match(self, fusion_params):
         trace = flow_trace([0.0, 44.0, 560.0])
         events = [RateChange(1, "increase", 44.0)]
         candidates = [PhaseCandidate(STEADY, 44.0, 560.0)]
-        assert [s.phase for s in fuse(trace, events, candidates, fusion_params)] == [OTHER]
+        segments = fuse(*flow_arrays(trace), candidates, events, fusion_params)
+        assert [s.phase for s in segments] == [OTHER]
 
     def test_empty_trace_yields_no_segments(self, fusion_params):
-        assert fuse(Trace.empty(), [], [], fusion_params) == []
+        assert fuse(np.zeros(0), np.zeros(0, dtype=np.int64), [], [], fusion_params) == []
 
     def test_volumes_partition_payload(self, fusion_params):
         trace = flow_trace([0.0, 10.0, 41.0, 44.0, 100.0, 560.0], sizes=[10] * 6)
         events = [RateChange(1, "increase", 0.0), RateChange(431, "decrease", 43.0)]
         candidates = [PhaseCandidate(FILLING, 0.0, 41.0),
                       PhaseCandidate(STEADY, 44.0, 560.0)]
-        segments = fuse(trace, events, candidates, fusion_params)
+        segments = fuse(*flow_arrays(trace), candidates, events, fusion_params)
         assert sum(s.volume for s in segments) == trace.total_bytes
         # boundary packets at 41.0 and 44.0 belong to the candidates, not the gap
         assert segments[0].volume == 30
@@ -82,7 +85,7 @@ class TestFuse:
         trace = flow_trace([0.0, 11.9, 30.0], sizes=[10, 20, 30])
         events = [RateChange(120, "decrease", 11.9)]
         candidates = [PhaseCandidate(STEADY, 11.9, 11.9)]
-        segments = fuse(trace, events, candidates, fusion_params)
+        segments = fuse(*flow_arrays(trace), candidates, events, fusion_params)
         assert [s.phase for s in segments] == [OTHER]
         assert_tiles_and_partitions(segments, 0.0, 30.0, 60)
 
@@ -136,25 +139,29 @@ class TestEstimateRate:
 class TestEstimateBuffer:
     def test_before_playout_equals_cumulative(self):
         trace = flow_trace([0.0, 1.0, 2.0], sizes=[100, 200, 300])
-        traj = estimate_buffer(trace, encode_rate=50.0, playout_start=10.0, sample_dt=1.0)
+        traj = estimate_buffer(*flow_arrays(trace), encode_rate=50.0, playout_start=10.0,
+                               sample_dt=1.0)
         assert traj.levels[0] == 100.0
         assert traj.levels[2] == 600.0
 
     def test_constant_arrival_at_encode_rate_is_flat(self):
         times = np.arange(0.0, 50.0, 0.5)
         trace = flow_trace(times, sizes=[500] * len(times))  # 1000 B/s
-        traj = estimate_buffer(trace, encode_rate=1000.0, playout_start=0.0, sample_dt=1.0)
+        traj = estimate_buffer(*flow_arrays(trace), encode_rate=1000.0, playout_start=0.0,
+                               sample_dt=1.0)
         levels = traj.levels[5:]
         assert np.max(levels) - np.min(levels) <= 1000.0
 
     def test_clamped_at_zero(self):
         trace = flow_trace([0.0, 100.0], sizes=[10, 10])
-        traj = estimate_buffer(trace, encode_rate=1e6, playout_start=0.0, sample_dt=10.0)
+        traj = estimate_buffer(*flow_arrays(trace), encode_rate=1e6, playout_start=0.0,
+                               sample_dt=10.0)
         assert np.min(traj.levels) == 0.0
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
-            estimate_buffer(flow_trace([0.0]), encode_rate=0.0, playout_start=0.0, sample_dt=1.0)
+            estimate_buffer(*flow_arrays(flow_trace([0.0])), encode_rate=0.0, playout_start=0.0,
+                            sample_dt=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +250,15 @@ class TestProfile:
         with pytest.raises(ValueError, match="demux"):
             profile(Trace([0.0, 0.1], [10, 10], [0, 1], flows))
 
+    def test_non_finite_time_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            profile(flow_trace([0.0, 1.0, float("inf")]))
+
+    @pytest.mark.parametrize("tolerance", [0.0, float("inf"), float("nan")])
+    def test_invalid_match_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="match_tolerance"):
+            FusionParams(match_tolerance=tolerance)
+
     def test_empty_multi_flow_profiles(self):
         flows = [FlowKey("10.0.0.1", "10.0.0.2", 1), FlowKey("10.0.0.3", "10.0.0.2", 1)]
         report = profile(Trace([], [], [], flows))
@@ -272,19 +288,24 @@ class TestProfile:
 
 
 GAPS = [0.0, 0.0005, 0.01, 0.1, 0.5, 1.49, 1.5, 2.0, 5.0, 20.0]
+# (gap to the previous packet, payload bytes) per packet
+PACKETS = st.lists(st.tuples(st.sampled_from(GAPS), st.integers(1, 70_000)),
+                   min_size=1, max_size=150)
+OFFSETS = st.sampled_from([0.0, 3.25, 1.7e9])
+
+
+def packets_trace(packets, offset, scale=1):
+    gaps, sizes = zip(*packets)
+    return flow_trace(offset + np.cumsum((0.0,) + gaps[1:]), sizes=np.multiply(sizes, scale))
 
 
 class TestArbitraryFlows:
     @settings(max_examples=200, deadline=None)
-    @given(packets=st.lists(st.tuples(st.sampled_from(GAPS), st.integers(1, 70_000)),
-                            min_size=1, max_size=150),
-           offset=st.sampled_from([0.0, 3.25, 1.7e9]),
-           h_n=st.integers(1, 4))
+    @given(packets=PACKETS, offset=OFFSETS, h_n=st.integers(1, 4))
     @example(packets=[(0.0, 500)], offset=0.0, h_n=1)  # one packet
     @example(packets=[(0.0, 30_000)] * 6, offset=1.7e9, h_n=1)  # zero span
     def test_profile_never_fails_and_keeps_invariants(self, packets, offset, h_n):
-        gaps, sizes = zip(*packets)
-        trace = flow_trace(offset + np.cumsum((0.0,) + gaps[1:]), sizes=sizes)
+        trace = packets_trace(packets, offset)
         report = profile(trace, burst_params=BurstParams(h_n=h_n))
         json.dumps(report.to_dict(), allow_nan=False)
         assert report.to_json() == slow_json(report)
@@ -293,6 +314,25 @@ class TestArbitraryFlows:
                                         trace.total_bytes)
         else:
             assert report.segments == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(packets=PACKETS, offset=OFFSETS, h_n=st.integers(1, 4))
+    def test_doubling_sizes_doubles_volumes_rates_and_buffer_exactly(self, packets, offset, h_n):
+        # every byte count and rate doubles exactly in binary floating point,
+        # so every comparison against a threshold comes out the same
+        params = BurstParams(h_n=h_n)
+        report = profile(packets_trace(packets, offset), burst_params=params)
+        doubled = profile(packets_trace(packets, offset, scale=2),
+                          burst_params=dataclasses.replace(params, h_s=2 * params.h_s))
+        assert ([(s.phase, s.t_start, s.t_end) for s in doubled.segments]
+                == [(s.phase, s.t_start, s.t_end) for s in report.segments])
+        assert [s.volume for s in doubled.segments] == [2 * s.volume for s in report.segments]
+        assert doubled.rate_estimate.per_steady == tuple(
+            (i, 2 * r) for i, r in report.rate_estimate.per_steady)
+        assert (doubled.buffer is None) == (report.buffer is None)
+        if report.buffer is not None:
+            assert doubled.buffer.times.tobytes() == report.buffer.times.tobytes()
+            assert doubled.buffer.levels.tobytes() == (2 * report.buffer.levels).tobytes()
 
 
 class TestIncremental:

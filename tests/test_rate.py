@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from streamprofiler import RateParams, aggregate, detect_changes, profile, smooth
 from streamprofiler.rate import DECREASE, INCREASE
-from conftest import columns, flow_trace, random_trace, reference_aggregate
+from conftest import UNUSABLE_TIMES, columns, flow_trace, random_trace, reference_aggregate
 
 rates = st.floats(min_value=0, max_value=1e7, allow_nan=False, allow_infinity=False)
 # (value, run length) pairs: zero runs and plateaus of equal values
@@ -39,6 +39,7 @@ class TestParams:
         {"delta_t": 0.0}, {"delta_t": -1.0},
         {"a": 0.0}, {"a": 1.5},
         {"c": 0.5}, {"c": 0.4}, {"c": 1.0},
+        {"delta_t": float("inf")}, {"delta_t": float("nan")},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -77,8 +78,9 @@ class TestAggregate:
         assert np.all(rho[1:] == 0.0)
 
     def test_unsorted_rejected(self, rate_params):
-        with pytest.raises(ValueError, match="sorted"):
-            aggregate(*columns([1.0, 0.5]), rate_params)
+        for times, message in UNUSABLE_TIMES:
+            with pytest.raises(ValueError, match=message):
+                aggregate(*columns(times), rate_params)
 
     @pytest.mark.parametrize("offset", [0.0, 1.7e9])
     def test_later_part_starts_at_its_first_bin(self, rate_params, offset):
