@@ -10,12 +10,14 @@ harness.
 from .bursts import BurstParams, PhaseCandidate, classify, confirm_steady, filter_small, segment
 from .profiler import (
     BufferTrajectory,
+    Decision,
     FusionParams,
     PhaseSegment,
     ProfileReport,
     RateEstimate,
     StreamProfiler,
     StreamVerdict,
+    decide,
     detect_stream,
     estimate_buffer,
     estimate_rate,

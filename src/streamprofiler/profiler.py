@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -200,33 +202,82 @@ def _bytes_up_to(times: np.ndarray, cum: np.ndarray, t: float, side: str = "righ
     return int(cum[idx - 1]) if idx > 0 else 0
 
 
+class Decision(NamedTuple):
+    """How the rate method judged one burst-method candidate.
+
+    ``event`` is the nearest rate event of the direction that would confirm
+    the candidate (the earlier of two equally near, None when there is
+    none), ``distance`` its time minus the candidate start. ``settled``
+    means that no later packet can change ``confirmed``.
+    """
+
+    candidate: PhaseCandidate
+    event: RateChange | None
+    distance: float | None
+    confirmed: bool
+    settled: bool
+
+
+def decide(candidates: list[PhaseCandidate], rate_events: list[RateChange],
+           params: FusionParams, horizon: float = math.inf) -> list[Decision]:
+    """Match each candidate with its nearest rate event of the wanted direction.
+
+    A filling candidate wants a rate increase, a steady candidate a decrease,
+    and is confirmed when that event lies within ``match_tolerance`` of the
+    candidate start. A candidate spanning no time (a single-packet steady run
+    when ``h_n`` is 1) is never confirmed. ``horizon`` is the time from which
+    events may still change or appear: the start of the first rate bin that
+    is not final. A decision is settled when an event before the horizon
+    confirms it, when the horizon lies more than ``match_tolerance`` past the
+    candidate start (so no event from it on can confirm it), or when the
+    candidate spans no time. With the default horizon every decision is
+    settled.
+    """
+    if not candidates:
+        return []
+    by_direction: dict[str, list[RateChange]] = {INCREASE: [], DECREASE: []}
+    for ev in sorted(rate_events, key=attrgetter("time")):
+        by_direction[ev.direction].append(ev)
+    event_times = {d: [ev.time for ev in evs] for d, evs in by_direction.items()}
+    tol = params.match_tolerance
+    decisions = []
+    for cand in candidates:
+        s = cand.t_start
+        wanted = INCREASE if cand.kind == FILLING else DECREASE
+        events, times = by_direction[wanted], event_times[wanted]
+        # searchsorted on a list; fl(e - s) is monotone in e, so the nearest
+        # event by |e - s| is one of the two around s
+        i = bisect_left(times, s)
+        event = events[i] if i < len(events) else None
+        if i and (event is None or abs(times[i - 1] - s) <= abs(event.time - s)):
+            event = events[i - 1]
+        distance = None if event is None else event.time - s
+        spans = cand.t_end - s > _EPS
+        confirmed = spans and distance is not None and abs(distance) <= tol
+        # the same subtraction as ``distance``: an event at or after the
+        # horizon lies at least ``horizon - s`` past s
+        settled = (confirmed and event.time < horizon) or horizon - s > tol or not spans
+        decisions.append(Decision(cand, event, distance, confirmed, settled))
+    return decisions
+
+
 def fuse(times: np.ndarray, cum: np.ndarray, candidates: list[PhaseCandidate],
          rate_events: list[RateChange], params: FusionParams) -> list[PhaseSegment]:
     """Cross-check the two methods and tile the span of one flow's packet ``times``.
 
-    A filling candidate is confirmed by a rate increase, a steady candidate by
-    a rate decrease, when the event time lies within ``match_tolerance`` of the
-    candidate start. Confirmed candidates become segments with the burst
+    The candidates that ``decide`` confirms become segments with the burst
     method's boundaries (packet-exact, unlike the filter-lagged rate method);
-    uncovered time becomes ``other``. Segment volumes partition the flow's
-    payload exactly; candidate boundaries fall on their own burst's packets,
-    so a packet sitting exactly on a boundary is attributed to the candidate
-    segment, not the surrounding ``other`` gap. A candidate spanning no time
-    (a single-packet steady run when ``h_n`` is 1) is never confirmed; its
-    bytes fall into the surrounding ``other``. ``cum`` is the cumulative payload
-    bytes per packet.
+    uncovered time becomes ``other``, and so do the bytes of an unconfirmed
+    candidate. Segment volumes partition the flow's payload exactly;
+    candidate boundaries fall on their own burst's packets, so a packet
+    sitting exactly on a boundary is attributed to the candidate segment, not
+    the surrounding ``other`` gap. ``cum`` is the cumulative payload bytes
+    per packet.
     """
     if len(times) == 0:
         return []
-    confirmed: list[PhaseCandidate] = []
-    for cand in candidates:
-        if cand.t_end - cand.t_start <= _EPS:
-            continue
-        wanted = INCREASE if cand.kind == FILLING else DECREASE
-        if any(ev.direction == wanted and abs(ev.time - cand.t_start) <= params.match_tolerance
-               for ev in rate_events):
-            confirmed.append(cand)
-    confirmed.sort(key=lambda c: c.t_start)
+    confirmed = sorted((d.candidate for d in decide(candidates, rate_events, params)
+                        if d.confirmed), key=attrgetter("t_start"))
 
     t0, t1 = float(times[0]), float(times[-1])
     pieces: list[tuple[str, float, float]] = []
@@ -300,14 +351,18 @@ def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, play
                     sample_dt: float, arrived: np.ndarray | None = None) -> BufferTrajectory:
     """Play-back buffer level: cumulative arrivals minus modeled play-out.
 
-    Play-out is linear at ``encode_rate`` from ``playout_start`` onward; the
-    level is clamped at zero (stalls absorb the deficit). Sampled on the rate
-    bin grid from the flow's first packet of ``times``, with ``cum`` bytes by
-    each packet. ``arrived`` may pass in the payload bytes arrived by each
-    sample time when the caller already has them.
+    Play-out is linear at ``encode_rate`` (finite, > 0) from ``playout_start``
+    (finite) onward; the level is clamped at zero (stalls absorb the deficit).
+    Sampled every ``sample_dt`` (finite, > 0) from the flow's first packet of
+    ``times``, with ``cum`` bytes by each packet. ``arrived`` may pass in the
+    payload bytes arrived by each sample time when the caller already has
+    them.
     """
-    if encode_rate <= 0:
-        raise ValueError(f"encode_rate must be > 0, got {encode_rate}")
+    for name, value in (("encode_rate", encode_rate), ("sample_dt", sample_dt)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if not math.isfinite(playout_start):
+        raise ValueError(f"playout_start must be finite, got {playout_start}")
     if len(times) == 0:
         return BufferTrajectory(np.zeros(0), np.zeros(0), playout_start, encode_rate)
     ts = _sample_times(times, sample_dt)
@@ -328,13 +383,14 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
     Deterministic: identical trace and parameters give an identical report.
     Degenerate traces (empty, single packet) yield empty or absent fields,
     never an error. This is a ``StreamProfiler`` query that sees the whole
-    flow at once.
+    flow at once, so the rate method runs only if the burst method proposes
+    a candidate for it to confirm, or for the debug series.
     """
     if len(trace) and len(trace.flows) > 1:
         raise ValueError("rate analysis expects a single-flow trace; demux first")
     prof = StreamProfiler(rate_params, burst_params, fusion_params)
     if len(trace):
-        prof._advance(trace.times, trace.sizes)
+        prof._advance(trace.times, trace.sizes, include_debug)
     # the cumulative bytes come after the stages: allocated before their
     # temporaries, they left malloc faulting fresh pages in on every call
     return prof._report(trace.times, np.cumsum(trace.sizes),
@@ -347,11 +403,18 @@ class StreamProfiler:
     Packets must arrive in non-decreasing time order. ``feed`` only stores
     them, in arrays that double when full and are never written again, so
     ``trace()`` views and earlier reports stay as they were. A query resumes
-    each stage of ``profile`` on the packets fed since the last one, keeping
-    what is final (rate bins before the last packet's bin, bursts closed by a
-    gap of at least ``h_t``, buffer arrivals before the last packet), so its
-    cost follows the new packets, bursts, events and buffer samples, not the
-    packets held. Its report equals ``profile()`` of the packets so far.
+    the burst stages on the packets fed since the last one, keeping what is
+    final (bursts closed by a gap of at least ``h_t``, buffer arrivals before
+    the last packet). The rate method only confirms burst candidates, so its
+    stages resume, from the packets they last saw and keeping the rate bins
+    before that packet's bin, only while some candidate's confirmation is
+    not settled (see ``decide``) or when a debug report needs the rate
+    series. A query's cost follows the new packets, bursts, events and
+    buffer samples, not the packets held, and its report equals ``profile()``
+    of the packets so far. A query with no packet fed since the last one
+    with the same ``include_debug`` returns that report object again, so
+    treat reports as read-only; the debug arrays are read-only views of the
+    profiler's own.
     """
 
     def __init__(self, rate_params: RateParams | None = None,
@@ -367,17 +430,21 @@ class StreamProfiler:
         self._cum = np.empty(_INITIAL_CAPACITY, dtype=np.int64)  # filled up to ``_k``
         self._n = 0
         self._last_t = 0.0
-        # stage state, for the first ``_k`` packets
-        self._k = 0
+        # rate stage state, for the first ``_rate_k`` packets
+        self._rate_k = 0
         self._bin_k = 0  # first packet of the first bin not yet final
+        self._horizon = -math.inf  # start of the first bin not yet final
         self._series: tuple[np.ndarray, ...] = ()  # rho, r_smooth, r_smooth_max, flags
         self._events: list[RateChange] = []
+        # burst stage state, for the first ``_k`` packets
+        self._k = 0
         self._bursts = np.zeros(0, dtype=bursts_mod.BURST_DTYPE)  # of >= h_s bytes, classified
         self._open = self._bursts  # the last packet's burst, of any size
         self._open_kept = 0  # 1 when the open burst ends ``_bursts``
         self._candidates: list[PhaseCandidate] = []
         self._arrived = np.zeros(0, dtype=np.int64)  # bytes arrived by each final sample
         self._arrived_k = 0  # packets seen when final samples were last added
+        self._reports: dict[bool, tuple[int, ProfileReport]] = {}  # by include_debug
 
     def feed(self, t_arrival: float, payload_size: int) -> None:
         """Add one packet; a rejected packet raises ``ValueError`` and is not stored."""
@@ -412,10 +479,15 @@ class StreamProfiler:
 
     def report(self, include_debug: bool = False) -> ProfileReport:
         k, n = self._k, self._n
-        if n > k:
-            self._advance(self._times[:n], self._sizes[:n])
+        last = self._reports.get(include_debug)
+        if last is not None and last[0] == n:
+            return last[1]
+        if n:
+            self._advance(self._times[:n], self._sizes[:n], include_debug)
         self._cum[k:n] = np.cumsum(self._sizes[k:n]) + (self._cum[k - 1] if k else 0)
-        return self._report(self._times[:n], self._cum[:n], self.flow, include_debug)
+        report = self._report(self._times[:n], self._cum[:n], self.flow, include_debug)
+        self._reports[include_debug] = (n, report)
+        return report
 
     def _report(self, times: np.ndarray, cum: np.ndarray, flow: FlowKey | None,
                 include_debug: bool) -> ProfileReport:
@@ -429,8 +501,12 @@ class StreamProfiler:
             dt = self.rate_params.delta_t
             buffer = estimate_buffer(times, cum, rate_estimate.session, t_start + dt, dt,
                                      arrived=self._arrivals(times, cum))
-        if include_debug and n:
-            series = RateSeries(t_start, self.rate_params.delta_t, *self._series, self._events)
+        if include_debug:  # handed out as they are; the profiler never writes them again
+            for a in (*self._series, self._bursts):
+                a.flags.writeable = False
+            if n:
+                series = RateSeries(t_start, self.rate_params.delta_t, *self._series,
+                                    list(self._events))
         return ProfileReport(
             flow=flow,
             n_packets=n,
@@ -445,9 +521,22 @@ class StreamProfiler:
             bursts=self._bursts if include_debug else None,
         )
 
-    def _advance(self, times: np.ndarray, sizes: np.ndarray) -> None:
-        """Resume every stage on the packets after the first ``_k``; there must be some."""
-        rp, bp, k = self.rate_params, self.burst_params, self._k
+    def _advance(self, times: np.ndarray, sizes: np.ndarray, include_debug: bool) -> None:
+        """Bring the burst stages up to ``times``, and the rate stages too if
+        a candidate's confirmation is unsettled or the debug series is needed."""
+        if len(times) > self._k:
+            self._advance_bursts(times, sizes)
+        if len(times) > self._rate_k and (include_debug or not all(
+                d.settled for d in decide(self._candidates, self._events, self.fusion_params,
+                                          self._horizon))):
+            self._advance_rate(times, sizes)
+
+    def _advance_rate(self, times: np.ndarray, sizes: np.ndarray) -> None:
+        """Resume the rate stages on the packets after the first ``_rate_k``.
+
+        Bins before the last packet's bin are final, with their events, so
+        any event still to come lies at or after ``_horizon``."""
+        rp, k = self.rate_params, self._rate_k
         t0, dt = float(times[0]), rp.delta_t
         b0 = 0  # bins before the last seen packet's bin are final
         if k:
@@ -456,7 +545,7 @@ class StreamProfiler:
             b0 = int(bins[-1])
         final = [a[:b0] for a in self._series]
         rho = rate_mod.aggregate(times[self._bin_k:], sizes[self._bin_k:], rp,
-                                 tail=bp.h_t, t0=t0)
+                                 tail=self.burst_params.h_t, t0=t0)
         r_s = rate_mod.smooth(rho, rp, seed=final[1][-1] if b0 else None)
         r_max = np.maximum.accumulate(r_s)
         if b0:
@@ -467,7 +556,12 @@ class StreamProfiler:
                         if b0 else (rho, r_s, r_max, flags))
         self._events = ([ev for ev in self._events if ev.bin_index <= b0]
                         + [RateChange(b0 + b, d, t0 + (b0 + b - 1) * dt) for b, d in raw])
+        self._rate_k = len(times)
+        self._horizon = t0 + math.floor((times[-1] - t0) / dt) * dt
 
+    def _advance_bursts(self, times: np.ndarray, sizes: np.ndarray) -> None:
+        """Resume the burst stages on the packets after the first ``_k``."""
+        bp, k = self.burst_params, self._k
         rows = bursts_mod.segment(times[k:], sizes[k:], bp)
         if len(self._open):
             if times[k] - self._open["t_end"][0] >= bp.h_t:

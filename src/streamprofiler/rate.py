@@ -77,12 +77,14 @@ def aggregate(times: np.ndarray, sizes: np.ndarray, params: RateParams, tail: fl
     ``[(t-1)*delta_t, t*delta_t)`` relative to the flow's first packet; its
     value is the summed payload divided by the bin width, so empty bins read
     0 and ``sum(rho) * delta_t`` equals the flow's total payload bytes.
-    ``tail`` extends the series with empty bins past the last packet so that
-    end-of-flow rate decay stays visible downstream. When the arrays hold
+    ``tail`` (finite, >= 0) extends the series with empty bins past the last
+    packet so that end-of-flow rate decay stays visible downstream. When the arrays hold
     only the later packets of a flow, ``t0`` gives the flow's first arrival;
     the series then starts at the bin of the first packet given, which must
     come with all of that bin's packets.
     """
+    if not 0 <= tail < math.inf:
+        raise ValueError(f"tail must be finite and >= 0, got {tail}")
     if len(times) == 0:
         return np.zeros(0)
     check_times(times)

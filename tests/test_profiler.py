@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from streamprofiler import (
     RateParams,
     StreamProfiler,
     Trace,
+    decide,
     detect_stream,
     estimate_buffer,
     estimate_rate,
@@ -24,7 +26,8 @@ from streamprofiler import (
 )
 from streamprofiler.bursts import PhaseCandidate, confirm_steady
 from streamprofiler.profiler import _INITIAL_CAPACITY, BufferTrajectory
-from streamprofiler.rate import DECREASE, RateChange
+from streamprofiler import rate as rate_mod
+from streamprofiler.rate import DECREASE, INCREASE, RateChange
 from streamprofiler.trace import FILLING, OTHER, STEADY, FlowKey
 from conftest import (TEST_FLOW, assert_tiles_and_partitions, flow_arrays, flow_trace,
                       single_packet_steady_trace)
@@ -88,6 +91,66 @@ class TestFuse:
         segments = fuse(*flow_arrays(trace), candidates, events, fusion_params)
         assert [s.phase for s in segments] == [OTHER]
         assert_tiles_and_partitions(segments, 0.0, 30.0, 60)
+
+
+def scan_confirms(cand, events, tolerance) -> bool:
+    """The confirmation rule as a scan over every event."""
+    wanted = INCREASE if cand.kind == FILLING else DECREASE
+    return cand.t_end - cand.t_start > 1e-9 and any(
+        ev.direction == wanted and abs(ev.time - cand.t_start) <= tolerance for ev in events)
+
+
+# candidate starts and event times, with exact match-tolerance distances among them
+DECISION_TIMES = st.one_of(st.floats(0.0, 60.0), st.sampled_from([0.0, 5.0, 10.0, 15.0]))
+
+
+class TestDecide:
+    @settings(max_examples=300, deadline=None)
+    @given(candidates=st.lists(st.tuples(st.sampled_from([FILLING, STEADY]), DECISION_TIMES,
+                                         st.sampled_from([0.0, 1e-10, 2.0])), max_size=6),
+           events=st.lists(st.tuples(st.sampled_from([INCREASE, DECREASE]), DECISION_TIMES),
+                           max_size=12),
+           offset=st.sampled_from([0.0, 1.7e9]))
+    def test_matches_a_scan_of_every_event(self, candidates, events, offset):
+        cands = [PhaseCandidate(kind, offset + t, offset + t + span)
+                 for kind, t, span in candidates]
+        evs = [RateChange(i + 1, d, offset + t) for i, (d, t) in enumerate(events)]  # any order
+        params = FusionParams()
+        decisions = decide(cands, evs, params)
+        assert [d.candidate for d in decisions] == cands
+        for d in decisions:
+            start = d.candidate.t_start
+            wanted = INCREASE if d.candidate.kind == FILLING else DECREASE
+            gaps = [ev.time - start for ev in evs if ev.direction == wanted]
+            assert d.confirmed == scan_confirms(d.candidate, evs, params.match_tolerance)
+            assert d.settled
+            if gaps:
+                assert d.event in evs and d.event.direction == wanted
+                assert d.distance == d.event.time - start
+                assert abs(d.distance) == min(map(abs, gaps))
+            else:
+                assert d.event is None and d.distance is None
+
+    def test_tie_goes_to_the_earlier_event(self):
+        cand = PhaseCandidate(STEADY, 10.0, 20.0)
+        events = [RateChange(121, DECREASE, 12.0), RateChange(81, DECREASE, 8.0)]
+        (d,) = decide([cand], events, FusionParams(), horizon=11.0)
+        assert d.event == events[1] and d.distance == -2.0 and d.confirmed and d.settled
+
+    def test_settled_once_no_later_event_can_change_it(self):
+        params = FusionParams()  # match_tolerance 5 s
+        steady, lone = PhaseCandidate(STEADY, 10.0, 20.0), PhaseCandidate(STEADY, 12.0, 12.0)
+        final, pending = RateChange(90, DECREASE, 8.9), RateChange(120, DECREASE, 11.9)
+
+        def settled(events, horizon):
+            return [d.settled for d in decide([steady, lone], events, params, horizon)]
+
+        assert settled([], -math.inf) == [False, True]  # the rate method has not run
+        assert settled([final], 9.0) == [True, True]  # a final event confirms it
+        assert settled([pending], 11.9) == [False, True]  # its event may still move
+        assert settled([], 15.0) == [False, True]  # an event at 15.0 would confirm it
+        assert settled([], 15.5) == [True, True]
+        assert settled([pending], math.inf) == [True, True]
 
 
 class TestDetectStream:
@@ -157,6 +220,15 @@ class TestEstimateBuffer:
         traj = estimate_buffer(*flow_arrays(trace), encode_rate=1e6, playout_start=0.0,
                                sample_dt=10.0)
         assert np.min(traj.levels) == 0.0
+
+    @pytest.mark.parametrize("name, value", [
+        ("sample_dt", 0.0), ("sample_dt", -0.1), ("sample_dt", math.inf), ("sample_dt", math.nan),
+        ("encode_rate", -1.0), ("encode_rate", math.inf), ("encode_rate", math.nan),
+        ("playout_start", math.nan), ("playout_start", math.inf), ("playout_start", -math.inf)])
+    def test_rejects_bad_float_argument(self, name, value):
+        kwargs = {"encode_rate": 50.0, "playout_start": 0.0, "sample_dt": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            estimate_buffer(*flow_arrays(flow_trace([0.0, 1.0])), **kwargs)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
@@ -334,6 +406,28 @@ class TestArbitraryFlows:
             assert doubled.buffer.times.tobytes() == report.buffer.times.tobytes()
             assert doubled.buffer.levels.tobytes() == (2 * report.buffer.levels).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(packets=PACKETS, offset=OFFSETS, h_n=st.integers(1, 4))
+    def test_doubling_times_keeps_volumes_and_halves_rates_exactly(self, packets, offset, h_n):
+        # every time, duration and time threshold doubles exactly in binary
+        # floating point and every rate halves, so every comparison comes out the same
+        rp, bp, fp = RateParams(), BurstParams(h_n=h_n), FusionParams()
+        trace = packets_trace(packets, offset)
+        report = profile(trace, rp, bp, fp)
+        slow = profile(flow_trace(2 * trace.times, sizes=trace.sizes),
+                       RateParams(delta_t=2 * rp.delta_t),
+                       dataclasses.replace(bp, h_t=2 * bp.h_t, h_d=2 * bp.h_d,
+                                           rate_duration_floor=2 * bp.rate_duration_floor),
+                       FusionParams(match_tolerance=2 * fp.match_tolerance))
+        assert ([(s.phase, s.t_start, s.t_end, s.volume) for s in slow.segments]
+                == [(s.phase, 2 * s.t_start, 2 * s.t_end, s.volume) for s in report.segments])
+        assert slow.rate_estimate.per_steady == tuple(
+            (i, r / 2) for i, r in report.rate_estimate.per_steady)
+        assert (slow.buffer is None) == (report.buffer is None)
+        if report.buffer is not None:
+            assert slow.buffer.times.tobytes() == (2 * report.buffer.times).tobytes()
+            assert slow.buffer.levels.tobytes() == report.buffer.levels.tobytes()
+
 
 class TestIncremental:
     def test_matches_batch_profile(self):
@@ -391,17 +485,32 @@ def debug_dump(report) -> list:
             report.bursts.tobytes(), rate]
 
 
-def assert_queries_match_prefixes(times, sizes, cuts=None, **params):
+def assert_queries_match_prefixes(times, sizes, cuts=None, debug=True, **params):
     """Feed the packets one by one, query after each cut (by default after
-    every packet) and compare with ``profile()`` of the prefix."""
-    prof, fed_so_far = StreamProfiler(flow=TEST_FLOW, **params), 0
-    for cut in range(len(times) + 1) if cuts is None else cuts:
+    every packet) and compare with ``profile()`` of the prefix. ``debug`` is
+    the ``include_debug`` flag of every query, or a list with one per cut: a
+    debug query is compared in everything it holds, another by its JSON. A
+    query with nothing fed since the last one with its flag must return that
+    same report."""
+    cuts = range(len(times) + 1) if cuts is None else cuts
+    flags = [debug] * len(cuts) if isinstance(debug, bool) else debug
+    assert len(flags) == len(cuts)
+    prof, fed_so_far, last = StreamProfiler(flow=TEST_FLOW, **params), 0, {}
+    for cut, flag in zip(cuts, flags):
         for k in range(fed_so_far, cut):
             prof.feed(float(times[k]), int(sizes[k]))
         fed_so_far = cut
-        live = prof.report(include_debug=True)
-        batch = profile(flow_trace(times[:cut], sizes=sizes[:cut]), include_debug=True, **params)
-        assert debug_dump(live) == debug_dump(batch), f"query after {cut} packets"
+        live = prof.report(include_debug=flag)
+        if last.get(flag, (None,))[0] == cut:
+            assert live is last[flag][1], f"repeated query after {cut} packets"
+            continue
+        last[flag] = cut, live
+        batch = profile(flow_trace(times[:cut], sizes=sizes[:cut]), include_debug=flag, **params)
+        if flag:
+            assert debug_dump(live) == debug_dump(batch), f"query after {cut} packets"
+        else:
+            assert live.rate_series is None and live.bursts is None
+            assert live.to_json() == batch.to_json(), f"query after {cut} packets"
 
 
 def fed(packets, flow=TEST_FLOW) -> StreamProfiler:
@@ -489,6 +598,40 @@ class TestLiveStorage:
         assert_queries_match_prefixes(times, sizes, rate_params=RateParams(delta_t=delta_t, a=a),
                                       burst_params=BurstParams(h_n=h_n, h_t=h_t))
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), packets=PACKETS, offset=OFFSETS, h_n=st.integers(1, 4),
+           a=st.sampled_from([0.02, 1.0]))
+    def test_queries_with_any_debug_flags_equal_profile_of_prefix(self, data, packets, offset,
+                                                                  h_n, a):
+        gaps, sizes = zip(*packets)
+        times = offset + np.cumsum((0.0,) + gaps[1:])
+        # repeated cuts query again with no packet fed in between
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(times)), max_size=12))) + [len(times)]
+        flags = data.draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
+        assert_queries_match_prefixes(times, sizes, cuts, debug=flags,
+                                      rate_params=RateParams(a=a),
+                                      burst_params=BurstParams(h_n=h_n))
+
+    def test_debug_arrays_are_read_only(self):
+        trace = generate(scenario_spec("MQ", seed=6)).trace
+        times, sizes = trace.times.tolist(), trace.sizes.tolist()
+        half = len(times) // 2
+        prof = fed(zip(times[:half], sizes[:half]))
+        report = prof.report(include_debug=True)
+        series = report.rate_series
+        for column in (report.bursts, report.bursts["klass"], series.rho, series.r_smooth,
+                       series.r_smooth_max, series.flags):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[-3:] = 0
+        series.events.clear()  # a copy of the profiler's list
+        for t, s in zip(times[half:], sizes[half:]):
+            prof.feed(t, s)
+        whole = flow_trace(trace.times, sizes=trace.sizes)
+        assert prof.report().to_json() == profile(whole).to_json()
+        assert debug_dump(prof.report(include_debug=True)) == debug_dump(
+            profile(whole, include_debug=True))
+
 
 def _targeted_flows():
     """(id, times, sizes, params) of flows whose queries hit one resumption edge each."""
@@ -500,6 +643,18 @@ def _targeted_flows():
                                                      for i in range(4)),
                                     np.repeat(240 + np.arange(10), 2)])
     single = single_packet_steady_trace()
+    # 25 kB steady bursts 1.8 s apart: the third makes a steady candidate
+    # while the rate decrease that confirms it still sits in the tail bins
+    pending = np.concatenate([train, *(9.6 + 1.8 * i + 0.05 * np.arange(5) for i in range(5))])
+    # 40 kB steady bursts 2 s apart: the decrease in the tail bins that confirms
+    # the steady candidate moves out of reach while the third burst goes on
+    receding = np.concatenate([train, *(9.55 + 2.0 * i + 0.05 * np.arange(8) for i in range(5))])
+    # with a = 1: a filling burst, an unclassified one, then a second filling
+    # burst whose rate increase arrives in the bin its candidate appears in
+    last_bin = np.concatenate([0.025 + 0.05 * np.arange(160), 12.0 + 0.4 * np.arange(4),
+                               20.05 + 0.1 * np.arange(51), 25.05 + 0.01 * np.arange(1, 5),
+                               [26.0]])
+    last_bin_sizes = [5_000] * 164 + [3_500] * 51 + [12_000] * 4 + [100]
     return [
         ("ties on the last packet", [0.0, 0.02, 0.02, 0.02, 1.0, 1.0, 1.0], [30_000] * 7, {}),
         ("every packet in the first bin", 0.01 * np.arange(10), [25_000] * 10, {}),
@@ -511,7 +666,18 @@ def _targeted_flows():
         ("h_n = 1", single.times, single.sizes, {"burst_params": BurstParams(h_n=1)}),
         ("1.7e9 offset", 1.7e9 + steady, [5_000] * len(steady), {}),
         ("ties on a buffer sample time", on_grid, [5_000] * len(on_grid), {}),
+        ("steady candidate before its decrease is final", pending, [5_000] * len(pending), {}),
+        ("confirming decrease moves out of reach", receding, [5_000] * len(receding), {}),
+        ("confirming event in the last packet's bin", last_bin, last_bin_sizes,
+         {"rate_params": RateParams(a=1.0)}),
     ]
+
+
+def _cuts_every(trace, step):
+    """The packets fed before each query of a monitor that queries every
+    ``step`` s of trace time, and once after the last packet."""
+    cuts = np.searchsorted(trace.times, np.arange(trace.t_start + step, trace.t_end, step))
+    return [*cuts.tolist(), len(trace)]
 
 
 class TestLiveTargeted:
@@ -521,7 +687,27 @@ class TestLiveTargeted:
                              [case[1:] for case in _targeted_flows()],
                              ids=[case[0] for case in _targeted_flows()])
     def test_query_after_every_packet(self, times, sizes, params):
-        assert_queries_match_prefixes(np.asarray(times, dtype=np.float64), sizes, **params)
+        times = np.asarray(times, dtype=np.float64)
+        # plain queries defer the rate method, debug queries make it catch up
+        for debug in (True, False, [k % 2 == 1 for k in range(len(times) + 1)]):
+            assert_queries_match_prefixes(times, sizes, debug=debug, **params)
+
+    def test_steady_candidate_appears_before_its_decrease_is_final(self):
+        times, sizes, _ = next(case[1:] for case in _targeted_flows()
+                               if case[0] == "steady candidate before its decrease is final")
+        dt, tolerance = RateParams().delta_t, FusionParams().match_tolerance
+        for n in range(1, len(times) + 1):
+            report = profile(flow_trace(times[:n], sizes=sizes[:n]), include_debug=True)
+            steady = [c for c in confirm_steady(report.bursts, BurstParams()) if c.kind == STEADY]
+            if steady:
+                break
+        horizon = times[0] + np.floor((times[n - 1] - times[0]) / dt) * dt
+        confirming = [ev for ev in report.rate_series.events if ev.direction == DECREASE
+                      and abs(ev.time - steady[0].t_start) <= tolerance]
+        assert confirming and all(ev.time >= horizon for ev in confirming)
+        whole = profile(flow_trace(times, sizes=sizes))
+        assert [(s.phase, s.t_start) for s in whole.segments if s.phase == STEADY] == [
+            (STEADY, steady[0].t_start)]
 
     def test_tail_bins_hold_events_of_their_own(self):
         times, sizes, params = _targeted_flows()[4][1:]
@@ -535,8 +721,77 @@ class TestLiveTargeted:
             trace = generate_bulk(60.0, 1e6, seed=1).trace
         else:
             trace = generate(scenario_spec(preset, seed=4)).trace
-        cuts = np.searchsorted(trace.times, np.arange(trace.t_start + 2.0, trace.t_end, 2.0))
-        assert_queries_match_prefixes(trace.times, trace.sizes, [*cuts.tolist(), len(trace)])
+        cuts = _cuts_every(trace, 2.0)
+        for debug in (True, [k % 10 == 9 for k in range(len(cuts))]):
+            assert_queries_match_prefixes(trace.times, trace.sizes, cuts, debug=debug)
+
+
+def count_binning(monkeypatch) -> list:
+    """Patch ``rate.aggregate`` to log the packet count of every call."""
+    calls, aggregate = [], rate_mod.aggregate
+
+    def counted(times, *args, **kwargs):
+        calls.append(len(times))
+        return aggregate(times, *args, **kwargs)
+
+    monkeypatch.setattr(rate_mod, "aggregate", counted)
+    return calls
+
+
+class TestDeferredRate:
+    """The rate method runs only while a candidate's confirmation is open."""
+
+    def test_hq_queried_every_2s_bins_in_few_queries(self, monkeypatch):
+        trace = generate(scenario_spec("HQ", seed=0)).trace
+        cuts = _cuts_every(trace, 2.0)
+        assert len(cuts) == 299
+        calls = count_binning(monkeypatch)
+        prof, fed_so_far, binned, previous = StreamProfiler(flow=TEST_FLOW), 0, 0, None
+        for cut in cuts:
+            idle = cut == fed_so_far
+            for t, s in zip(trace.times[fed_so_far:cut].tolist(),
+                            trace.sizes[fed_so_far:cut].tolist()):
+                prof.feed(t, s)
+            fed_so_far, before = cut, len(calls)
+            report = prof.report()
+            binned += len(calls) > before
+            if idle:
+                assert report is previous, f"repeated query after {cut} packets"
+            else:
+                batch = profile(flow_trace(trace.times[:cut], sizes=trace.sizes[:cut]))
+                assert report.to_json() == batch.to_json(), f"query after {cut} packets"
+            previous = report
+        assert 1 <= binned <= 10
+
+    def test_profile_bins_a_flow_without_candidates_only_for_debug(self, monkeypatch):
+        trace = flow_trace([0.0, 0.5, 3.0, 9.0, 9.2], sizes=[1500] * 5)
+        calls = count_binning(monkeypatch)
+        report = profile(trace)
+        assert calls == [] and report.rate_series is None
+        debug = profile(trace, include_debug=True)
+        assert calls == [5] and len(debug.rate_series) > 0
+        assert confirm_steady(debug.bursts, BurstParams()) == []
+        assert debug.to_json() == report.to_json()
+
+    @settings(max_examples=60, deadline=None)
+    @given(packets=st.lists(st.tuples(st.sampled_from(GAPS), st.integers(1, 70_000)),
+                            min_size=1, max_size=40),
+           h_n=st.integers(1, 4), a=st.sampled_from([0.02, 1.0]))
+    def test_settled_decisions_hold_at_every_later_query(self, packets, h_n, a):
+        gaps, sizes = zip(*packets)
+        times = np.cumsum((0.0,) + gaps[1:])
+        params = {"rate_params": RateParams(a=a), "burst_params": BurstParams(h_n=h_n)}
+        prof, settled = StreamProfiler(flow=TEST_FLOW, **params), {}
+        for n, (t, s) in enumerate(zip(times.tolist(), sizes), 1):
+            prof.feed(t, s)
+            prof.report()
+            for d in decide(prof._candidates, prof._events, prof.fusion_params, prof._horizon):
+                if d.settled:
+                    settled.setdefault(d.candidate, d.confirmed)
+            batch = profile(flow_trace(times[:n], sizes=sizes[:n]), include_debug=True, **params)
+            for d in decide(confirm_steady(batch.bursts, params["burst_params"]),
+                            batch.rate_series.events, FusionParams()):
+                assert settled.get(d.candidate, d.confirmed) == d.confirmed
 
 
 class TestToJson:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -76,6 +78,11 @@ class TestAggregate:
         rho = aggregate(*columns([0.0, 0.05], sizes=[100, 100]), rate_params, tail=1.0)
         assert len(rho) == 11  # ceil((0.05 + 1.0) / 0.1) with data in bin 1
         assert np.all(rho[1:] == 0.0)
+
+    @pytest.mark.parametrize("tail", [-0.1, math.inf, math.nan])
+    def test_rejects_bad_tail(self, rate_params, tail):
+        with pytest.raises(ValueError, match="tail must be finite"):
+            aggregate(*columns([0.0, 1.0]), rate_params, tail=tail)
 
     def test_unsorted_rejected(self, rate_params):
         for times, message in UNUSABLE_TIMES:
