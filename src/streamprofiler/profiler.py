@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -263,45 +264,44 @@ def decide(candidates: list[PhaseCandidate], rate_events: list[RateChange],
 
 def fuse(times: np.ndarray, cum: np.ndarray, candidates: list[PhaseCandidate],
          rate_events: list[RateChange], params: FusionParams) -> list[PhaseSegment]:
-    """Cross-check the two methods and tile the span of one flow's packet ``times``.
+    """Cross-check the two methods: ``tile`` the candidates that ``decide`` confirms."""
+    return tile(times, cum, [d.candidate for d in decide(candidates, rate_events, params)
+                             if d.confirmed])
 
-    The candidates that ``decide`` confirms become segments with the burst
-    method's boundaries (packet-exact, unlike the filter-lagged rate method);
-    uncovered time becomes ``other``, and so do the bytes of an unconfirmed
-    candidate. Segment volumes partition the flow's payload exactly;
-    candidate boundaries fall on their own burst's packets, so a packet
-    sitting exactly on a boundary is attributed to the candidate segment, not
-    the surrounding ``other`` gap. ``cum`` is the cumulative payload bytes
-    per packet.
+
+def tile(times: np.ndarray, cum: np.ndarray,
+         confirmed: list[PhaseCandidate]) -> list[PhaseSegment]:
+    """Tile the span of one flow's packet ``times`` with the ``confirmed`` candidates.
+
+    The candidates become segments with the burst method's boundaries
+    (packet-exact, unlike the filter-lagged rate method); uncovered time
+    becomes ``other``, and so do the bytes of a candidate not passed in.
+    Segment volumes partition the flow's payload exactly; candidate
+    boundaries fall on their own burst's packets, so a packet sitting exactly
+    on a boundary is attributed to the candidate segment, not the surrounding
+    ``other`` gap. ``cum`` is the cumulative payload bytes per packet.
     """
     if len(times) == 0:
         return []
-    confirmed = sorted((d.candidate for d in decide(candidates, rate_events, params)
-                        if d.confirmed), key=attrgetter("t_start"))
-
     t0, t1 = float(times[0]), float(times[-1])
     pieces: list[tuple[str, float, float]] = []
     cursor = t0
-    for cand in confirmed:
+    for cand in sorted(confirmed, key=attrgetter("t_start")):
         if cand.t_start - cursor > _EPS:
             pieces.append((OTHER, cursor, cand.t_start))
         pieces.append((cand.kind, cand.t_start, cand.t_end))
         cursor = cand.t_end
     if t1 - cursor > _EPS:
         pieces.append((OTHER, cursor, t1))
-
     segments: list[PhaseSegment] = []
     prev_bytes = 0
     for k, (phase, a, b) in enumerate(pieces):
-        final = k == len(pieces) - 1
         # an `other` piece ends where the next candidate's first packet sits
-        side = "left" if (phase == OTHER and not final) else "right"
+        side = "left" if (phase == OTHER and k < len(pieces) - 1) else "right"
         upto = _bytes_up_to(times, cum, b, side=side)
-        volume = upto - prev_bytes
-        prev_bytes = upto
-        duration = b - a
+        volume, prev_bytes = upto - prev_bytes, upto
         segments.append(PhaseSegment(phase=phase, t_start=a, t_end=b, volume=volume,
-                                     duration=duration, mean_rate=volume / duration))
+                                     duration=b - a, mean_rate=volume / (b - a)))
     return segments
 
 
@@ -397,15 +397,49 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
                         trace.flows[0] if trace.flows else None, include_debug)
 
 
+def _real(value, name: str):
+    """``value`` (the scalar of a 0-d array), unless it is not a real number."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if not isinstance(value, (numbers.Real, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def _checked_time(t_arrival, last_t: float) -> float:
+    """``t_arrival`` as a float, if finite, >= 0 and not before ``last_t``."""
+    try:
+        t = float(_real(t_arrival, "t_arrival"))
+    except OverflowError:  # an int or Fraction beyond the float range
+        t = math.inf
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t_arrival must be finite and >= 0, got {t_arrival!r}")
+    if t < last_t:
+        raise ValueError(f"packet at t={t_arrival} arrived out of order (last was {last_t})")
+    return t
+
+
+def _checked_size(payload_size) -> int:
+    """``payload_size`` as an int, if an integer in [1, 2**63 - 1] and not a bool."""
+    size = _real(payload_size, "payload_size")
+    if not (1 <= size <= _INT64_MAX and size == int(size)
+            and not isinstance(size, (bool, np.bool_))):
+        raise ValueError(f"payload_size must be an integer in [1, {_INT64_MAX}], "
+                         f"got {payload_size!r}")
+    return int(size)
+
+
 class StreamProfiler:
     """Incremental per-flow profiler: feed packets, query the current profile.
 
-    Packets must arrive in non-decreasing time order. ``feed`` only stores
-    them, in arrays that double when full and are never written again, so
-    ``trace()`` views and earlier reports stay as they were. A query resumes
-    the burst stages on the packets fed since the last one, keeping what is
-    final (bursts closed by a gap of at least ``h_t``, buffer arrivals before
-    the last packet). The rate method only confirms burst candidates, so its
+    Packets must arrive in non-decreasing time order; ``feed`` raises
+    ``ValueError`` for a packet it rejects, a non-number included. ``feed``
+    only stores packets, in arrays that double when full and are never
+    written again, so ``trace()`` views and earlier reports stay as they
+    were; a ``float`` time and an ``int`` size take a fast path of one check
+    each into the same arrays. A query resumes the burst stages on the
+    packets fed since the last one, keeping what is final (bursts closed by
+    a gap of at least ``h_t``, buffer arrivals before the last packet). The rate method only confirms burst candidates, so its
     stages resume, from the packets they last saw and keeping the rate bins
     before that packet's bin, only while some candidate's confirmation is
     not settled (see ``decide``) or when a debug report needs the rate
@@ -427,6 +461,8 @@ class StreamProfiler:
         self.flow = flow or FlowKey("0.0.0.0", "0.0.0.0")
         self._times = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
         self._sizes = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        # ``feed`` stores through these: a memoryview item store costs less than numpy's
+        self._tv, self._sv = memoryview(self._times), memoryview(self._sizes)
         self._cum = np.empty(_INITIAL_CAPACITY, dtype=np.int64)  # filled up to ``_k``
         self._n = 0
         self._last_t = 0.0
@@ -447,24 +483,24 @@ class StreamProfiler:
         self._reports: dict[bool, tuple[int, ProfileReport]] = {}  # by include_debug
 
     def feed(self, t_arrival: float, payload_size: int) -> None:
-        """Add one packet; a rejected packet raises ``ValueError`` and is not stored."""
-        t = float(t_arrival)
-        if not 0.0 <= t < math.inf:
-            raise ValueError(f"t_arrival must be finite and >= 0, got {t_arrival!r}")
-        if t < self._last_t:
-            raise ValueError(f"packet at t={t_arrival} arrived out of order "
-                             f"(last was {self._last_t})")
-        if not (1 <= payload_size <= _INT64_MAX and (type(payload_size) is int or (
-                payload_size == int(payload_size)
-                and not isinstance(payload_size, (bool, np.bool_))))):
-            raise ValueError(f"payload_size must be an integer in [1, {_INT64_MAX}], "
-                             f"got {payload_size!r}")
+        """Add one packet; a rejected packet raises ``ValueError`` and is not stored.
+
+        A ``float`` time and an ``int`` size pass one check each; anything
+        else (numpy scalars, integer-valued float sizes) takes the full one.
+        """
+        t, size = t_arrival, payload_size
+        # _last_t starts at 0.0, so the chain also fails for negative and NaN times
+        if not (type(t) is float and self._last_t <= t < math.inf):
+            t = _checked_time(t, self._last_t)
+        if not (type(size) is int and 1 <= size <= _INT64_MAX):
+            size = _checked_size(size)
         n = self._n
-        if n == len(self._times):
+        if n == len(self._tv):
             self._times, self._sizes, self._cum = (np.concatenate([a, np.empty_like(a)])
                                                    for a in (self._times, self._sizes, self._cum))
-        self._times[n] = t
-        self._sizes[n] = int(payload_size)
+            self._tv, self._sv = memoryview(self._times), memoryview(self._sizes)
+        self._tv[n] = t
+        self._sv[n] = size
         self._n = n + 1
         self._last_t = t
 

@@ -23,6 +23,7 @@ from streamprofiler import (
     generate_bulk,
     profile,
     scenario_spec,
+    tile,
 )
 from streamprofiler.bursts import PhaseCandidate, confirm_steady
 from streamprofiler.profiler import _INITIAL_CAPACITY, BufferTrajectory
@@ -91,6 +92,15 @@ class TestFuse:
         segments = fuse(*flow_arrays(trace), candidates, events, fusion_params)
         assert [s.phase for s in segments] == [OTHER]
         assert_tiles_and_partitions(segments, 0.0, 30.0, 60)
+
+    def test_tile_takes_the_confirmed_candidates_in_any_order(self):
+        times, cum = flow_arrays(flow_trace([0.0, 10.0, 41.0, 44.0, 100.0, 560.0],
+                                            sizes=[10] * 6))
+        candidates = [PhaseCandidate(STEADY, 44.0, 560.0), PhaseCandidate(FILLING, 0.0, 41.0)]
+        segments = tile(times, cum, candidates)
+        assert [(s.phase, s.t_start, s.t_end, s.volume) for s in segments] == [
+            (FILLING, 0.0, 41.0, 30), (OTHER, 41.0, 44.0, 0), (STEADY, 44.0, 560.0, 30)]
+        assert [(s.phase, s.volume) for s in tile(times, cum, [])] == [(OTHER, 60)]
 
 
 def scan_confirms(cand, events, tolerance) -> bool:
@@ -429,6 +439,11 @@ class TestArbitraryFlows:
             assert slow.buffer.levels.tobytes() == report.buffer.levels.tobytes()
 
 
+# what ``feed`` rejects as not a number, for either argument
+NON_NUMBERS = {"str": "10", "bytes": b"10", "None": None, "complex": 10j, "list": [10],
+               "1-d array": np.array([10])}
+
+
 class TestIncremental:
     def test_matches_batch_profile(self):
         labeled = generate(scenario_spec("MQ", seed=6))
@@ -449,7 +464,8 @@ class TestIncremental:
         with pytest.raises(ValueError, match="order"):
             prof.feed(0.5, 10)
 
-    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf"), -0.5])
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf"), -0.5,
+                                   pytest.param(10**400, id="int beyond float range")])
     def test_rejects_bad_arrival_time(self, t):
         prof = StreamProfiler()
         prof.feed(1.0, 10)
@@ -461,10 +477,41 @@ class TestIncremental:
 
     def test_rejected_size_stores_nothing(self):
         prof = StreamProfiler()
-        for size in (0, float("nan"), float("inf"), 2**63, 2.5, True, np.True_):
-            with pytest.raises(ValueError):
+        before = prof.report().to_json()
+        for size in (0, float("nan"), float("inf"), 2**63, 2.5, True, np.True_,
+                     *NON_NUMBERS.values()):
+            with pytest.raises(ValueError, match="payload_size"):
                 prof.feed(1.0, size)
         assert prof.n_packets == 0 and len(prof.trace()) == 0
+        assert prof.report().to_json() == before
+
+    @pytest.mark.parametrize("t", NON_NUMBERS.values(), ids=NON_NUMBERS.keys())
+    def test_non_number_time_stores_nothing(self, t):
+        prof = StreamProfiler()
+        prof.feed(1.0, 10)
+        before = prof.report().to_json()
+        with pytest.raises(ValueError, match="t_arrival must be a real number"):
+            prof.feed(t, 10)
+        assert prof.n_packets == 1 and prof.report().to_json() == before
+
+    @settings(max_examples=40, deadline=None)
+    @given(packets=st.lists(st.tuples(st.sampled_from([0, 0, 1, 2, 5]), st.integers(1, 70_000)),
+                            min_size=1, max_size=80)
+           | st.sampled_from([_INITIAL_CAPACITY - 1, _INITIAL_CAPACITY, _INITIAL_CAPACITY + 1])
+           .map(lambda n: [(i % 3 // 2, 500 + i % 7) for i in range(n)]),
+           offset=st.sampled_from([0, 3, 1_700_000_000]))
+    def test_fast_and_slow_checks_store_the_same(self, packets, offset):
+        """Packets fed as (float, int) take the fast checks; numpy scalars, 0-d
+        arrays and an int time with an integer-valued float size take the full ones."""
+        gaps, sizes = zip(*packets)
+        times = (offset + np.cumsum(gaps)).tolist()  # Python ints
+        forms = [(float, int), (np.float64, np.int64), (int, float), (np.array, np.array)]
+        stored = []
+        for time_type, size_type in forms:
+            prof = fed([(time_type(t), size_type(s)) for t, s in zip(times, sizes)])
+            trace = prof.trace()
+            stored.append((trace.times.tobytes(), trace.sizes.tobytes(), prof.report().to_json()))
+        assert stored[1:] == [stored[0]] * 3
 
 
 def slow_json(report, **kwargs) -> str:
@@ -553,7 +600,11 @@ class TestLiveStorage:
 
     @pytest.mark.parametrize("t, size", [(0.0, 100), (float("nan"), 100), (50.0, 0),
                                          (50.0, 2**63), (50.0, float("nan")), (50.0, 2.5),
-                                         (50.0, True)])
+                                         (50.0, True),
+                                         *(pytest.param(50.0, v, id=f"size {k}")
+                                           for k, v in NON_NUMBERS.items()),
+                                         *(pytest.param(v, 100, id=f"time {k}")
+                                           for k, v in NON_NUMBERS.items())])
     def test_rejected_feed_at_capacity_changes_nothing(self, t, size):
         prof = fed(packet_train(_INITIAL_CAPACITY, start=1.0))
         before = prof.report().to_json()
