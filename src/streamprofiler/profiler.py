@@ -29,7 +29,7 @@ from .rate import DECREASE, INCREASE, RateChange, RateParams, RateSeries
 from .trace import _INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace
 
 _EPS = 1e-9
-_INITIAL_CAPACITY = 1024  # packets a StreamProfiler holds before its first growth
+_INITIAL_CAPACITY = 1024  # packets a StreamProfiler makes room for at its first feed
 
 BYTES_PER_SEC_TO_KBPS = 8.0 / 1000.0
 UNIT_NOTE = "rates in bytes per second unless a field is suffixed _kbps"
@@ -439,12 +439,12 @@ class StreamProfiler:
     were; a ``float`` time and an ``int`` size take a fast path of one check
     each into the same arrays. A query resumes the burst stages on the
     packets fed since the last one, keeping what is final (bursts closed by
-    a gap of at least ``h_t``, buffer arrivals before the last packet). The rate method only confirms burst candidates, so its
-    stages resume, from the packets they last saw and keeping the rate bins
-    before that packet's bin, only while some candidate's confirmation is
-    not settled (see ``decide``) or when a debug report needs the rate
-    series. A query's cost follows the new packets, bursts, events and
-    buffer samples, not the packets held, and its report equals ``profile()``
+    a gap of at least ``h_t``, buffer arrivals before the last packet). The
+    rate method only confirms burst candidates, so its stages run, over
+    every packet held, only while some candidate's confirmation is not
+    settled (see ``decide``) or when a debug report needs the rate series.
+    Any other query costs what the new packets, bursts, events and buffer
+    samples cost, not the packets held. Every report equals ``profile()``
     of the packets so far. A query with no packet fed since the last one
     with the same ``include_debug`` returns that report object again, so
     treat reports as read-only; the debug arrays are read-only views of the
@@ -459,16 +459,16 @@ class StreamProfiler:
         self.burst_params = burst_params or BurstParams()
         self.fusion_params = fusion_params or FusionParams()
         self.flow = flow or FlowKey("0.0.0.0", "0.0.0.0")
-        self._times = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
-        self._sizes = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        # grown by the first ``feed``; ``profile()`` never feeds, so never grows them
+        self._times = np.empty(0, dtype=np.float64)
+        self._sizes = np.empty(0, dtype=np.int64)
         # ``feed`` stores through these: a memoryview item store costs less than numpy's
         self._tv, self._sv = memoryview(self._times), memoryview(self._sizes)
-        self._cum = np.empty(_INITIAL_CAPACITY, dtype=np.int64)  # filled up to ``_k``
+        self._cum = np.empty(0, dtype=np.int64)  # filled up to ``_k``
         self._n = 0
         self._last_t = 0.0
         # rate stage state, for the first ``_rate_k`` packets
         self._rate_k = 0
-        self._bin_k = 0  # first packet of the first bin not yet final
         self._horizon = -math.inf  # start of the first bin not yet final
         self._series: tuple[np.ndarray, ...] = ()  # rho, r_smooth, r_smooth_max, flags
         self._events: list[RateChange] = []
@@ -496,8 +496,11 @@ class StreamProfiler:
             size = _checked_size(size)
         n = self._n
         if n == len(self._tv):
-            self._times, self._sizes, self._cum = (np.concatenate([a, np.empty_like(a)])
-                                                   for a in (self._times, self._sizes, self._cum))
+            # ``len(a)``, not ``n``: a generator reading ``n`` would make ``n`` a
+            # closure cell, which every call of ``feed`` pays for
+            self._times, self._sizes, self._cum = (
+                np.concatenate([a, np.empty(len(a) or _INITIAL_CAPACITY, a.dtype)])
+                for a in (self._times, self._sizes, self._cum))
             self._tv, self._sv = memoryview(self._times), memoryview(self._sizes)
         self._tv[n] = t
         self._sv[n] = size
@@ -568,30 +571,18 @@ class StreamProfiler:
             self._advance_rate(times, sizes)
 
     def _advance_rate(self, times: np.ndarray, sizes: np.ndarray) -> None:
-        """Resume the rate stages on the packets after the first ``_rate_k``.
+        """Run the rate stages over every packet in ``times``.
 
         Bins before the last packet's bin are final, with their events, so
         any event still to come lies at or after ``_horizon``."""
-        rp, k = self.rate_params, self._rate_k
+        rp = self.rate_params
         t0, dt = float(times[0]), rp.delta_t
-        b0 = 0  # bins before the last seen packet's bin are final
-        if k:
-            bins = np.floor((times[self._bin_k:k] - t0) / dt)
-            self._bin_k += int(np.searchsorted(bins, bins[-1]))  # first packet of bin b0
-            b0 = int(bins[-1])
-        final = [a[:b0] for a in self._series]
-        rho = rate_mod.aggregate(times[self._bin_k:], sizes[self._bin_k:], rp,
-                                 tail=self.burst_params.h_t, t0=t0)
-        r_s = rate_mod.smooth(rho, rp, seed=final[1][-1] if b0 else None)
+        rho = rate_mod.aggregate(times, sizes, rp, tail=self.burst_params.h_t)
+        r_s = rate_mod.smooth(rho, rp)
         r_max = np.maximum.accumulate(r_s)
-        if b0:
-            np.maximum(r_max, final[2][-1], out=r_max)
-        flags, raw = rate_mod.detect_changes(r_s, rp, running_max=r_max,
-                                             flag=int(final[3][-1]) if b0 else -1)
-        self._series = (tuple(map(np.concatenate, zip(final, (rho, r_s, r_max, flags))))
-                        if b0 else (rho, r_s, r_max, flags))
-        self._events = ([ev for ev in self._events if ev.bin_index <= b0]
-                        + [RateChange(b0 + b, d, t0 + (b0 + b - 1) * dt) for b, d in raw])
+        flags, raw = rate_mod.detect_changes(r_s, rp, running_max=r_max)
+        self._series = (rho, r_s, r_max, flags)
+        self._events = [RateChange(b, d, t0 + (b - 1) * dt) for b, d in raw]
         self._rate_k = len(times)
         self._horizon = t0 + math.floor((times[-1] - t0) / dt) * dt
 

@@ -68,8 +68,8 @@ class RateSeries:
         return len(self.rho)
 
 
-def aggregate(times: np.ndarray, sizes: np.ndarray, params: RateParams, tail: float = 0.0,
-              t0: float | None = None) -> np.ndarray:
+def aggregate(times: np.ndarray, sizes: np.ndarray, params: RateParams,
+              tail: float = 0.0) -> np.ndarray:
     """Aggregate one flow's payload bytes into contiguous bins of width ``delta_t``.
 
     ``times`` (finite, non-decreasing) and ``sizes`` are the flow's packet arrival
@@ -78,27 +78,21 @@ def aggregate(times: np.ndarray, sizes: np.ndarray, params: RateParams, tail: fl
     value is the summed payload divided by the bin width, so empty bins read
     0 and ``sum(rho) * delta_t`` equals the flow's total payload bytes.
     ``tail`` (finite, >= 0) extends the series with empty bins past the last
-    packet so that end-of-flow rate decay stays visible downstream. When the arrays hold
-    only the later packets of a flow, ``t0`` gives the flow's first arrival;
-    the series then starts at the bin of the first packet given, which must
-    come with all of that bin's packets.
+    packet so that end-of-flow rate decay stays visible downstream.
     """
     if not 0 <= tail < math.inf:
         raise ValueError(f"tail must be finite and >= 0, got {tail}")
     if len(times) == 0:
         return np.zeros(0)
     check_times(times)
-    rel = times - (times[0] if t0 is None else t0)
+    rel = times - times[0]
     span = float(rel[-1])
     rel /= params.delta_t
     idx = np.floor(rel, out=rel).astype(np.int64)
     n_bins = int(idx[-1]) + 1
     if tail > 0:
         n_bins = max(n_bins, math.ceil((span + tail) / params.delta_t))
-    first = int(idx[0])
-    if first:  # only when resuming a series with ``t0``
-        idx -= first
-    rho = np.bincount(idx, weights=sizes, minlength=n_bins - first)
+    rho = np.bincount(idx, weights=sizes, minlength=n_bins)
     rho /= params.delta_t
     return rho
 
@@ -121,7 +115,7 @@ def smooth(rho: np.ndarray, params: RateParams, seed: float | None = None) -> np
 
 
 def detect_changes(r_smooth: np.ndarray, params: RateParams,
-                   running_max: np.ndarray | None = None, flag: int = -1
+                   running_max: np.ndarray | None = None
                    ) -> tuple[np.ndarray, list[tuple[int, str]]]:
     """Flag rate changes against the running maximum of the smoothed rate.
 
@@ -130,8 +124,7 @@ def detect_changes(r_smooth: np.ndarray, params: RateParams,
     otherwise it carries over. Returns the per-bin flags and the change events
     as (1-based bin index, direction). Events strictly alternate and the first
     is always an increase. ``running_max`` may pass in ``max(r[1..t])`` when
-    the caller already has it. To resume a series, pass the running maximum
-    over the whole series and ``flag``, the flag of the bin before ``r_smooth``.
+    the caller already has it.
     """
     r = np.asarray(r_smooth, dtype=np.float64)
     if running_max is None:
@@ -142,7 +135,7 @@ def detect_changes(r_smooth: np.ndarray, params: RateParams,
     up = r > c * running_max
     triggered = up | (r < (1.0 - c) * running_max)
     last = np.maximum.accumulate(np.where(triggered, np.arange(r.size), -1))
-    flags = np.where(last >= 0, np.where(up[last], 1, -1), flag).astype(np.int8)
-    changed = np.flatnonzero(np.diff(flags, prepend=np.int8(flag)))
+    flags = np.where((last >= 0) & up[last], 1, -1).astype(np.int8)
+    changed = np.flatnonzero(np.diff(flags, prepend=np.int8(-1)))
     events = [(t + 1, INCREASE if flags[t] == 1 else DECREASE) for t in changed.tolist()]
     return flags, events

@@ -97,6 +97,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if not self.encode_rates:
             raise ValueError("encode_rates must not be empty")
+        if not all(math.isfinite(v) for pair in self.encode_rates for v in pair):
+            raise ValueError(f"encode_rates must be finite, got {self.encode_rates}")
         if self.encode_rates[0][0] != 0.0:
             raise ValueError("the first encode rate must activate at t=0")
         starts = [t for t, _ in self.encode_rates]
@@ -124,6 +126,8 @@ class ScenarioSpec:
         for w in self.throttle_windows:
             if len(w) != 3:
                 raise ValueError(f"throttle window must be (t_start, t_end, cap), got {w}")
+            if not all(map(math.isfinite, w)):
+                raise ValueError(f"throttle_windows must be finite, got {w}")
             t0, t1, cap = w
             if not (0 <= t0 < t1):
                 raise ValueError(f"throttle window must satisfy 0 <= t_start < t_end, got {w}")
@@ -367,6 +371,9 @@ def generate_bulk(duration: float = 60.0, rate: float = 1e6,
     """
     _check_whole(packet_size, "packet_size")
     _check_whole(seed, "seed")
+    for value, name in ((duration, "duration"), (rate, "rate")):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if duration < 0 or rate <= 0 or packet_size < 1:
         raise ValueError("duration must be >= 0, rate > 0, packet_size >= 1")
     nbytes = int(round(duration * rate))

@@ -89,18 +89,17 @@ def random_trace(seed: int, duration: float = 10.0, mean_rate: float = 5e5,
 # -- reference: ``rate.aggregate`` before it binned in place -------------------
 
 
-def reference_aggregate(times, sizes, params, tail=0.0, t0=None):
+def reference_aggregate(times, sizes, params, tail=0.0):
     if len(times) == 0:
         return np.zeros(0)
     if not (np.diff(times) >= 0.0).all():
         raise ValueError("trace is not time-sorted; normalize first")
-    rel = times - (times[0] if t0 is None else t0)
+    rel = times - times[0]
     idx = np.floor(rel / params.delta_t).astype(np.int64)
     n_bins = int(idx[-1]) + 1
     if tail > 0:
         n_bins = max(n_bins, math.ceil((rel[-1] + tail) / params.delta_t))
-    first = int(idx[0])
-    return np.bincount(idx - first, weights=sizes, minlength=n_bins - first) / params.delta_t
+    return np.bincount(idx, weights=sizes, minlength=n_bins) / params.delta_t
 
 
 # -- reference: the per-dump CSV writers that ``cli._write_csv`` replaces ----

@@ -143,6 +143,8 @@ class TestGenerate:
         ("rng_seed", 1.5, "rng_seed must be an integer"),
         ("video_duration", float("inf"), "video_duration must be finite"),
         ("encode_rates", [[0.0, 80750.0], [0.0, 168250.0]], "must strictly increase"),
+        ("encode_rates", [[0.0, 80750.0], [float("nan"), 168250.0]],
+         "encode_rates must be finite"),
     ])
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, field, value, message):
         spec = {"encode_rates": [[0.0, 80750.0]], "segment_duration": 5.0,

@@ -582,6 +582,14 @@ class TestLiveStorage:
             with pytest.raises(ValueError):
                 column[0] = 1
 
+    def test_storage_is_allocated_at_the_first_feed(self):
+        prof = StreamProfiler(flow=TEST_FLOW)
+        assert len(prof._times) == len(prof._sizes) == len(prof._cum) == 0
+        assert prof.report().n_packets == 0 and len(prof.trace()) == 0
+        prof.feed(1.0, 100)
+        assert len(prof._times) == len(prof._sizes) == len(prof._cum) == _INITIAL_CAPACITY
+        assert prof.report().to_json() == profile(flow_trace([1.0], sizes=[100])).to_json()
+
     @pytest.mark.parametrize("n_before", [3, _INITIAL_CAPACITY - 1, _INITIAL_CAPACITY])
     def test_earlier_trace_and_report_survive_later_feeds(self, n_before):
         packets = packet_train(2 * _INITIAL_CAPACITY + 3)
@@ -732,7 +740,8 @@ def _cuts_every(trace, step):
 
 
 class TestLiveTargeted:
-    """A query after every packet of flows built to hit one edge of the resumed stages."""
+    """A query after every packet of flows built to hit one edge of the resumed
+    burst stages, the cached buffer arrivals or the deferred rate stages."""
 
     @pytest.mark.parametrize("times, sizes, params",
                              [case[1:] for case in _targeted_flows()],
@@ -792,10 +801,12 @@ def count_binning(monkeypatch) -> list:
 class TestDeferredRate:
     """The rate method runs only while a candidate's confirmation is open."""
 
-    def test_hq_queried_every_2s_bins_in_few_queries(self, monkeypatch):
-        trace = generate(scenario_spec("HQ", seed=0)).trace
+    @pytest.mark.parametrize("preset", ["HQ", "QC", "AQ"])
+    def test_preset_queried_every_2s_bins_in_few_queries(self, monkeypatch, preset):
+        trace = generate(scenario_spec(preset, seed=0)).trace
         cuts = _cuts_every(trace, 2.0)
-        assert len(cuts) == 299
+        if preset == "HQ":
+            assert len(cuts) == 299
         calls = count_binning(monkeypatch)
         prof, fed_so_far, binned, previous = StreamProfiler(flow=TEST_FLOW), 0, 0, None
         for cut in cuts:
@@ -806,6 +817,8 @@ class TestDeferredRate:
             fed_so_far, before = cut, len(calls)
             report = prof.report()
             binned += len(calls) > before
+            # a query that runs the rate stages bins every packet fed so far
+            assert calls[before:] == [cut] * (len(calls) - before)
             if idle:
                 assert report is previous, f"repeated query after {cut} packets"
             else:

@@ -89,25 +89,11 @@ class TestAggregate:
             with pytest.raises(ValueError, match=message):
                 aggregate(*columns(times), rate_params)
 
-    @pytest.mark.parametrize("offset", [0.0, 1.7e9])
-    def test_later_part_starts_at_its_first_bin(self, rate_params, offset):
-        trace = random_trace(seed=5, duration=4.0).shifted(offset)
-        whole = aggregate(trace.times, trace.sizes, rate_params, tail=1.5)
-        for k in (1, 17, len(trace) // 2, len(trace) - 1):
-            first = int(np.floor((trace.times[k] - trace.t_start) / rate_params.delta_t))
-            k0 = int(np.searchsorted(np.floor((trace.times - trace.t_start)
-                                              / rate_params.delta_t), first))
-            got = aggregate(trace.times[k0:], trace.sizes[k0:], rate_params, tail=1.5,
-                            t0=trace.t_start)
-            assert got.tobytes() == whole[first:].tobytes()
-
 
 @st.composite
 def aggregate_calls(draw):
     """Sorted arrival times with ties (or one pair out of order), an origin
-    near zero or at an epoch, a bin width, a tail and a resume point ``k``:
-    ``aggregate(times[k:], ...)`` with ``t0=times[0]``, whose first bin is
-    non-zero once ``times[k]`` is a bin or more past ``times[0]``."""
+    near zero or at an epoch, a bin width and a tail."""
     gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 0.5), st.floats(0.5, 5.0)),
                          max_size=60))
     times = draw(st.sampled_from([0.0, 3.25, 1.7e9])) + np.cumsum([0.0] + gaps)
@@ -118,8 +104,7 @@ def aggregate_calls(draw):
                                    max_size=len(times))), dtype=np.int64)
     params = RateParams(delta_t=draw(st.sampled_from([0.1, 0.05, 1.0, 0.3, 7.0])))
     tail = draw(st.sampled_from([0.0, 1.5, 0.07, 40.0]))
-    k = draw(st.integers(0, max(len(times) - 1, 0)))
-    return times, sizes, params, tail, k
+    return times, sizes, params, tail
 
 
 def _aggregate_outcome(fn, *args):
@@ -137,11 +122,9 @@ class TestAggregateReference:
     @settings(max_examples=300, deadline=None)
     @given(aggregate_calls())
     def test_matches_reference(self, call):
-        times, sizes, params, tail, k = call
+        times, sizes, params, tail = call
         before = times.tobytes(), sizes.tobytes()
-        t0 = float(times[0]) if len(times) else None
-        for args in ((times, sizes, params), (times, sizes, params, tail),
-                     (times[k:], sizes[k:], params, tail, t0)):
+        for args in ((times, sizes, params), (times, sizes, params, tail)):
             assert _aggregate_outcome(aggregate, *args) == \
                 _aggregate_outcome(reference_aggregate, *args)
         assert (times.tobytes(), sizes.tobytes()) == before
@@ -279,24 +262,6 @@ class TestDetectChanges:
         assert flags.tolist() == ref_flags.tolist()
         assert events == ref_events
         assert all(type(b) is int for b, _ in events)
-
-
-    @settings(max_examples=100, deadline=None)
-    @given(runs=value_runs.filter(len), cuts=st.lists(st.integers(1, 240), max_size=6))
-    def test_resumed_with_running_max_and_flag(self, runs, cuts):
-        params = RateParams()
-        series = smooth(np.concatenate([np.full(n, v) for v, n in runs]), params)
-        running_max = np.maximum.accumulate(series)
-        want_flags, want_events = detect_changes(series, params)
-        flags, events, start, flag = [], [], 0, -1
-        for cut in sorted(c for c in cuts if c < len(series)) + [len(series)]:
-            f, ev = detect_changes(series[start:cut], params,
-                                   running_max=running_max[start:cut], flag=flag)
-            flags.append(f)
-            events += [(start + b, d) for b, d in ev]
-            start, flag = cut, int(f[-1]) if len(f) else flag
-        assert np.concatenate(flags).tolist() == want_flags.tolist()
-        assert events == want_events
 
 
 class TestAnalyze:

@@ -470,12 +470,31 @@ class TestSpecInputs:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ScenarioSpec(**{**self.SPEC, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("encode_rates", ((0.0, 1e5), (float("nan"), 2e5))),
+        ("encode_rates", ((0.0, float("nan")),)),
+        ("encode_rates", ((0.0, 1e5), (30.0, float("nan")))),
+        ("encode_rates", ((0.0, 1e5), (float("inf"), 2e5))),
+        ("throttle_windows", ((10.0, 20.0, float("nan")),)),
+        ("throttle_windows", ((10.0, 20.0, float("inf")),)),
+        ("throttle_windows", ((10.0, float("inf"), 1e4),)),
+    ])
+    def test_spec_rejects_non_finite_entries(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ScenarioSpec(**{**self.SPEC, field: value})
+
     @pytest.mark.parametrize("kwargs", [
         {"packet_size": 1400.5}, {"packet_size": True}, {"seed": 1.5},
     ])
     def test_bulk_rejects_non_integers(self, kwargs):
         with pytest.raises(ValueError, match="must be an integer"):
             generate_bulk(10.0, 5e5, **kwargs)
+
+    @pytest.mark.parametrize("field", ["duration", "rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_bulk_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            generate_bulk(**{"duration": 10.0, "rate": 5e5, field: value})
 
     def test_whole_floats_generate_as_integers(self):
         as_int = generate(ScenarioSpec(**self.SPEC))
