@@ -75,16 +75,16 @@ class PhaseCandidate:
 def segment(times: np.ndarray, sizes: np.ndarray, params: BurstParams) -> np.ndarray:
     """Split a flow into maximal bursts at inter-arrival gaps >= ``h_t``.
 
-    ``times`` (finite, non-decreasing) and ``sizes`` are the flow's packet arrival
-    times and payload bytes. Every packet belongs to exactly one burst. Burst
-    boundaries are the first and last packet arrival times; the gap is
-    measured last-packet-to-first-packet. Every burst comes out with class
-    ``KLASS_UNSET``.
+    ``times`` (any real array-like, finite, non-decreasing) and ``sizes`` (one
+    per time) are the flow's packet arrival times and payload bytes. Every
+    packet belongs to exactly one burst. Burst boundaries are the first and
+    last packet arrival times; the gap is measured last-packet-to-first-packet.
+    Every burst comes out with class ``KLASS_UNSET``.
     """
+    times = check_times(times, sizes)
     n = len(times)
     if n == 0:
         return np.zeros(0, dtype=BURST_DTYPE)
-    check_times(times)
     gaps = np.diff(times)
     breaks = np.flatnonzero(gaps >= params.h_t) + 1
     starts = np.concatenate([[0], breaks])

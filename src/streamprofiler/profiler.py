@@ -447,8 +447,11 @@ class StreamProfiler:
     samples cost, not the packets held. Every report equals ``profile()``
     of the packets so far. A query with no packet fed since the last one
     with the same ``include_debug`` returns that report object again, so
-    treat reports as read-only; the debug arrays are read-only views of the
-    profiler's own.
+    treat reports as read-only. The debug arrays are read-only views of the
+    profiler's own, but for ``r_smooth_max``, which each debug report builds.
+    Besides the stage outputs, the profiler holds the packets, the burst
+    resume point (``_k``, ``_open``), the rate ``_horizon``, the final buffer
+    samples' ``_arrived`` bytes and the last report per ``include_debug``.
     """
 
     def __init__(self, rate_params: RateParams | None = None,
@@ -467,19 +470,16 @@ class StreamProfiler:
         self._cum = np.empty(0, dtype=np.int64)  # filled up to ``_k``
         self._n = 0
         self._last_t = 0.0
-        # rate stage state, for the first ``_rate_k`` packets
-        self._rate_k = 0
+        # rate stage state, from the last run of the rate stages
         self._horizon = -math.inf  # start of the first bin not yet final
-        self._series: tuple[np.ndarray, ...] = ()  # rho, r_smooth, r_smooth_max, flags
+        self._series: tuple[np.ndarray, ...] = ()  # rho, r_smooth, flags
         self._events: list[RateChange] = []
         # burst stage state, for the first ``_k`` packets
         self._k = 0
         self._bursts = np.zeros(0, dtype=bursts_mod.BURST_DTYPE)  # of >= h_s bytes, classified
-        self._open = self._bursts  # the last packet's burst, of any size
-        self._open_kept = 0  # 1 when the open burst ends ``_bursts``
+        self._open = self._bursts  # the last packet's burst, of any size; ends ``_bursts`` if kept
         self._candidates: list[PhaseCandidate] = []
         self._arrived = np.zeros(0, dtype=np.int64)  # bytes arrived by each final sample
-        self._arrived_k = 0  # packets seen when final samples were last added
         self._reports: dict[bool, tuple[int, ProfileReport]] = {}  # by include_debug
 
     def feed(self, t_arrival: float, payload_size: int) -> None:
@@ -544,7 +544,10 @@ class StreamProfiler:
             for a in (*self._series, self._bursts):
                 a.flags.writeable = False
             if n:
-                series = RateSeries(t_start, self.rate_params.delta_t, *self._series,
+                rho, r_s, flags = self._series
+                r_max = np.maximum.accumulate(r_s)
+                r_max.flags.writeable = False
+                series = RateSeries(t_start, self.rate_params.delta_t, rho, r_s, r_max, flags,
                                     list(self._events))
         return ProfileReport(
             flow=flow,
@@ -565,9 +568,8 @@ class StreamProfiler:
         a candidate's confirmation is unsettled or the debug series is needed."""
         if len(times) > self._k:
             self._advance_bursts(times, sizes)
-        if len(times) > self._rate_k and (include_debug or not all(
-                d.settled for d in decide(self._candidates, self._events, self.fusion_params,
-                                          self._horizon))):
+        if include_debug or not all(d.settled for d in decide(
+                self._candidates, self._events, self.fusion_params, self._horizon)):
             self._advance_rate(times, sizes)
 
     def _advance_rate(self, times: np.ndarray, sizes: np.ndarray) -> None:
@@ -579,11 +581,9 @@ class StreamProfiler:
         t0, dt = float(times[0]), rp.delta_t
         rho = rate_mod.aggregate(times, sizes, rp, tail=self.burst_params.h_t)
         r_s = rate_mod.smooth(rho, rp)
-        r_max = np.maximum.accumulate(r_s)
-        flags, raw = rate_mod.detect_changes(r_s, rp, running_max=r_max)
-        self._series = (rho, r_s, r_max, flags)
+        flags, raw = rate_mod.detect_changes(r_s, rp)
+        self._series = (rho, r_s, flags)
         self._events = [RateChange(b, d, t0 + (b - 1) * dt) for b, d in raw]
-        self._rate_k = len(times)
         self._horizon = t0 + math.floor((times[-1] - t0) / dt) * dt
 
     def _advance_bursts(self, times: np.ndarray, sizes: np.ndarray) -> None:
@@ -597,10 +597,9 @@ class StreamProfiler:
                 rows["t_start"][0] = self._open["t_start"][0]
                 rows["size"][:1] += self._open["size"]
                 bursts_mod.set_rates(rows[:1], bp)
-        closed = self._bursts[:len(self._bursts) - self._open_kept]
+        closed = self._bursts[:len(self._bursts) - len(bursts_mod.filter_small(self._open, bp))]
         kept = bursts_mod.filter_small(rows, bp)
         self._open = rows[-1:]
-        self._open_kept = len(bursts_mod.filter_small(self._open, bp))
         self._bursts = bursts_mod.classify(np.concatenate([closed, kept]) if len(closed)
                                            else kept, bp)
         self._candidates = bursts_mod.confirm_steady(self._bursts, bp)
@@ -608,10 +607,8 @@ class StreamProfiler:
 
     def _arrivals(self, times: np.ndarray, cum: np.ndarray) -> np.ndarray:
         """Payload bytes arrived by each buffer sample time."""
-        k = self._arrived_k
         ts = _sample_times(times, self.rate_params.delta_t, start=len(self._arrived))
-        arrived = cum[k - 1 + np.searchsorted(times[k:], ts, side="right")]
+        arrived = cum[np.searchsorted(times, ts, side="right") - 1]
         n_final = int(np.searchsorted(ts, times[-1]))  # later packets arrive after these
         self._arrived = np.concatenate([self._arrived, arrived[:n_final]])
-        self._arrived_k = len(times)
         return np.concatenate([self._arrived, arrived[n_final:]])

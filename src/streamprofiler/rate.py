@@ -72,19 +72,19 @@ def aggregate(times: np.ndarray, sizes: np.ndarray, params: RateParams,
               tail: float = 0.0) -> np.ndarray:
     """Aggregate one flow's payload bytes into contiguous bins of width ``delta_t``.
 
-    ``times`` (finite, non-decreasing) and ``sizes`` are the flow's packet arrival
-    times and payload bytes. Bin ``t`` (1-based) covers
-    ``[(t-1)*delta_t, t*delta_t)`` relative to the flow's first packet; its
-    value is the summed payload divided by the bin width, so empty bins read
-    0 and ``sum(rho) * delta_t`` equals the flow's total payload bytes.
+    ``times`` (any real array-like, finite, non-decreasing) and ``sizes`` (one
+    per time) are the flow's packet arrival times and payload bytes. Bin ``t``
+    (1-based) covers ``[(t-1)*delta_t, t*delta_t)`` relative to the flow's
+    first packet; its value is the summed payload divided by the bin width, so
+    empty bins read 0 and ``sum(rho) * delta_t`` equals the flow's total bytes.
     ``tail`` (finite, >= 0) extends the series with empty bins past the last
     packet so that end-of-flow rate decay stays visible downstream.
     """
     if not 0 <= tail < math.inf:
         raise ValueError(f"tail must be finite and >= 0, got {tail}")
+    times = check_times(times, sizes)
     if len(times) == 0:
         return np.zeros(0)
-    check_times(times)
     rel = times - times[0]
     span = float(rel[-1])
     rel /= params.delta_t
@@ -114,21 +114,18 @@ def smooth(rho: np.ndarray, params: RateParams, seed: float | None = None) -> np
     return out
 
 
-def detect_changes(r_smooth: np.ndarray, params: RateParams,
-                   running_max: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, list[tuple[int, str]]]:
+def detect_changes(r_smooth: np.ndarray,
+                   params: RateParams) -> tuple[np.ndarray, list[tuple[int, str]]]:
     """Flag rate changes against the running maximum of the smoothed rate.
 
     The flag starts low (-1). It flips high at bin t when
     ``r[t] > c * max(r[1..t])`` and flips low when ``r[t] < (1-c) * max(r[1..t])``;
     otherwise it carries over. Returns the per-bin flags and the change events
     as (1-based bin index, direction). Events strictly alternate and the first
-    is always an increase. ``running_max`` may pass in ``max(r[1..t])`` when
-    the caller already has it.
+    is always an increase.
     """
     r = np.asarray(r_smooth, dtype=np.float64)
-    if running_max is None:
-        running_max = np.maximum.accumulate(r)
+    running_max = np.maximum.accumulate(r)
     c = params.c
     # Since c > 0.5 and r[t] <= max(r[1..t]), at most one trigger holds per
     # bin, so the flag is the direction of the last trigger so far.

@@ -82,17 +82,21 @@ class PhaseSpan:
         return self.t_end - self.t_start
 
 
-def check_times(times: np.ndarray) -> None:
-    """Raise ``ValueError`` unless packet ``times`` (non-empty) are non-decreasing
-    and finite.
+def check_times(times, sizes) -> np.ndarray:
+    """Packet ``times`` (any real array-like) as a float64 array, no copy for one.
 
-    A sorted array with finite ends is finite throughout, and a NaN among two
-    or more times fails the order check, so only the ends are tested.
+    Raise ``ValueError`` unless the times are as many as ``sizes``, non-decreasing
+    and finite. A sorted array with finite ends is finite throughout, and a NaN
+    among two or more times fails the order check, so only the ends are tested.
     """
+    times = np.asarray(times, dtype=np.float64)
+    if len(sizes) != len(times):
+        raise ValueError(f"sizes must match times in length, got {len(sizes)} and {len(times)}")
     if not (times[1:] >= times[:-1]).all():
         raise ValueError("trace is not time-sorted; normalize first")
-    if not (math.isfinite(times[0]) and math.isfinite(times[-1])):
+    if len(times) and not (math.isfinite(times[0]) and math.isfinite(times[-1])):
         raise ValueError(f"packet times must be finite, got {times[0]} ... {times[-1]}")
+    return times
 
 
 @dataclass(eq=False)

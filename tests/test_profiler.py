@@ -27,6 +27,7 @@ from streamprofiler import (
 )
 from streamprofiler.bursts import PhaseCandidate, confirm_steady
 from streamprofiler.profiler import _INITIAL_CAPACITY, BufferTrajectory
+from streamprofiler import bursts as bursts_mod
 from streamprofiler import rate as rate_mod
 from streamprofiler.rate import DECREASE, INCREASE, RateChange
 from streamprofiler.trace import FILLING, OTHER, STEADY, FlowKey
@@ -786,16 +787,34 @@ class TestLiveTargeted:
             assert_queries_match_prefixes(trace.times, trace.sizes, cuts, debug=debug)
 
 
-def count_binning(monkeypatch) -> list:
-    """Patch ``rate.aggregate`` to log the packet count of every call."""
-    calls, aggregate = [], rate_mod.aggregate
+def count_packets(monkeypatch, module, name: str) -> list:
+    """Patch the stage ``module.name`` to log the packet count of every call."""
+    calls, stage = [], getattr(module, name)
 
     def counted(times, *args, **kwargs):
         calls.append(len(times))
-        return aggregate(times, *args, **kwargs)
+        return stage(times, *args, **kwargs)
 
-    monkeypatch.setattr(rate_mod, "aggregate", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+class TestResumedBursts:
+    """A query passes the burst stages only the packets fed since the last one."""
+
+    @pytest.mark.parametrize("source", ["HQ", "bulk"])
+    def test_segment_sees_each_packet_once(self, monkeypatch, source):
+        trace = (generate(scenario_spec("HQ", seed=0)) if source == "HQ"
+                 else generate_bulk(60.0, 1e6, seed=1)).trace
+        calls = count_packets(monkeypatch, bursts_mod, "segment")
+        prof, fed_so_far = StreamProfiler(flow=TEST_FLOW), 0
+        for cut in _cuts_every(trace, 2.0):
+            for t, s in zip(trace.times[fed_so_far:cut].tolist(),
+                            trace.sizes[fed_so_far:cut].tolist()):
+                prof.feed(t, s)
+            fed_so_far = cut
+            prof.report()
+        assert sum(calls) == len(trace)
 
 
 class TestDeferredRate:
@@ -807,7 +826,7 @@ class TestDeferredRate:
         cuts = _cuts_every(trace, 2.0)
         if preset == "HQ":
             assert len(cuts) == 299
-        calls = count_binning(monkeypatch)
+        calls = count_packets(monkeypatch, rate_mod, "aggregate")
         prof, fed_so_far, binned, previous = StreamProfiler(flow=TEST_FLOW), 0, 0, None
         for cut in cuts:
             idle = cut == fed_so_far
@@ -829,7 +848,7 @@ class TestDeferredRate:
 
     def test_profile_bins_a_flow_without_candidates_only_for_debug(self, monkeypatch):
         trace = flow_trace([0.0, 0.5, 3.0, 9.0, 9.2], sizes=[1500] * 5)
-        calls = count_binning(monkeypatch)
+        calls = count_packets(monkeypatch, rate_mod, "aggregate")
         report = profile(trace)
         assert calls == [] and report.rate_series is None
         debug = profile(trace, include_debug=True)

@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 
 import streamprofiler.trace as trace_mod
 from streamprofiler import (
+    BurstParams,
     FlowKey,
     PhaseSpan,
+    RateParams,
     Trace,
     TraceParseError,
+    aggregate,
     demux,
     load_trace,
     normalize,
     parse_labels,
     parse_trace,
+    segment,
     serialize_labels,
     serialize_trace,
 )
@@ -51,6 +55,24 @@ def assert_same_outcome(got, want):
     assert got.sizes.dtype == want.sizes.dtype and got.sizes.tolist() == want.sizes.tolist()
     assert got.flow_ids.tolist() == want.flow_ids.tolist()
     assert got.flows == want.flows
+
+
+@pytest.mark.parametrize("stage, params", [(segment, BurstParams()), (aggregate, RateParams())],
+                         ids=["segment", "aggregate"])
+@pytest.mark.parametrize("times, sizes", [
+    (np.array([0, 1, 5]), np.array([1, 2, 3])),
+    ([0.0, 1.0, 5.0], [1, 2, 3]),
+    (np.array([0.0, 1.0, 5.0]), np.array([1, 2, 3, 4])),
+    (np.array([0.0, 1.0, 5.0]), np.array([1, 2])),
+], ids=["int-times", "list-times", "extra-size", "missing-size"])
+def test_stages_take_real_times_with_one_size_each(stage, params, times, sizes):
+    """``check_times`` turns any real times into float64 and rejects a length mismatch."""
+    if len(times) != len(sizes):
+        with pytest.raises(ValueError, match="sizes must match times in length"):
+            stage(times, sizes, params)
+        return
+    expected = stage(np.array([0.0, 1.0, 5.0]), np.array([1, 2, 3]), params)
+    assert np.array_equal(stage(times, sizes, params), expected)
 
 
 class TestParse:

@@ -1,0 +1,79 @@
+"""Summarise paired perfbench runs of a parent and a change into one JSON file.
+
+    python3 tools/bench_summary.py PARENT_DIR CHANGE_DIR [--out PATH]
+
+Reads the ``*-trace0.json`` records of ``perfbench/run.py`` and pairs them by
+workload and seed. Per workload and ``BENCHMARK.json`` end-to-end metric: the
+parent's median and quartiles, the change's median, the pairs the change won
+(ties count for neither) and whether it is worse beyond the metric's ``bound``.
+Exits 1 on a record not ``correct`` or a metric worse beyond its bound.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def load(directory: str) -> dict:
+    """The untraced records in ``directory``, by (workload, seed)."""
+    records = (json.loads(p.read_text()) for p in sorted(Path(directory).glob("*-trace0.json")))
+    return {(r["workload"], r["seed"]): r for r in records}
+
+
+def summarise(parent: dict, change: dict, end_to_end: list) -> dict:
+    """The summary of paired records; ``end_to_end`` is ``BENCHMARK.json``'s list."""
+    pairs = sorted(parent.keys() & change.keys())
+    workloads = {}
+    for name in sorted({w for w, _ in pairs}):
+        both = [(parent[k], change[k]) for k in pairs if k[0] == name]
+        metrics = {}
+        for m in end_to_end:
+            sign = 1.0 if m["better"] == "lower" else -1.0  # so that lower is better for all
+            p, c = ([sign * pair[i]["end_to_end"][m["name"]] for pair in both] for i in (0, 1))
+            p1, pm, p3 = statistics.quantiles(p, n=4, method="inclusive") if len(p) > 1 else p * 3
+            cm = statistics.median(c)
+            metrics[m["name"]] = {
+                "parent_median": sign * pm, "parent_quartiles": sorted((sign * p1, sign * p3)),
+                "change_median": sign * cm, "change_won": sum(b < a for a, b in zip(p, c)),
+                "pairs": len(both), "bound": m["bound"],
+                "worse_beyond_bound": cm - pm > m["bound"] * abs(pm)}
+        workloads[name] = {
+            "seeds": [seed for w, seed in pairs if w == name],
+            "output_sha256_equal": all(a["output_sha256"] == b["output_sha256"] for a, b in both),
+            "metrics": metrics}
+    records = (*parent.values(), *change.values())
+    return {**{side: {key: sorted({str(r["environment"][key]) for r in recs.values()})
+                      for key in ("git_sha", "src_sha256")}
+               for side, recs in (("parent", parent), ("change", change))},
+            "host_control": sorted({r["environment"]["control"] for r in records}),
+            "all_correct": all(r["correct"] for r in records), "workloads": workloads}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_dir")
+    parser.add_argument("change_dir")
+    parser.add_argument("--out", help="write the summary here instead of standard output")
+    args = parser.parse_args(argv)
+    end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
+    summary = summarise(load(args.parent_dir), load(args.change_dir), end_to_end)
+    if not summary["workloads"]:
+        parser.error("no workload and seed has a record on both sides")
+    text = json.dumps(summary, indent=1) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    worse = [f"{w}: {m}" for w, s in summary["workloads"].items()
+             for m, v in s["metrics"].items() if v["worse_beyond_bound"]]
+    for line in worse:
+        print(f"{line} is worse than the parent beyond its bound", file=sys.stderr)
+    return 0 if summary["all_correct"] and not worse else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
