@@ -14,11 +14,12 @@ from pathlib import Path
 
 from . import evaluate as evaluate_mod
 from . import synth as synth_mod
-from .bursts import BurstParams
+from . import rate as rate_mod
+from .bursts import BurstParams, classify, filter_small, segment
 from .profiler import UNIT_NOTE, FusionParams, ProfileReport, profile, to_kbps
 from .rate import RateParams
 from .synth import GeneratorDefaults, ScenarioSpec, SCENARIOS
-from .trace import demux, load_trace, normalize, write_labels, write_trace
+from .trace import Trace, demux, load_trace, normalize, write_labels, write_trace
 
 
 @dataclasses.dataclass
@@ -111,17 +112,18 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_debug_csvs(report: ProfileReport, prefix: Path) -> None:
-    """Rate series, retained bursts, segments and buffer samples of one flow."""
-    series, bursts = report.rate_series, report.bursts
-    if series is not None:
-        _write_csv(f"{prefix}_rate.csv", ["bin", "rho", "r_smooth", "r_smooth_max", "flag"],
-                   zip(range(1, len(series) + 1), series.rho.tolist(), series.r_smooth.tolist(),
-                       series.r_smooth_max.tolist(), series.flags.tolist()))
-    if bursts is not None:
-        _write_csv(f"{prefix}_bursts.csv",
-                   ["n", "t_start", "t_end", "size", "duration", "rate", "klass"],
-                   ((n, *row) for n, row in enumerate(bursts.tolist(), 1)))
+def _write_debug_csvs(report: ProfileReport, flow: Trace, cfg: Config, prefix: Path) -> None:
+    """Rate series and retained bursts of one flow, from the stage functions
+    run on its packets, then the ``report``'s segments and buffer samples."""
+    series = rate_mod.analyze(flow.times, flow.sizes, cfg.rate, cfg.burst.h_t)
+    _write_csv(f"{prefix}_rate.csv", ["bin", "rho", "r_smooth", "r_smooth_max", "flag"],
+               zip(range(1, len(series) + 1), series.rho.tolist(), series.r_smooth.tolist(),
+                   series.r_smooth_max.tolist(), series.flags.tolist()))
+    bursts = classify(filter_small(segment(flow.times, flow.sizes, cfg.burst), cfg.burst),
+                      cfg.burst)
+    _write_csv(f"{prefix}_bursts.csv",
+               ["n", "t_start", "t_end", "size", "duration", "rate", "klass"],
+               ((n, *row) for n, row in enumerate(bursts.tolist(), 1)))
     _write_csv(f"{prefix}_segments.csv",
                ["phase", "t_start", "t_end", "volume_bytes", "duration_s", "mean_rate_Bps",
                 "mean_rate_kbps"],
@@ -139,11 +141,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     flows = demux(normalize(trace), merge_ports=args.merge_ports)
     print(f"{len(flows)} flow(s) in {args.input} ({UNIT_NOTE})")
     for i, (key, sub) in enumerate(flows.items()):
-        report = profile(sub, cfg.rate, cfg.burst, cfg.fusion, include_debug=args.debug)
+        report = profile(sub, cfg.rate, cfg.burst, cfg.fusion)
         slug = _flow_slug(i, key)
         (out_dir / f"{slug}.json").write_text(report.to_json() + "\n", encoding="utf-8")
         if args.debug:
-            _write_debug_csvs(report, out_dir / slug)
+            _write_debug_csvs(report, sub, cfg, out_dir / slug)
         session = report.rate_estimate.session
         rate_text = ("no steady state" if session is None
                      else f"{session:.0f} B/s = {to_kbps(session):.0f} kbps")

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import bursts as bursts_mod
 from . import rate as rate_mod
 from .bursts import BurstParams, PhaseCandidate
-from .rate import DECREASE, INCREASE, RateChange, RateParams, RateSeries
+from .rate import DECREASE, INCREASE, RateChange, RateParams
 from .trace import _INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace
 
 _EPS = 1e-9
@@ -135,8 +135,8 @@ class BufferTrajectory:
 class ProfileReport:
     """Everything the profiler can say about one flow.
 
-    ``==`` is identity, since the buffer and debug fields hold arrays;
-    compare two reports through ``to_json()``.
+    ``==`` is identity, since the buffer holds arrays; compare two reports
+    through ``to_json()``.
     """
 
     flow: FlowKey | None
@@ -148,8 +148,6 @@ class ProfileReport:
     verdict: StreamVerdict
     rate_estimate: RateEstimate
     buffer: BufferTrajectory | None
-    rate_series: RateSeries | None = field(default=None, repr=False)
-    bursts: np.ndarray | None = field(default=None, repr=False)  # bursts.BURST_DTYPE rows
 
     def to_dict(self, include_buffer_samples: bool = True) -> dict:
         flow = None
@@ -196,6 +194,14 @@ class ProfileReport:
 
 
 # -- fusion -----------------------------------------------------------------
+
+
+def _checked_cum(times, cum) -> np.ndarray:
+    """``cum`` as an array, if it holds one value per packet of ``times``."""
+    cum = np.asarray(cum)
+    if len(cum) != len(times):
+        raise ValueError(f"cum must match times in length, got {len(cum)} and {len(times)}")
+    return cum
 
 
 def _bytes_up_to(times: np.ndarray, cum: np.ndarray, t: float, side: str = "right") -> int:
@@ -281,6 +287,7 @@ def tile(times: np.ndarray, cum: np.ndarray,
     on a boundary is attributed to the candidate segment, not the surrounding
     ``other`` gap. ``cum`` is the cumulative payload bytes per packet.
     """
+    cum = _checked_cum(times, cum)
     if len(times) == 0:
         return []
     t0, t1 = float(times[0]), float(times[-1])
@@ -358,6 +365,7 @@ def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, play
     payload bytes arrived by each sample time when the caller already has
     them.
     """
+    cum = _checked_cum(times, cum)
     for name, value in (("encode_rate", encode_rate), ("sample_dt", sample_dt)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -376,25 +384,25 @@ def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, play
 
 def profile(trace: Trace, rate_params: RateParams | None = None,
             burst_params: BurstParams | None = None,
-            fusion_params: FusionParams | None = None,
-            include_debug: bool = False) -> ProfileReport:
+            fusion_params: FusionParams | None = None) -> ProfileReport:
     """Run both methods on one flow and fuse them into a profile report.
 
     Deterministic: identical trace and parameters give an identical report.
     Degenerate traces (empty, single packet) yield empty or absent fields,
     never an error. This is a ``StreamProfiler`` query that sees the whole
     flow at once, so the rate method runs only if the burst method proposes
-    a candidate for it to confirm, or for the debug series.
+    a candidate for it to confirm. The stage outputs themselves come from
+    ``rate.analyze`` and the ``bursts`` stage functions.
     """
     if len(trace) and len(trace.flows) > 1:
         raise ValueError("rate analysis expects a single-flow trace; demux first")
     prof = StreamProfiler(rate_params, burst_params, fusion_params)
     if len(trace):
-        prof._advance(trace.times, trace.sizes, include_debug)
+        prof._advance(trace.times, trace.sizes)
     # the cumulative bytes come after the stages: allocated before their
     # temporaries, they left malloc faulting fresh pages in on every call
     return prof._report(trace.times, np.cumsum(trace.sizes),
-                        trace.flows[0] if trace.flows else None, include_debug)
+                        trace.flows[0] if trace.flows else None)
 
 
 def _real(value, name: str):
@@ -442,16 +450,14 @@ class StreamProfiler:
     a gap of at least ``h_t``, buffer arrivals before the last packet). The
     rate method only confirms burst candidates, so its stages run, over
     every packet held, only while some candidate's confirmation is not
-    settled (see ``decide``) or when a debug report needs the rate series.
-    Any other query costs what the new packets, bursts, events and buffer
-    samples cost, not the packets held. Every report equals ``profile()``
-    of the packets so far. A query with no packet fed since the last one
-    with the same ``include_debug`` returns that report object again, so
-    treat reports as read-only. The debug arrays are read-only views of the
-    profiler's own, but for ``r_smooth_max``, which each debug report builds.
-    Besides the stage outputs, the profiler holds the packets, the burst
+    settled (see ``decide``). Any other query costs what the new packets,
+    bursts, events and buffer samples cost, not the packets held. Every
+    report equals ``profile()`` of the packets so far. A query with no
+    packet fed since the last one returns that report object again, so
+    treat reports as read-only. Besides the stage outputs (retained bursts,
+    candidates, rate events), the profiler holds the packets, the burst
     resume point (``_k``, ``_open``), the rate ``_horizon``, the final buffer
-    samples' ``_arrived`` bytes and the last report per ``include_debug``.
+    samples' ``_arrived`` bytes and the last report.
     """
 
     def __init__(self, rate_params: RateParams | None = None,
@@ -472,7 +478,6 @@ class StreamProfiler:
         self._last_t = 0.0
         # rate stage state, from the last run of the rate stages
         self._horizon = -math.inf  # start of the first bin not yet final
-        self._series: tuple[np.ndarray, ...] = ()  # rho, r_smooth, flags
         self._events: list[RateChange] = []
         # burst stage state, for the first ``_k`` packets
         self._k = 0
@@ -480,7 +485,7 @@ class StreamProfiler:
         self._open = self._bursts  # the last packet's burst, of any size; ends ``_bursts`` if kept
         self._candidates: list[PhaseCandidate] = []
         self._arrived = np.zeros(0, dtype=np.int64)  # bytes arrived by each final sample
-        self._reports: dict[bool, tuple[int, ProfileReport]] = {}  # by include_debug
+        self._last_report: tuple[int, ProfileReport | None] = (-1, None)  # n_packets, report
 
     def feed(self, t_arrival: float, payload_size: int) -> None:
         """Add one packet; a rejected packet raises ``ValueError`` and is not stored.
@@ -516,39 +521,28 @@ class StreamProfiler:
         times.flags.writeable = sizes.flags.writeable = False
         return Trace.single_flow(times, sizes, self.flow)
 
-    def report(self, include_debug: bool = False) -> ProfileReport:
+    def report(self) -> ProfileReport:
         k, n = self._k, self._n
-        last = self._reports.get(include_debug)
-        if last is not None and last[0] == n:
-            return last[1]
+        if self._last_report[0] == n:
+            return self._last_report[1]
         if n:
-            self._advance(self._times[:n], self._sizes[:n], include_debug)
+            self._advance(self._times[:n], self._sizes[:n])
         self._cum[k:n] = np.cumsum(self._sizes[k:n]) + (self._cum[k - 1] if k else 0)
-        report = self._report(self._times[:n], self._cum[:n], self.flow, include_debug)
-        self._reports[include_debug] = (n, report)
+        report = self._report(self._times[:n], self._cum[:n], self.flow)
+        self._last_report = (n, report)
         return report
 
-    def _report(self, times: np.ndarray, cum: np.ndarray, flow: FlowKey | None,
-                include_debug: bool) -> ProfileReport:
+    def _report(self, times: np.ndarray, cum: np.ndarray, flow: FlowKey | None) -> ProfileReport:
         """Fuse the stage results on packets ``times``, with ``cum`` bytes by each."""
         n = len(times)
         segments = fuse(times, cum, self._candidates, self._events, self.fusion_params)
         rate_estimate = estimate_rate(segments)
-        buffer = series = None
+        buffer = None
         t_start, t_end = (float(times[0]), float(times[-1])) if n else (0.0, 0.0)
         if rate_estimate.session is not None:
             dt = self.rate_params.delta_t
             buffer = estimate_buffer(times, cum, rate_estimate.session, t_start + dt, dt,
                                      arrived=self._arrivals(times, cum))
-        if include_debug:  # handed out as they are; the profiler never writes them again
-            for a in (*self._series, self._bursts):
-                a.flags.writeable = False
-            if n:
-                rho, r_s, flags = self._series
-                r_max = np.maximum.accumulate(r_s)
-                r_max.flags.writeable = False
-                series = RateSeries(t_start, self.rate_params.delta_t, rho, r_s, r_max, flags,
-                                    list(self._events))
         return ProfileReport(
             flow=flow,
             n_packets=n,
@@ -559,32 +553,21 @@ class StreamProfiler:
             verdict=detect_stream(segments),
             rate_estimate=rate_estimate,
             buffer=buffer,
-            rate_series=series,
-            bursts=self._bursts if include_debug else None,
         )
 
-    def _advance(self, times: np.ndarray, sizes: np.ndarray, include_debug: bool) -> None:
-        """Bring the burst stages up to ``times``, and the rate stages too if
-        a candidate's confirmation is unsettled or the debug series is needed."""
+    def _advance(self, times: np.ndarray, sizes: np.ndarray) -> None:
+        """Bring the burst stages up to ``times``; run the rate stages over
+        every packet in ``times`` if a candidate's confirmation is unsettled.
+
+        Rate bins before the last packet's bin are final, with their events,
+        so any event still to come lies at or after ``_horizon``."""
         if len(times) > self._k:
             self._advance_bursts(times, sizes)
-        if include_debug or not all(d.settled for d in decide(
-                self._candidates, self._events, self.fusion_params, self._horizon)):
-            self._advance_rate(times, sizes)
-
-    def _advance_rate(self, times: np.ndarray, sizes: np.ndarray) -> None:
-        """Run the rate stages over every packet in ``times``.
-
-        Bins before the last packet's bin are final, with their events, so
-        any event still to come lies at or after ``_horizon``."""
-        rp = self.rate_params
-        t0, dt = float(times[0]), rp.delta_t
-        rho = rate_mod.aggregate(times, sizes, rp, tail=self.burst_params.h_t)
-        r_s = rate_mod.smooth(rho, rp)
-        flags, raw = rate_mod.detect_changes(r_s, rp)
-        self._series = (rho, r_s, flags)
-        self._events = [RateChange(b, d, t0 + (b - 1) * dt) for b, d in raw]
-        self._horizon = t0 + math.floor((times[-1] - t0) / dt) * dt
+        if not all(d.settled for d in decide(self._candidates, self._events,
+                                             self.fusion_params, self._horizon)):
+            series = rate_mod.analyze(times, sizes, self.rate_params, self.burst_params.h_t)
+            self._events, t0, dt = series.events, series.t0, series.delta_t
+            self._horizon = t0 + math.floor((times[-1] - t0) / dt) * dt
 
     def _advance_bursts(self, times: np.ndarray, sizes: np.ndarray) -> None:
         """Resume the burst stages on the packets after the first ``_k``."""

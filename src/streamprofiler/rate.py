@@ -97,19 +97,18 @@ def aggregate(times: np.ndarray, sizes: np.ndarray, params: RateParams,
     return rho
 
 
-def smooth(rho: np.ndarray, params: RateParams, seed: float | None = None) -> np.ndarray:
+def smooth(rho: np.ndarray, params: RateParams) -> np.ndarray:
     """Regressive low-pass filter: r[t] = (1-a)*r[t-1] + a*rho[t].
 
-    By default the filter is seeded with the first observation (r[1] = rho[1]),
-    which keeps the initial filling burst detectable instead of ramping up from
-    zero over ~1/a bins. Pass ``seed`` to set an explicit r[0] instead.
+    The filter is seeded with the first observation (r[1] = rho[1]), which
+    keeps the initial filling burst detectable instead of ramping up from
+    zero over ~1/a bins.
     """
     rho = np.asarray(rho, dtype=np.float64)
     if rho.size == 0:
         return np.zeros(0)
     a = params.a
-    prev = rho[0] if seed is None else seed
-    zi = np.array([(1.0 - a) * prev])
+    zi = np.array([(1.0 - a) * rho[0]])
     out, _ = lfilter([a], [1.0, -(1.0 - a)], rho, zi=zi)
     return out
 
@@ -136,3 +135,15 @@ def detect_changes(r_smooth: np.ndarray,
     changed = np.flatnonzero(np.diff(flags, prepend=np.int8(-1)))
     events = [(t + 1, INCREASE if flags[t] == 1 else DECREASE) for t in changed.tolist()]
     return flags, events
+
+
+def analyze(times: np.ndarray, sizes: np.ndarray, params: RateParams,
+            tail: float = 0.0) -> RateSeries:
+    """Run the three stages on one flow: ``aggregate`` (with ``tail``),
+    ``smooth`` and ``detect_changes``, with each event timed at its bin's start."""
+    rho = aggregate(times, sizes, params, tail=tail)
+    r_smooth = smooth(rho, params)
+    flags, raw = detect_changes(r_smooth, params)
+    t0, dt = (float(times[0]) if len(times) else 0.0), params.delta_t
+    return RateSeries(t0, dt, rho, r_smooth, np.maximum.accumulate(r_smooth), flags,
+                      [RateChange(b, d, t0 + (b - 1) * dt) for b, d in raw])

@@ -131,7 +131,7 @@ class TestPropertySuite:
     def test_filter_fixed_point_and_step_response(self, rate_params):
         rho = np.full(300, 7e5)
         fixed = np.allclose(smooth(rho, rate_params), rho, rtol=1e-12)
-        stepped = smooth(rho, rate_params, seed=0.0)
+        stepped = smooth(np.concatenate([[0.0], rho]), rate_params)[1:]  # from r[0] = 0
         closed = 7e5 * (1 - (1 - rate_params.a) ** np.arange(1, 301))
         _verdict(fixed and np.allclose(stepped, closed, rtol=1e-9),
                  "smoothing filter: fixed point and closed-form step response")

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from streamprofiler import (
     BurstParams,
+    StreamProfiler,
     classify,
     confirm_steady,
     filter_small,
     generate,
-    profile,
     scenario_spec,
     segment,
 )
@@ -304,7 +304,7 @@ class TestDetectPipeline:
         if stage == "segment":
             got, want = segment(trace.times, trace.sizes, bp), ref_segment(trace, bp)
         else:
-            got = profile(trace, burst_params=bp, include_debug=True).bursts
+            got = classify(filter_small(segment(trace.times, trace.sizes, bp), bp), bp)
             want = ref_classify(ref_filter_small(ref_segment(trace, bp), bp), bp)
         assert len(want) > 3
         reference_write_bursts_csv(got, tmp_path / "got.csv")
@@ -313,7 +313,7 @@ class TestDetectPipeline:
 
     def test_retained_bursts_respect_thresholds(self, burst_params):
         trace = random_trace(seed=4, duration=20.0, mean_rate=3e4, packet_size=1500)
-        bursts = profile(trace, burst_params=burst_params, include_debug=True).bursts
+        bursts = filter_small(segment(trace.times, trace.sizes, burst_params), burst_params)
         assert np.all(bursts["size"] >= burst_params.h_s)
         assert np.all(bursts["t_start"][1:] - bursts["t_end"][:-1] >= burst_params.h_t)
 
@@ -348,5 +348,9 @@ class TestDetectPipeline:
         for _, t0, t1, first, last in ref_cands:
             assert classified["t_start"][first - 1] == t0
             assert classified["t_end"][last - 1] == t1
-        assert profile(trace, burst_params=params, include_debug=True).bursts.tolist() == (
-            classified.tolist())
+        # the profiler's retained bursts, resumed at every packet
+        prof = StreamProfiler(burst_params=params)
+        for t, s in zip(trace.times.tolist(), trace.sizes.tolist()):
+            prof.feed(t, s)
+            prof.report()
+        assert prof._bursts.tolist() == classified.tolist()

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from streamprofiler import BurstParams, FusionParams, GeneratorDefaults, RateParams, profile
+from streamprofiler import (BurstParams, FusionParams, GeneratorDefaults, RateParams, classify,
+                            filter_small, profile, segment)
+from streamprofiler.rate import analyze
 from streamprofiler.cli import Config, main
 from streamprofiler.trace import demux, load_trace, normalize, write_trace
 from conftest import (
@@ -216,10 +218,14 @@ class TestAnalyze:
         assert str(out) in capsys.readouterr().err
 
     def test_debug_dumps(self, tmp_path, trace_path):
-        out = tmp_path / "dbg"
+        out, plain = tmp_path / "dbg", tmp_path / "plain"
         assert run(["analyze", trace_path, "--out", out, "--debug"]) == 0
         stems = {p.name.rsplit("_", 1)[-1] for p in out.glob("*.csv")}
         assert stems == {"rate.csv", "bursts.csv", "segments.csv", "buffer.csv"}
+        # the dumps leave the reports as they are
+        assert run(["analyze", trace_path, "--out", plain]) == 0
+        assert [p.read_bytes() for p in sorted(plain.iterdir())] == [
+            p.read_bytes() for p in sorted(out.glob("*.json"))]
 
     def test_parameter_override_changes_result(self, tmp_path, trace_path):
         out = tmp_path / "strict"
@@ -325,10 +331,12 @@ class TestCsvDumps:
         out, ref = tmp_path / "out", tmp_path / "ref"
         assert run(["analyze", tmp_path / "s.csv", "--out", out, "--debug"]) == 0
         [flow] = demux(normalize(load_trace(tmp_path / "s.csv"))).values()
-        report = profile(flow, include_debug=True)
+        report, bp = profile(flow), BurstParams()
         ref.mkdir()
-        reference_write_rate_csv(report.rate_series, ref / "rate.csv")
-        reference_write_bursts_csv(report.bursts, ref / "bursts.csv")
+        reference_write_rate_csv(analyze(flow.times, flow.sizes, RateParams(), tail=bp.h_t),
+                                 ref / "rate.csv")
+        reference_write_bursts_csv(classify(filter_small(segment(flow.times, flow.sizes, bp), bp),
+                                            bp), ref / "bursts.csv")
         reference_write_segments_csv(report, ref / "segments.csv")
         reference_write_buffer_csv(report, ref / "buffer.csv")
         [stem] = [p.stem for p in out.glob("*.json")]

@@ -25,7 +25,8 @@ from streamprofiler import (
     scenario_spec,
     tile,
 )
-from streamprofiler.bursts import PhaseCandidate, confirm_steady
+from streamprofiler.bursts import PhaseCandidate, classify, confirm_steady, filter_small, segment
+from streamprofiler.cli import Config, _write_debug_csvs
 from streamprofiler.profiler import _INITIAL_CAPACITY, BufferTrajectory
 from streamprofiler import bursts as bursts_mod
 from streamprofiler import rate as rate_mod
@@ -247,6 +248,25 @@ class TestEstimateBuffer:
                             sample_dt=1.0)
 
 
+# the stages that take cumulative bytes, each reduced to a comparable result
+CUM_STAGES = {
+    "tile": lambda t, cum: tile(t, cum, []),
+    "fuse": lambda t, cum: fuse(t, cum, [], [], FusionParams()),
+    "estimate_buffer": lambda t, cum: estimate_buffer(t, cum, 0.5, 0.0, 1.0).levels.tolist(),
+}
+
+
+@pytest.mark.parametrize("stage", CUM_STAGES)
+def test_cum_must_hold_one_value_per_packet(stage):
+    call, times = CUM_STAGES[stage], [0.0, 1.0, 5.0]
+    assert call(times, [1, 3, 6]) == call(np.array(times), np.array([1, 3, 6]))
+    for cum in ([1, 3, 6, 10], [1, 3], []):
+        with pytest.raises(ValueError, match="cum must match times in length"):
+            call(times, cum)
+    with pytest.raises(ValueError, match="cum must match times in length"):
+        call([], [1])
+
+
 @pytest.fixture(scope="module")
 def mq():
     labeled = generate(scenario_spec("MQ", seed=2))
@@ -317,10 +337,10 @@ class TestProfile:
         trace = single_packet_steady_trace()
         params = BurstParams(h_n=1)
         # the lone packet is a zero-span steady candidate with a decrease nearby
-        debug = profile(trace, burst_params=params, include_debug=True)
-        lone = [c for c in confirm_steady(debug.bursts, params) if c.t_start == c.t_end]
+        lone = [c for c in confirm_steady(retained_bursts(trace.times, trace.sizes, params),
+                                          params) if c.t_start == c.t_end]
         assert [(c.kind, c.t_start) for c in lone] == [(STEADY, 11.9)]
-        events = debug.rate_series.events
+        events = rate_events(trace.times, trace.sizes, RateParams(), params)
         assert any(ev.direction == DECREASE
                    and abs(ev.time - 11.9) <= FusionParams().match_tolerance for ev in events)
         report = profile(trace, burst_params=params)
@@ -353,19 +373,10 @@ class TestProfile:
         assert report.buffer.encode_rate_used == report.rate_estimate.session
         assert report.buffer.playout_start == pytest.approx(RateParams().delta_t)
 
-    def test_debug_payload_optional(self, mq):
-        labeled, _ = mq
-        report = profile(labeled.trace, include_debug=True)
-        assert report.rate_series is not None
-        assert report.bursts is not None
-        series = report.rate_series
-        assert [a.dtype for a in (series.rho, series.r_smooth, series.r_smooth_max,
-                                  series.flags)] == [np.float64] * 3 + [np.int8]
-
     def test_reports_compare_by_identity(self, mq):
         labeled, report = mq
-        again = profile(labeled.trace, include_debug=True)
-        assert report == report and again.rate_series == again.rate_series
+        again = profile(labeled.trace)
+        assert report == report
         assert report != again and report.buffer != again.buffer
         assert report.to_json() == again.to_json()
 
@@ -520,45 +531,38 @@ def slow_json(report, **kwargs) -> str:
     return json.dumps(report.to_dict(**kwargs), indent=2, sort_keys=True)
 
 
-def debug_dump(report) -> list:
-    """Everything a debug report holds, bit for bit: its JSON (with the buffer
-    samples as array bytes), the bursts, and the rate series (the bytes of the
-    four arrays the ``_rate.csv`` dump prints, and the events)."""
-    buffer, series = report.buffer, report.rate_series
-    samples = None if buffer is None else [buffer.times.tobytes(), buffer.levels.tobytes()]
-    rate = None if series is None else [
-        *(getattr(series, name).tobytes() for name in ("rho", "r_smooth", "r_smooth_max", "flags")),
-        series.flags.dtype, series.t0, series.delta_t, series.events]
-    return [slow_json(report, include_buffer_samples=False), samples,
-            report.bursts.tobytes(), rate]
+def retained_bursts(times, sizes, params: BurstParams) -> np.ndarray:
+    """The bursts ``profile()`` fuses, from the burst stage functions."""
+    times, sizes = np.asarray(times, dtype=np.float64), np.asarray(sizes, dtype=np.int64)
+    return classify(filter_small(segment(times, sizes, params), params), params)
 
 
-def assert_queries_match_prefixes(times, sizes, cuts=None, debug=True, **params):
+def rate_events(times, sizes, rate_params: RateParams, burst_params: BurstParams) -> list:
+    """The rate events ``profile()`` fuses when it runs the rate stages."""
+    return rate_mod.analyze(times, sizes, rate_params, burst_params.h_t).events
+
+
+def assert_queries_match_prefixes(times, sizes, cuts=None, **params):
     """Feed the packets one by one, query after each cut (by default after
-    every packet) and compare with ``profile()`` of the prefix. ``debug`` is
-    the ``include_debug`` flag of every query, or a list with one per cut: a
-    debug query is compared in everything it holds, another by its JSON. A
-    query with nothing fed since the last one with its flag must return that
+    every packet) and compare the report's JSON with ``profile()`` of the
+    prefix, and the profiler's retained bursts with the burst stages run on
+    the prefix. A query with nothing fed since the last one must return that
     same report."""
     cuts = range(len(times) + 1) if cuts is None else cuts
-    flags = [debug] * len(cuts) if isinstance(debug, bool) else debug
-    assert len(flags) == len(cuts)
-    prof, fed_so_far, last = StreamProfiler(flow=TEST_FLOW, **params), 0, {}
-    for cut, flag in zip(cuts, flags):
+    prof, fed_so_far, last = StreamProfiler(flow=TEST_FLOW, **params), 0, (None, None)
+    for cut in cuts:
         for k in range(fed_so_far, cut):
             prof.feed(float(times[k]), int(sizes[k]))
         fed_so_far = cut
-        live = prof.report(include_debug=flag)
-        if last.get(flag, (None,))[0] == cut:
-            assert live is last[flag][1], f"repeated query after {cut} packets"
+        live = prof.report()
+        if last[0] == cut:
+            assert live is last[1], f"repeated query after {cut} packets"
             continue
-        last[flag] = cut, live
-        batch = profile(flow_trace(times[:cut], sizes=sizes[:cut]), include_debug=flag, **params)
-        if flag:
-            assert debug_dump(live) == debug_dump(batch), f"query after {cut} packets"
-        else:
-            assert live.rate_series is None and live.bursts is None
-            assert live.to_json() == batch.to_json(), f"query after {cut} packets"
+        last = cut, live
+        prefix = flow_trace(times[:cut], sizes=sizes[:cut])
+        assert live.to_json() == profile(prefix, **params).to_json(), f"query after {cut} packets"
+        assert prof._bursts.tobytes() == retained_bursts(
+            prefix.times, prefix.sizes, prof.burst_params).tobytes(), f"bursts after {cut} packets"
 
 
 def fed(packets, flow=TEST_FLOW) -> StreamProfiler:
@@ -597,12 +601,12 @@ class TestLiveStorage:
         prof = fed(packets[:n_before])
         before = prof.trace()
         times, sizes = before.times.copy(), before.sizes.copy()
-        report = prof.report(include_debug=True)
-        text, burst_bytes = report.to_json(), report.bursts.tobytes()
+        report = prof.report()
+        text = report.to_json()
         for t, s in packets[n_before:]:
             prof.feed(t, s)
         assert np.array_equal(before.times, times) and np.array_equal(before.sizes, sizes)
-        assert report.to_json() == text and report.bursts.tobytes() == burst_bytes
+        assert report.to_json() == text
         assert prof.n_packets == len(packets)
         assert np.array_equal(prof.trace().times, [t for t, _ in packets])
         assert np.array_equal(prof.trace().sizes, [s for _, s in packets])
@@ -661,36 +665,13 @@ class TestLiveStorage:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), packets=PACKETS, offset=OFFSETS, h_n=st.integers(1, 4),
            a=st.sampled_from([0.02, 1.0]))
-    def test_queries_with_any_debug_flags_equal_profile_of_prefix(self, data, packets, offset,
-                                                                  h_n, a):
+    def test_repeated_queries_equal_profile_of_prefix(self, data, packets, offset, h_n, a):
         gaps, sizes = zip(*packets)
         times = offset + np.cumsum((0.0,) + gaps[1:])
         # repeated cuts query again with no packet fed in between
         cuts = sorted(data.draw(st.lists(st.integers(0, len(times)), max_size=12))) + [len(times)]
-        flags = data.draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
-        assert_queries_match_prefixes(times, sizes, cuts, debug=flags,
-                                      rate_params=RateParams(a=a),
+        assert_queries_match_prefixes(times, sizes, cuts, rate_params=RateParams(a=a),
                                       burst_params=BurstParams(h_n=h_n))
-
-    def test_debug_arrays_are_read_only(self):
-        trace = generate(scenario_spec("MQ", seed=6)).trace
-        times, sizes = trace.times.tolist(), trace.sizes.tolist()
-        half = len(times) // 2
-        prof = fed(zip(times[:half], sizes[:half]))
-        report = prof.report(include_debug=True)
-        series = report.rate_series
-        for column in (report.bursts, report.bursts["klass"], series.rho, series.r_smooth,
-                       series.r_smooth_max, series.flags):
-            assert not column.flags.writeable
-            with pytest.raises(ValueError):
-                column[-3:] = 0
-        series.events.clear()  # a copy of the profiler's list
-        for t, s in zip(times[half:], sizes[half:]):
-            prof.feed(t, s)
-        whole = flow_trace(trace.times, sizes=trace.sizes)
-        assert prof.report().to_json() == profile(whole).to_json()
-        assert debug_dump(prof.report(include_debug=True)) == debug_dump(
-            profile(whole, include_debug=True))
 
 
 def _targeted_flows():
@@ -748,22 +729,21 @@ class TestLiveTargeted:
                              [case[1:] for case in _targeted_flows()],
                              ids=[case[0] for case in _targeted_flows()])
     def test_query_after_every_packet(self, times, sizes, params):
-        times = np.asarray(times, dtype=np.float64)
-        # plain queries defer the rate method, debug queries make it catch up
-        for debug in (True, False, [k % 2 == 1 for k in range(len(times) + 1)]):
-            assert_queries_match_prefixes(times, sizes, debug=debug, **params)
+        assert_queries_match_prefixes(np.asarray(times, dtype=np.float64), sizes, **params)
 
     def test_steady_candidate_appears_before_its_decrease_is_final(self):
         times, sizes, _ = next(case[1:] for case in _targeted_flows()
                                if case[0] == "steady candidate before its decrease is final")
         dt, tolerance = RateParams().delta_t, FusionParams().match_tolerance
+        bp = BurstParams()
         for n in range(1, len(times) + 1):
-            report = profile(flow_trace(times[:n], sizes=sizes[:n]), include_debug=True)
-            steady = [c for c in confirm_steady(report.bursts, BurstParams()) if c.kind == STEADY]
+            steady = [c for c in confirm_steady(retained_bursts(times[:n], sizes[:n], bp), bp)
+                      if c.kind == STEADY]
             if steady:
                 break
         horizon = times[0] + np.floor((times[n - 1] - times[0]) / dt) * dt
-        confirming = [ev for ev in report.rate_series.events if ev.direction == DECREASE
+        events = rate_events(times[:n], sizes[:n], RateParams(), bp)
+        confirming = [ev for ev in events if ev.direction == DECREASE
                       and abs(ev.time - steady[0].t_start) <= tolerance]
         assert confirming and all(ev.time >= horizon for ev in confirming)
         whole = profile(flow_trace(times, sizes=sizes))
@@ -772,9 +752,9 @@ class TestLiveTargeted:
 
     def test_tail_bins_hold_events_of_their_own(self):
         times, sizes, params = _targeted_flows()[4][1:]
-        report = profile(flow_trace(times[:11], sizes=sizes[:11]), include_debug=True, **params)
+        events = rate_events(times[:11], sizes[:11], params["rate_params"], BurstParams())
         last_bin = int(np.floor((times[10] - times[0]) / RateParams().delta_t)) + 1
-        assert any(ev.bin_index > last_bin for ev in report.rate_series.events)
+        assert any(ev.bin_index > last_bin for ev in events)
 
     @pytest.mark.parametrize("preset", ["MQ", "QC", "AQ", "bulk"])
     def test_preset_queried_every_2s_matches_profile(self, preset):
@@ -782,9 +762,7 @@ class TestLiveTargeted:
             trace = generate_bulk(60.0, 1e6, seed=1).trace
         else:
             trace = generate(scenario_spec(preset, seed=4)).trace
-        cuts = _cuts_every(trace, 2.0)
-        for debug in (True, [k % 10 == 9 for k in range(len(cuts))]):
-            assert_queries_match_prefixes(trace.times, trace.sizes, cuts, debug=debug)
+        assert_queries_match_prefixes(trace.times, trace.sizes, _cuts_every(trace, 2.0))
 
 
 def count_packets(monkeypatch, module, name: str) -> list:
@@ -846,15 +824,17 @@ class TestDeferredRate:
             previous = report
         assert 1 <= binned <= 10
 
-    def test_profile_bins_a_flow_without_candidates_only_for_debug(self, monkeypatch):
+    def test_profile_bins_a_flow_without_candidates_only_for_debug(self, monkeypatch,
+                                                                      tmp_path):
         trace = flow_trace([0.0, 0.5, 3.0, 9.0, 9.2], sizes=[1500] * 5)
+        assert confirm_steady(retained_bursts(trace.times, trace.sizes, BurstParams()),
+                              BurstParams()) == []
         calls = count_packets(monkeypatch, rate_mod, "aggregate")
         report = profile(trace)
-        assert calls == [] and report.rate_series is None
-        debug = profile(trace, include_debug=True)
-        assert calls == [5] and len(debug.rate_series) > 0
-        assert confirm_steady(debug.bursts, BurstParams()) == []
-        assert debug.to_json() == report.to_json()
+        assert calls == []
+        # the rate dump of ``analyze --debug`` bins it
+        _write_debug_csvs(report, trace, Config(), tmp_path / "flow")
+        assert calls == [5]
 
     @settings(max_examples=60, deadline=None)
     @given(packets=st.lists(st.tuples(st.sampled_from(GAPS), st.integers(1, 70_000)),
@@ -871,9 +851,10 @@ class TestDeferredRate:
             for d in decide(prof._candidates, prof._events, prof.fusion_params, prof._horizon):
                 if d.settled:
                     settled.setdefault(d.candidate, d.confirmed)
-            batch = profile(flow_trace(times[:n], sizes=sizes[:n]), include_debug=True, **params)
-            for d in decide(confirm_steady(batch.bursts, params["burst_params"]),
-                            batch.rate_series.events, FusionParams()):
+            bp = params["burst_params"]
+            for d in decide(confirm_steady(retained_bursts(times[:n], sizes[:n], bp), bp),
+                            rate_events(times[:n], sizes[:n], params["rate_params"], bp),
+                            FusionParams()):
                 assert settled.get(d.candidate, d.confirmed) == d.confirmed
 
 

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from streamprofiler import RateParams, aggregate, detect_changes, profile, smooth
+from streamprofiler import RateParams, aggregate, detect_changes, smooth
+from streamprofiler.rate import analyze
 from streamprofiler.rate import DECREASE, INCREASE
 from conftest import UNUSABLE_TIMES, columns, flow_trace, random_trace, reference_aggregate
 
@@ -144,12 +145,12 @@ class TestSmooth:
         assert out == pytest.approx(rho, rel=1e-12)
 
     def test_step_response_closed_form(self):
-        # with an explicit zero seed, the response to a constant level x is
+        # after a leading zero bin, the response to a constant level x is
         # x * (1 - (1-a)^n); cross-check against a hand-unrolled recursion
         params = RateParams(a=0.02)
         x = 5.0e5
         n = 200
-        out = smooth(np.full(n, x), params, seed=0.0)
+        out = smooth(np.concatenate([[0.0], np.full(n, x)]), params)[1:]
         closed = x * (1.0 - (1.0 - params.a) ** np.arange(1, n + 1))
         assert out == pytest.approx(closed, rel=1e-9)
         prev = 0.0
@@ -157,31 +158,11 @@ class TestSmooth:
             prev = (1 - params.a) * prev + params.a * x
             assert value == pytest.approx(prev, rel=1e-12)
 
-    def test_explicit_seed_first_step(self):
-        params = RateParams(a=0.1)
-        out = smooth(np.array([100.0]), params, seed=50.0)
-        assert out[0] == pytest.approx(0.9 * 50.0 + 0.1 * 100.0)
-
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, st.integers(1, 80), elements=rates))
     def test_contraction(self, rho):
         out = smooth(rho, RateParams())
         assert np.max(np.abs(out)) <= max(rho[0], np.max(rho)) + 1e-9
-
-
-    @settings(max_examples=100, deadline=None)
-    @given(rho=arrays(np.float64, st.integers(1, 200), elements=rates),
-           cuts=st.lists(st.integers(0, 200), max_size=6),
-           a=st.sampled_from([0.02, 0.3, 1.0]))
-    def test_resumed_from_last_value_is_bit_exact(self, rho, cuts, a):
-        params = RateParams(a=a)
-        pieces, start, seed = [], 0, None
-        for cut in sorted(c for c in cuts if c < len(rho)) + [len(rho)]:
-            out = smooth(rho[start:cut], params, seed=seed)
-            if len(out):
-                pieces.append(out)
-                seed, start = out[-1], cut
-        assert np.concatenate(pieces).tobytes() == smooth(rho, params).tobytes()
 
 
 class TestDetectChanges:
@@ -267,14 +248,29 @@ class TestDetectChanges:
 class TestAnalyze:
     def test_running_max_matches_brute_force(self, rate_params):
         trace = random_trace(seed=21, duration=8.0)
-        series = profile(trace, rate_params=rate_params, include_debug=True).rate_series
+        series = analyze(trace.times, trace.sizes, rate_params)
         brute = np.array([series.r_smooth[: i + 1].max() for i in range(len(series))])
         assert np.array_equal(series.r_smooth_max, brute)
         assert np.all(np.diff(series.r_smooth_max) >= 0)
 
     def test_event_times_are_bin_starts(self, rate_params):
         trace = flow_trace([10.0, 10.01, 10.02], sizes=[1000, 1000, 1000])
-        series = profile(trace, rate_params=rate_params, include_debug=True).rate_series
+        series = analyze(trace.times, trace.sizes, rate_params)
         assert series.events[0].bin_index == 1
         assert series.events[0].time == 10.0
         assert series.t0 + (3 - 1) * series.delta_t == pytest.approx(10.2)
+
+    def test_runs_the_three_stages(self, rate_params):
+        trace = random_trace(seed=5, duration=4.0)
+        series = analyze(trace.times, trace.sizes, rate_params, tail=1.5)
+        rho = aggregate(trace.times, trace.sizes, rate_params, tail=1.5)
+        flags, events = detect_changes(smooth(rho, rate_params), rate_params)
+        assert series.rho.tobytes() == rho.tobytes()
+        assert series.r_smooth.tobytes() == smooth(rho, rate_params).tobytes()
+        assert series.flags.tobytes() == flags.tobytes()
+        assert [(ev.bin_index, ev.direction) for ev in series.events] == events
+        assert (series.t0, series.delta_t) == (trace.t_start, rate_params.delta_t)
+
+    def test_empty_flow(self, rate_params):
+        series = analyze([], [], rate_params, tail=1.5)
+        assert len(series) == 0 and series.events == [] and series.t0 == 0.0
