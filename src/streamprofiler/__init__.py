@@ -56,6 +56,6 @@ from .trace import (
     write_labels,
     write_trace,
 )
-from .evaluate import ConfusionMatrix, SpanMismatchError, confusion, nrmse, run_scenario
+from .evaluate import ConfusionMatrix, SpanMismatchError, confusion, nrmse, run_scenario, score_run
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ since multi-phase scenarios have distinct first and second steady rates).
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -160,9 +161,36 @@ def steady_rate_pairs(report: ProfileReport, spec: ScenarioSpec) -> list[tuple[i
     return pairs
 
 
+def score_run(report: ProfileReport, labeled: LabeledTrace, spec: ScenarioSpec | None,
+              params: FusionParams) -> dict:
+    """Score one profiled run against its ground truth.
+
+    Every record holds ``phase_counts`` and ``is_video_stream``. A video run
+    also holds its ``confusion``, the two multi-phase checks and
+    ``rate_pairs_Bps``; ``spec is None`` marks a bulk run, which has none.
+    """
+    record = {"phase_counts": phase_counts(report.segments),
+              "is_video_stream": report.verdict.is_video_stream}
+    if spec is None:
+        return record
+    return {**record,
+            "confusion": confusion(report.segments, labeled.labels),
+            "quality_change_detected": quality_change_detected(report.segments),
+            "throttle_window_detected": throttle_window_detected(
+                report.segments, labeled.labels, params.match_tolerance),
+            "rate_pairs_Bps": [[o, est, true] for o, est, true in steady_rate_pairs(report, spec)]}
+
+
 # -- batch harness -----------------------------------------------------------
 
 BULK_SCENARIO = "bulk"
+
+# ``per_run`` keeps these fields of each run record, and each ``checks`` count
+# is the number of records whose field of that name is true
+PER_RUN_FIELDS = ("seed", "phase_counts", "is_video_stream", "rate_pairs_Bps")
+_CHECK_FIELDS = {"video_detected_runs": "is_video_stream",
+                 "exact_two_filling_two_steady_runs": "quality_change_detected",
+                 "throttle_window_and_refill_runs": "throttle_window_detected"}
 
 
 def run_scenario(scenario: str, n_runs: int,
@@ -171,59 +199,36 @@ def run_scenario(scenario: str, n_runs: int,
                  fusion_params: FusionParams | None = None,
                  gen_defaults: GeneratorDefaults | None = None,
                  base_seed: int = 0) -> dict:
-    """Generate, profile, and score ``n_runs`` sessions of one scenario.
+    """Generate, profile and score ``n_runs`` sessions of one scenario.
 
     Seeds are ``base_seed + i``, so reports are reproducible bit for bit.
-    Returns an aggregate report: time-weighted confusion, NRMSE per steady
-    phase ordinal, empirical CDF points of estimated and true rates, and
-    per-run detection checks.
+    Each run is scored by ``score_run``; this function only aggregates the
+    records: time-weighted confusion summed in run order, NRMSE per steady
+    phase ordinal, empirical CDF points of estimated and true rates, the
+    per-run check counts and each record's ``PER_RUN_FIELDS``.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    rp = rate_params or RateParams()
-    bp = burst_params or BurstParams()
+    if isinstance(n_runs, bool) or not isinstance(n_runs, numbers.Integral) or n_runs < 1:
+        raise ValueError(f"n_runs must be an integer >= 1, got {n_runs!r}")
     fp = fusion_params or FusionParams()
     gd = gen_defaults or GeneratorDefaults()
 
     started = time.perf_counter()
-    cm = ConfusionMatrix()
+    records = []
+    for seed in range(base_seed, base_seed + n_runs):
+        spec = None if scenario == BULK_SCENARIO else scenario_spec(scenario, seed, gd)
+        labeled = generate(spec) if spec else generate_bulk(packet_size=gd.packet_size, seed=seed)
+        report = profile(labeled.trace, rate_params, burst_params, fp)
+        records.append({"seed": seed, **score_run(report, labeled, spec, fp)})
+
+    cm = ConfusionMatrix(sum((r["confusion"].seconds for r in records if "confusion" in r),
+                             np.zeros((3, 3))))
     pairs_by_ordinal: dict[int, list[tuple[float, float]]] = {}
-    video_detected = 0
-    qc_ok = 0
-    aq_ok = 0
-    per_run = []
-
-    for i in range(n_runs):
-        seed = base_seed + i
-        if scenario == BULK_SCENARIO:
-            labeled = generate_bulk(packet_size=gd.packet_size, seed=seed)
-            spec = None
-        else:
-            spec = scenario_spec(scenario, seed=seed, defaults=gd)
-            labeled = generate(spec)
-        report = profile(labeled.trace, rp, bp, fp)
-
-        counts = phase_counts(report.segments)
-        run_info = {"seed": seed, "phase_counts": counts,
-                    "is_video_stream": report.verdict.is_video_stream}
-        if report.verdict.is_video_stream:
-            video_detected += 1
-        if spec is not None:
-            cm.add(report.segments, labeled.labels)
-            if quality_change_detected(report.segments):
-                qc_ok += 1
-            if throttle_window_detected(report.segments, labeled.labels, fp.match_tolerance):
-                aq_ok += 1
-            run_pairs = steady_rate_pairs(report, spec)
-            run_info["rate_pairs_Bps"] = [[o, est, true] for o, est, true in run_pairs]
-            for ordinal, est, true in run_pairs:
-                pairs_by_ordinal.setdefault(ordinal, []).append((est, true))
-        per_run.append(run_info)
-
+    for ordinal, est, true in (p for r in records for p in r.get("rate_pairs_Bps", ())):
+        pairs_by_ordinal.setdefault(ordinal, []).append((est, true))
     all_pairs = [p for pairs in pairs_by_ordinal.values() for p in pairs]
     nrmse_per_phase = {str(o + 1): nrmse(pairs_by_ordinal[o])
                        for o in sorted(pairs_by_ordinal)}
-    report_dict = {
+    return {
         "scenario": scenario,
         "runs": n_runs,
         "base_seed": base_seed,
@@ -238,14 +243,10 @@ def run_scenario(scenario: str, n_runs: int,
             "per_steady_phase": nrmse_per_phase,
         },
         "rate_cdf": _cdf_points(pairs_by_ordinal),
-        "checks": {
-            "video_detected_runs": video_detected,
-            "exact_two_filling_two_steady_runs": qc_ok,
-            "throttle_window_and_refill_runs": aq_ok,
-        },
-        "per_run": per_run,
+        "checks": {name: sum(r.get(key, False) for r in records)
+                   for name, key in _CHECK_FIELDS.items()},
+        "per_run": [{k: r[k] for k in PER_RUN_FIELDS if k in r} for r in records],
     }
-    return report_dict
 
 
 def _cdf_points(pairs_by_ordinal: dict[int, list[tuple[float, float]]]) -> dict:

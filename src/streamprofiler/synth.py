@@ -69,6 +69,13 @@ def _check_whole(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_seed(value, name: str) -> None:
+    """Reject a seed numpy cannot take: not a whole number, or negative."""
+    _check_whole(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Complete description of one synthetic session.
@@ -117,7 +124,7 @@ class ScenarioSpec:
             if not math.isfinite(value):  # an infinite or NaN video never ends
                 raise ValueError(f"{name} must be finite, got {value}")
         _check_whole(self.packet_size, "packet_size")
-        _check_whole(self.rng_seed, "rng_seed")
+        _check_seed(self.rng_seed, "rng_seed")
         if self.packet_size < 1:
             raise ValueError(f"packet_size must be >= 1, got {self.packet_size}")
         if not 0 < self.throttle_quality_fraction <= 1:
@@ -167,7 +174,8 @@ def scenario_spec(name: str, seed: int = 0,
     """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; presets are {', '.join(SCENARIOS)}")
-    rng = np.random.default_rng([seed, 0xA5])
+    _check_seed(seed, "seed")
+    rng = np.random.default_rng([int(seed), 0xA5])
     epoch = float(rng.uniform(*CHANGE_WINDOW))
     rates: tuple[tuple[float, float], ...]
     windows: tuple[tuple[float, float, float], ...] = ()
@@ -370,7 +378,7 @@ def generate_bulk(duration: float = 60.0, rate: float = 1e6,
     the ``bulk`` preset: 60 s at 1 MB/s.
     """
     _check_whole(packet_size, "packet_size")
-    _check_whole(seed, "seed")
+    _check_seed(seed, "seed")
     for value, name in ((duration, "duration"), (rate, "rate")):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")

@@ -157,11 +157,6 @@ class Trace:
     def total_bytes(self) -> int:
         return int(self.sizes.sum())
 
-    def shifted(self, offset: float) -> "Trace":
-        """Same trace with every arrival time moved by ``offset`` seconds."""
-        return Trace(self.times + offset, self.sizes.copy(), self.flow_ids.copy(),
-                     list(self.flows))
-
 
 # -- operations -----------------------------------------------------------
 

@@ -179,7 +179,8 @@ class TestPropertySuite:
         labeled = generate(scenario_spec("MQ", seed=13))
         offset = 1024.5
         base = profile(labeled.trace).segments
-        moved = profile(labeled.trace.shifted(offset)).segments
+        moved = profile(flow_trace(labeled.trace.times + offset,
+                                   sizes=labeled.trace.sizes)).segments
         ok = (len(base) == len(moved)
               and all(m.t_start == b.t_start + offset and m.t_end == b.t_end + offset
                       and m.phase == b.phase for b, m in zip(base, moved)))

@@ -75,6 +75,18 @@ def test_worse_inside_bound_and_other_digest_exit_0(tmp_path, capsys):
     assert code == 0 and not summary["workloads"]["live_monitor"]["output_sha256_equal"]
 
 
+@pytest.mark.parametrize("change_wall, unresolved", [([2.0, 1.0, 5.0, 4.0, 3.0], True),
+                                                     ([0.9, 0.8, 0.7, 0.6, 0.5], False)])
+def test_wide_parent_spread_is_unresolved(tmp_path, capsys, change_wall, unresolved):
+    # the parent's quartiles are 2.0 and 4.0, a spread wider than 0.25 x its median 3.0
+    parent = [record(seed, wall_s=w) for seed, w in enumerate([1.0, 2.0, 3.0, 4.0, 5.0])]
+    change = [record(seed, wall_s=w) for seed, w in enumerate(change_wall)]
+    code, summary, _ = run(tmp_path, parent, change, capsys)
+    metrics = summary["workloads"]["live_monitor"]["metrics"]
+    assert code == 0 and metrics["wall_s"]["unresolved"] is unresolved
+    assert not any(v["unresolved"] for m, v in metrics.items() if m != "wall_s")
+
+
 def test_incorrect_record_exits_1(tmp_path, capsys):
     parent = [record(0), record(1, correct=False)]
     code, summary, _ = run(tmp_path, parent, [record(0), record(1)], capsys)

@@ -147,6 +147,7 @@ class TestGenerate:
         ("encode_rates", [[0.0, 80750.0], [0.0, 168250.0]], "must strictly increase"),
         ("encode_rates", [[0.0, 80750.0], [float("nan"), 168250.0]],
          "encode_rates must be finite"),
+        ("rng_seed", -3, "rng_seed must be >= 0"),
     ])
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, field, value, message):
         spec = {"encode_rates": [[0.0, 80750.0]], "segment_duration": 5.0,
@@ -157,6 +158,12 @@ class TestGenerate:
         assert run(["generate", "--spec", spec_path, "--out", tmp_path / "c"]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["generate", "MQ"], ["evaluate", "MQ", "--runs", 1]])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        assert run([*argv, "--seed", -1, "--out", tmp_path / "x"]) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_non_object_spec_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

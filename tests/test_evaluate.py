@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from streamprofiler import PhaseSegment, PhaseSpan, confusion, nrmse
+from streamprofiler import (FusionParams, PhaseSegment, PhaseSpan, confusion, generate,
+                            generate_bulk, nrmse, profile, scenario_spec, score_run)
 from streamprofiler.evaluate import (
     SpanMismatchError,
     check_report,
@@ -10,6 +11,7 @@ from streamprofiler.evaluate import (
     run_scenario,
     throttle_window_detected,
 )
+from streamprofiler.synth import MEDIUM_RATE
 from streamprofiler.trace import FILLING, OTHER, PHASES, STEADY
 
 
@@ -139,11 +141,12 @@ class TestBatch:
     def test_bulk_batch_has_no_confusion(self):
         report = run_scenario("bulk", 3)
         assert report["confusion"] is None
-        assert report["checks"]["video_detected_runs"] == 0
+        assert set(report["checks"].values()) == {0}
 
     def test_runs_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_scenario("MQ", 0)
+        for n_runs in (0, -1, True, 2.0, "2"):
+            with pytest.raises(ValueError, match="n_runs"):
+                run_scenario("MQ", n_runs)
 
     def test_check_report_flags_violations(self):
         report = run_scenario("MQ", 2, base_seed=3)
@@ -151,3 +154,53 @@ class TestBatch:
         strict = {"min_diagonal_percent": 100.0}
         violations = check_report(report, strict)
         assert violations and "steady_state" in violations[0]
+
+
+def scored(scenario, seed):
+    """``score_run``'s record of one seeded run, generated as ``run_scenario`` does."""
+    params = FusionParams()
+    if scenario == "bulk":
+        labeled, spec = generate_bulk(seed=seed), None
+    else:
+        spec = scenario_spec(scenario, seed=seed)
+        labeled = generate(spec)
+    return score_run(profile(labeled.trace, fusion_params=params), labeled, spec, params)
+
+
+class TestScoreRun:
+    def test_bulk_record_has_no_confusion_checks_or_rates(self):
+        record = scored("bulk", 0)
+        assert set(record) == {"phase_counts", "is_video_stream"}
+        assert record["is_video_stream"] is False
+
+    def test_aq_run_passes_both_checks_with_a_pair_per_steady_segment(self):
+        record = scored("AQ", 1)
+        assert record["quality_change_detected"] is True
+        assert record["throttle_window_detected"] is True
+        n_steady = record["phase_counts"][STEADY]
+        assert [o for o, _, _ in record["rate_pairs_Bps"]] == list(range(n_steady))
+        assert all(true == MEDIUM_RATE for _, _, true in record["rate_pairs_Bps"])
+
+    def test_mq_run_has_no_throttle_window(self):
+        record = scored("MQ", 1)
+        assert record["throttle_window_detected"] is False
+        assert record["quality_change_detected"] is False
+        assert record["confusion"].diagonal_percent(STEADY) > 90.0
+
+    @pytest.mark.parametrize("scenario", ["MQ", "QC", "AQ", "bulk"])
+    def test_run_scenario_folds_the_records(self, scenario):
+        report = run_scenario(scenario, 3, base_seed=7)
+        records = [scored(scenario, seed) for seed in range(7, 10)]
+        assert report["checks"] == {
+            "video_detected_runs": sum(r["is_video_stream"] for r in records),
+            "exact_two_filling_two_steady_runs":
+                sum(r.get("quality_change_detected", False) for r in records),
+            "throttle_window_and_refill_runs":
+                sum(r.get("throttle_window_detected", False) for r in records),
+        }
+        kept = ("phase_counts", "is_video_stream", "rate_pairs_Bps")
+        assert report["per_run"] == [{"seed": seed, **{k: r[k] for k in kept if k in r}}
+                                     for seed, r in zip(range(7, 10), records)]
+        if scenario != "bulk":
+            summed = sum(r["confusion"].seconds for r in records)
+            assert report["confusion"]["seconds"] == summed.tolist()

@@ -299,7 +299,8 @@ class TestProfile:
     def test_time_shift_invariance(self, mq):
         labeled, report = mq
         offset = 4096.25
-        shifted_report = profile(labeled.trace.shifted(offset))
+        shifted_report = profile(flow_trace(labeled.trace.times + offset,
+                                            sizes=labeled.trace.sizes))
         assert len(shifted_report.segments) == len(report.segments)
         for a, b in zip(report.segments, shifted_report.segments):
             assert b.phase == a.phase

@@ -490,6 +490,15 @@ class TestSpecInputs:
         with pytest.raises(ValueError, match="must be an integer"):
             generate_bulk(10.0, 5e5, **kwargs)
 
+    @pytest.mark.parametrize("make, kwargs, field", [
+        (ScenarioSpec, {**SPEC, "rng_seed": -3}, "rng_seed"),
+        (scenario_spec, {"name": "MQ", "seed": -1}, "seed"),
+        (generate_bulk, {"seed": -1}, "seed"),
+    ])
+    def test_negative_seed_names_field(self, make, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -"):
+            make(**kwargs)
+
     @pytest.mark.parametrize("field", ["duration", "rate"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_bulk_rejects_non_finite(self, field, value):
@@ -502,6 +511,7 @@ class TestSpecInputs:
                                             "rng_seed": np.int64(0)}))
         assert np.array_equal(as_int.trace.times, as_float.trace.times)
         assert np.array_equal(as_int.trace.sizes, as_float.trace.sizes)
+        assert scenario_spec("QC", seed=3.0) == scenario_spec("QC", seed=3)
 
 
 class TestBulk:

@@ -6,6 +6,9 @@ Reads the ``*-trace0.json`` records of ``perfbench/run.py`` and pairs them by
 workload and seed. Per workload and ``BENCHMARK.json`` end-to-end metric: the
 parent's median and quartiles, the change's median, the pairs the change won
 (ties count for neither) and whether it is worse beyond the metric's ``bound``.
+A metric is ``unresolved`` when the parent's interquartile spread exceeds
+``bound`` times its median, unless every change run is better than every
+parent run: its runs spread too widely to call it unchanged.
 Exits 1 on a record not ``correct`` or a metric worse beyond its bound.
 """
 
@@ -40,7 +43,8 @@ def summarise(parent: dict, change: dict, end_to_end: list) -> dict:
                 "parent_median": sign * pm, "parent_quartiles": sorted((sign * p1, sign * p3)),
                 "change_median": sign * cm, "change_won": sum(b < a for a, b in zip(p, c)),
                 "pairs": len(both), "bound": m["bound"],
-                "worse_beyond_bound": cm - pm > m["bound"] * abs(pm)}
+                "worse_beyond_bound": cm - pm > m["bound"] * abs(pm),
+                "unresolved": p3 - p1 > m["bound"] * abs(pm) and not max(c) < min(p)}
         workloads[name] = {
             "seeds": [seed for w, seed in pairs if w == name],
             "output_sha256_equal": all(a["output_sha256"] == b["output_sha256"] for a, b in both),
