@@ -10,7 +10,7 @@ since multi-phase scenarios have distinct first and second steady rates).
 
 from __future__ import annotations
 
-import numbers
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -207,7 +207,8 @@ def run_scenario(scenario: str, n_runs: int,
     phase ordinal, empirical CDF points of estimated and true rates, the
     per-run check counts and each record's ``PER_RUN_FIELDS``.
     """
-    if isinstance(n_runs, bool) or not isinstance(n_runs, numbers.Integral) or n_runs < 1:
+    n_runs, base_seed = _integer("n_runs", n_runs), _integer("base_seed", base_seed)
+    if n_runs < 1:
         raise ValueError(f"n_runs must be an integer >= 1, got {n_runs!r}")
     fp = fusion_params or FusionParams()
     gd = gen_defaults or GeneratorDefaults()
@@ -247,6 +248,17 @@ def run_scenario(scenario: str, n_runs: int,
                    for name, key in _CHECK_FIELDS.items()},
         "per_run": [{k: r[k] for k in PER_RUN_FIELDS if k in r} for r in records],
     }
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python ``int`` (numpy integers too); ``ValueError`` naming
+    ``name`` for a bool or a non-integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _cdf_points(pairs_by_ordinal: dict[int, list[tuple[float, float]]]) -> dict:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,18 @@ class TestBatch:
         for n_runs in (0, -1, True, 2.0, "2"):
             with pytest.raises(ValueError, match="n_runs"):
                 run_scenario("MQ", n_runs)
+
+    def test_numpy_integer_arguments_give_a_json_report(self):
+        report = run_scenario("MQ", np.int64(1), base_seed=np.int64(2))
+        plain = run_scenario("MQ", 1, base_seed=2)
+        for r in (report, plain):
+            del r["elapsed_s"]
+        assert json.dumps(report) == json.dumps(plain)
+
+    def test_base_seed_must_be_an_integer(self):
+        for base_seed in (2.0, "2", None, True):
+            with pytest.raises(ValueError, match="base_seed"):
+                run_scenario("MQ", 1, base_seed=base_seed)
 
     def test_check_report_flags_violations(self):
         report = run_scenario("MQ", 2, base_seed=3)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import streamprofiler
 from streamprofiler import RateParams, aggregate, detect_changes, smooth
 from streamprofiler.rate import analyze
 from streamprofiler.rate import DECREASE, INCREASE
@@ -14,6 +19,31 @@ from conftest import UNUSABLE_TIMES, columns, flow_trace, random_trace, referenc
 rates = st.floats(min_value=0, max_value=1e7, allow_nan=False, allow_infinity=False)
 # (value, run length) pairs: zero runs and plateaus of equal values
 value_runs = st.lists(st.tuples(st.one_of(st.just(0.0), rates), st.integers(1, 6)), max_size=40)
+attenuations = st.one_of(st.just(RateParams().a), st.just(1.0),
+                         st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+
+
+def runs_of(pairs):
+    """The series of (value, run length) pairs, each value repeated for its run."""
+    return np.array([v for v, n in pairs for _ in range(n)], dtype=np.float64)
+
+
+# non-negative rates in runs: empty runs up to a few hundred bins, as between the
+# bursts of a steady phase, and plateaus of one rate
+rate_runs = st.lists(st.one_of(st.tuples(st.just(0.0), st.integers(1, 400)),
+                               st.tuples(rates, st.integers(1, 6))), max_size=30).map(runs_of)
+finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
+signed_runs = st.lists(st.tuples(st.one_of(st.just(0.0), st.just(-0.0), finite),
+                                 st.integers(1, 60)), max_size=30).map(runs_of)
+
+
+def lfilter_smooth(rho, a):
+    """The filter as ``scipy.signal.lfilter``, seeded with ``(1-a)*rho[0]``: the
+    oracle ``smooth`` reproduces."""
+    lfilter = pytest.importorskip("scipy.signal").lfilter
+    if rho.size == 0:
+        return np.zeros(0)
+    return lfilter([a], [1.0, -(1.0 - a)], rho, zi=np.array([(1.0 - a) * rho[0]]))[0]
 
 
 def reference_detect_changes(r_smooth, params):
@@ -157,6 +187,49 @@ class TestSmooth:
         for value in out:
             prev = (1 - params.a) * prev + params.a * x
             assert value == pytest.approx(prev, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rate_runs, attenuations)
+    @example(np.zeros(0), 0.02)
+    @example(np.array([0.0]), 0.02)
+    @example(np.array([7.0, 0.0]), 0.02)
+    @example(np.array([0.0, 3.0, 0.0]), 0.02)
+    @example(np.array([5e-324, 0.0, 1e7]), 0.02)
+    @example(runs_of([(0.0, 50), (1.4e4, 3), (0.0, 5000), (2.0, 1), (0.0, 1), (9.9, 2), (0.0, 15)]), 0.02)
+    def test_matches_lfilter_bit_for_bit(self, rho, a):
+        # lengths 0-3, a zero first bin, long empty runs and a trailing one
+        out = smooth(rho, RateParams(a=a))
+        assert out.view(np.int64).tolist() == lfilter_smooth(rho, a).view(np.int64).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_runs, attenuations)
+    @example(np.array([-1e-300, 0.0, 0.0]), 0.5)
+    def test_matches_lfilter_value_for_value_on_any_finite_input(self, rho, a):
+        # after a -0.0 state an empty bin may read -0.0 where lfilter gives +0.0
+        assert np.array_equal(smooth(rho, RateParams(a=a)), lfilter_smooth(rho, a))
+
+    def test_one_long_run_among_short_ones(self):
+        # the first block of empty runs is capped at 4x the series' length and
+        # the long run carries on in wider blocks
+        rho = runs_of([(1.0, 1), *[(0.0, 1), (2.0, 1)] * 300, (0.0, 20000), (3.0, 2), (0.0, 9000)])
+        params = RateParams()
+        out = smooth(rho, params)
+        prev, expected = (1.0 - params.a) * rho[0], []
+        for x in rho.tolist():
+            prev = prev + params.a * x
+            expected.append(prev)
+            prev = (1.0 - params.a) * prev
+        assert out.tolist() == expected
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = ("import sys, streamprofiler, streamprofiler.cli, streamprofiler.evaluate; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(streamprofiler.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, st.integers(1, 80), elements=rates))
