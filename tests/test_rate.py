@@ -205,7 +205,7 @@ class TestSmooth:
     @given(signed_runs, attenuations)
     @example(np.array([-1e-300, 0.0, 0.0]), 0.5)
     def test_matches_lfilter_value_for_value_on_any_finite_input(self, rho, a):
-        # after a -0.0 state an empty bin may read -0.0 where lfilter gives +0.0
+        # an empty bin after a -0.0 may read -0.0 where lfilter gives +0.0
         assert np.array_equal(smooth(rho, RateParams(a=a)), lfilter_smooth(rho, a))
 
     def test_one_long_run_among_short_ones(self):
