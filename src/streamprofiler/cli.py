@@ -18,7 +18,7 @@ from . import rate as rate_mod
 from .bursts import BurstParams, classify, filter_small, segment
 from .profiler import UNIT_NOTE, FusionParams, ProfileReport, profile, to_kbps
 from .rate import RateParams
-from .synth import GeneratorDefaults, ScenarioSpec, SCENARIOS
+from .synth import GeneratorDefaults, ScenarioSpec
 from .trace import Trace, demux, load_trace, normalize, write_labels, write_trace
 
 
@@ -86,10 +86,10 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> Config:
-    cfg = Config.load(args.config) if getattr(args, "config", None) else Config()
+    cfg = Config.load(args.config) if args.config else Config()
     changes: dict[str, dict] = {}
     for name, (section, _) in _OVERRIDES.items():
-        value = getattr(args, name, None)
+        value = getattr(args, name, None)  # generate takes no override flags
         if value is not None:
             changes.setdefault(section, {})[name] = value
     return dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), **values)
@@ -173,13 +173,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     if args.spec:
         labeled = synth_mod.generate(_spec_from_file(args.spec, args.seed))
-    elif args.scenario == evaluate_mod.BULK_SCENARIO:
-        labeled = synth_mod.generate_bulk(packet_size=cfg.generator.packet_size,
-                                          seed=args.seed or 0)
     else:
-        spec = synth_mod.scenario_spec(args.scenario, seed=args.seed or 0,
-                                       defaults=cfg.generator)
-        labeled = synth_mod.generate(spec)
+        labeled, _ = evaluate_mod.build_preset(args.scenario, args.seed or 0, cfg.generator)
     trace_path = Path(f"{args.out}.csv")
     labels_path = Path(f"{args.out}_labels.csv")
     trace_path.parent.mkdir(parents=True, exist_ok=True)
@@ -290,18 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_generate = sub.add_parser("generate", help="write a synthetic labeled trace")
     p_generate.add_argument("scenario", nargs="?", default=None,
-                            help=f"preset name: {', '.join(SCENARIOS)} or bulk")
+                            help=f"preset name: {', '.join(evaluate_mod.PRESETS)}")
     p_generate.add_argument("--spec", help="scenario spec JSON instead of a preset")
     p_generate.add_argument("--seed", type=int,
                             help="generator seed (default: 0, or the spec file's rng_seed)")
     p_generate.add_argument("--out", required=True,
                             help="output prefix; writes <out>.csv and <out>_labels.csv")
-    _add_override_flags(p_generate)
+    p_generate.add_argument("--config", metavar="JSON",
+                            help="config file whose generator section the presets use")
     p_generate.set_defaults(func=cmd_generate)
 
     p_evaluate = sub.add_parser("evaluate", help="batch-score a scenario against ground truth")
-    p_evaluate.add_argument("scenario",
-                            help=f"preset name: {', '.join(SCENARIOS)} or bulk")
+    p_evaluate.add_argument("scenario", help=f"preset name: {', '.join(evaluate_mod.PRESETS)}")
     p_evaluate.add_argument("--runs", type=int, default=50, help="number of seeded runs")
     p_evaluate.add_argument("--seed", type=int, default=0, help="base seed")
     p_evaluate.add_argument("--out", help="directory for the JSON report and CDF CSVs")

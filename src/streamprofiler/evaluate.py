@@ -19,7 +19,8 @@ import numpy as np
 from .bursts import BurstParams
 from .profiler import UNIT_NOTE, FusionParams, PhaseSegment, ProfileReport, profile, to_kbps
 from .rate import RateParams
-from .synth import GeneratorDefaults, LabeledTrace, ScenarioSpec, generate, generate_bulk, scenario_spec
+from .synth import (SCENARIOS, GeneratorDefaults, LabeledTrace, ScenarioSpec, generate,
+                    generate_bulk, scenario_spec)
 from .trace import FILLING, OTHER, PHASES, STEADY, PhaseSpan
 
 _PHASE_INDEX = {phase: i for i, phase in enumerate(PHASES)}
@@ -151,14 +152,9 @@ def throttle_window_detected(segments: list[PhaseSegment], labels: list[PhaseSpa
 
 def steady_rate_pairs(report: ProfileReport, spec: ScenarioSpec) -> list[tuple[int, float, float]]:
     """(steady ordinal, estimated rate, true rate) for each identified steady segment."""
-    pairs = []
-    ordinal = 0
-    for idx, est in report.rate_estimate.per_steady:
-        seg = report.segments[idx]
-        true_rate = spec.rate_at((seg.t_start + seg.t_end) / 2.0)
-        pairs.append((ordinal, est, true_rate))
-        ordinal += 1
-    return pairs
+    segments = report.segments
+    return [(ordinal, est, spec.rate_at((segments[i].t_start + segments[i].t_end) / 2.0))
+            for ordinal, (i, est) in enumerate(report.rate_estimate.per_steady)]
 
 
 def score_run(report: ProfileReport, labeled: LabeledTrace, spec: ScenarioSpec | None,
@@ -184,6 +180,19 @@ def score_run(report: ProfileReport, labeled: LabeledTrace, spec: ScenarioSpec |
 # -- batch harness -----------------------------------------------------------
 
 BULK_SCENARIO = "bulk"
+PRESETS = (*SCENARIOS, BULK_SCENARIO)
+
+
+def build_preset(scenario: str, seed: int,
+                 defaults: GeneratorDefaults) -> tuple[LabeledTrace, ScenarioSpec | None]:
+    """One seeded session of a preset and its spec; the spec is ``None`` for bulk."""
+    if scenario not in PRESETS:
+        raise ValueError(f"unknown scenario {scenario!r}; presets are {', '.join(PRESETS)}")
+    if scenario == BULK_SCENARIO:
+        return generate_bulk(packet_size=defaults.packet_size, seed=seed), None
+    spec = scenario_spec(scenario, seed, defaults)
+    return generate(spec), spec
+
 
 # ``per_run`` keeps these fields of each run record, and each ``checks`` count
 # is the number of records whose field of that name is true
@@ -216,29 +225,25 @@ def run_scenario(scenario: str, n_runs: int,
     started = time.perf_counter()
     records = []
     for seed in range(base_seed, base_seed + n_runs):
-        spec = None if scenario == BULK_SCENARIO else scenario_spec(scenario, seed, gd)
-        labeled = generate(spec) if spec else generate_bulk(packet_size=gd.packet_size, seed=seed)
+        labeled, spec = build_preset(scenario, seed, gd)
         report = profile(labeled.trace, rate_params, burst_params, fp)
         records.append({"seed": seed, **score_run(report, labeled, spec, fp)})
 
-    cm = ConfusionMatrix(sum((r["confusion"].seconds for r in records if "confusion" in r),
-                             np.zeros((3, 3))))
+    confusions = [r["confusion"].seconds for r in records if "confusion" in r]  # none for bulk
+    cm = ConfusionMatrix(sum(confusions, np.zeros((3, 3)))) if confusions else None
     pairs_by_ordinal: dict[int, list[tuple[float, float]]] = {}
     for ordinal, est, true in (p for r in records for p in r.get("rate_pairs_Bps", ())):
         pairs_by_ordinal.setdefault(ordinal, []).append((est, true))
     all_pairs = [p for pairs in pairs_by_ordinal.values() for p in pairs]
-    nrmse_per_phase = {str(o + 1): nrmse(pairs_by_ordinal[o])
-                       for o in sorted(pairs_by_ordinal)}
+    nrmse_per_phase = {str(o + 1): nrmse(pairs_by_ordinal[o]) for o in sorted(pairs_by_ordinal)}
     return {
         "scenario": scenario,
         "runs": n_runs,
         "base_seed": base_seed,
         "elapsed_s": time.perf_counter() - started,
         "unit_note": UNIT_NOTE,
-        "confusion": cm.to_dict() if scenario != BULK_SCENARIO else None,
-        "confusion_diagonal_percent": (
-            {phase: cm.diagonal_percent(phase) for phase in PHASES}
-            if scenario != BULK_SCENARIO else None),
+        "confusion": cm and cm.to_dict(),
+        "confusion_diagonal_percent": cm and {p: cm.diagonal_percent(p) for p in PHASES},
         "nrmse": {
             "pooled": nrmse(all_pairs) if all_pairs else None,
             "per_steady_phase": nrmse_per_phase,
@@ -294,49 +299,42 @@ DEFAULT_THRESHOLDS: dict[str, dict[str, float]] = {
 }
 
 
+def _fraction(check: str):
+    return lambda r: [(None, r["checks"][check] / r["runs"])]
+
+
+# threshold -> (its report values as (phase, value) pairs, whether a None value fails,
+# message); a ``min_`` threshold bounds its values from below, a ``max_`` one from above
+_GATES = {
+    "min_diagonal_percent": (lambda r: [(p, r["confusion_diagonal_percent"][p]) for p in PHASES],
+                             False, "confusion diagonal for {phase} is {value:.2f}% < {limit}%"),
+    "max_nrmse": (lambda r: [(None, r["nrmse"]["pooled"])], True, "NRMSE {value} > {limit}"),
+    "max_nrmse_first_steady": (lambda r: [(None, r["nrmse"]["per_steady_phase"].get("1"))], True,
+                               "first steady phase NRMSE {value} > {limit}"),
+    "min_exact_two_two_fraction": (
+        _fraction("exact_two_filling_two_steady_runs"), False,
+        "two filling + two steady segments in {value:.2%} of runs < {limit:.2%}"),
+    "min_window_refill_fraction": (
+        _fraction("throttle_window_and_refill_runs"), False,
+        "throttle window + refill detected in {value:.2%} of runs < {limit:.2%}"),
+    "min_video_detected_fraction": (_fraction("video_detected_runs"), False,
+                                    "video stream detected in {value:.2%} of runs"),
+    "max_video_detected_fraction": (_fraction("video_detected_runs"), False,
+                                    "video stream falsely detected in {value:.2%} of bulk runs"),
+}
+
+
 def check_report(report: dict, thresholds: dict[str, float] | None = None) -> list[str]:
-    """Compare an aggregate report against its thresholds; returns violations."""
+    """Violated gates of an aggregate report; a threshold not in ``_GATES`` raises ValueError."""
     scenario = report["scenario"]
     limits = thresholds if thresholds is not None else DEFAULT_THRESHOLDS.get(scenario, {})
-    n = report["runs"]
-    checks = report["checks"]
-    violations: list[str] = []
-
-    if "min_diagonal_percent" in limits:
-        for phase in PHASES:
-            value = report["confusion_diagonal_percent"][phase]
-            if value is not None and value < limits["min_diagonal_percent"]:
-                violations.append(
-                    f"{scenario}: confusion diagonal for {phase} is {value:.2f}% "
-                    f"< {limits['min_diagonal_percent']}%")
-    if "max_nrmse" in limits:
-        pooled = report["nrmse"]["pooled"]
-        if pooled is None or pooled > limits["max_nrmse"]:
-            violations.append(f"{scenario}: NRMSE {pooled} > {limits['max_nrmse']}")
-    if "max_nrmse_first_steady" in limits:
-        first = report["nrmse"]["per_steady_phase"].get("1")
-        if first is None or first > limits["max_nrmse_first_steady"]:
-            violations.append(
-                f"{scenario}: first steady phase NRMSE {first} > {limits['max_nrmse_first_steady']}")
-    if "min_exact_two_two_fraction" in limits:
-        frac = checks["exact_two_filling_two_steady_runs"] / n
-        if frac < limits["min_exact_two_two_fraction"]:
-            violations.append(
-                f"{scenario}: two filling + two steady segments in {frac:.2%} of runs "
-                f"< {limits['min_exact_two_two_fraction']:.2%}")
-    if "min_window_refill_fraction" in limits:
-        frac = checks["throttle_window_and_refill_runs"] / n
-        if frac < limits["min_window_refill_fraction"]:
-            violations.append(
-                f"{scenario}: throttle window + refill detected in {frac:.2%} of runs "
-                f"< {limits['min_window_refill_fraction']:.2%}")
-    if "min_video_detected_fraction" in limits:
-        frac = checks["video_detected_runs"] / n
-        if frac < limits["min_video_detected_fraction"]:
-            violations.append(f"{scenario}: video stream detected in {frac:.2%} of runs")
-    if "max_video_detected_fraction" in limits:
-        frac = checks["video_detected_runs"] / n
-        if frac > limits["max_video_detected_fraction"]:
-            violations.append(
-                f"{scenario}: video stream falsely detected in {frac:.2%} of bulk runs")
+    if unknown := [name for name in limits if name not in _GATES]:
+        raise ValueError(f"unknown threshold(s) {', '.join(unknown)}; known: {', '.join(_GATES)}")
+    violations = []
+    for name, (values, none_fails, message) in _GATES.items():
+        if name in limits:
+            limit, fails = limits[name], operator.gt if name.startswith("max_") else operator.lt
+            violations += [f"{scenario}: " + message.format(phase=phase, value=value, limit=limit)
+                           for phase, value in values(report)
+                           if (none_fails if value is None else fails(value, limit))]
     return violations

@@ -69,6 +69,15 @@ def _check_whole(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_finite(name: str, *values) -> None:
+    """Reject a bool, which numeric checks take as 1 or 0, and a NaN or infinite number."""
+    for value in values:
+        if isinstance(value, bool):
+            raise ValueError(f"{name} takes numbers, not {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _check_seed(value, name: str) -> None:
     """Reject a seed numpy cannot take: not a whole number, or negative."""
     _check_whole(value, name)
@@ -104,8 +113,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if not self.encode_rates:
             raise ValueError("encode_rates must not be empty")
-        if not all(math.isfinite(v) for pair in self.encode_rates for v in pair):
-            raise ValueError(f"encode_rates must be finite, got {self.encode_rates}")
+        _check_finite("encode_rates", *(v for pair in self.encode_rates for v in pair))
         if self.encode_rates[0][0] != 0.0:
             raise ValueError("the first encode rate must activate at t=0")
         starts = [t for t, _ in self.encode_rates]
@@ -119,22 +127,21 @@ class ScenarioSpec:
                             (self.fill_throughput, "fill_throughput"),
                             (self.video_duration, "video_duration"),
                             (self.throttling_factor, "throttling_factor")):
+            _check_finite(name, value)  # an infinite or NaN video never ends
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
-            if not math.isfinite(value):  # an infinite or NaN video never ends
-                raise ValueError(f"{name} must be finite, got {value}")
         _check_whole(self.packet_size, "packet_size")
         _check_seed(self.rng_seed, "rng_seed")
         if self.packet_size < 1:
             raise ValueError(f"packet_size must be >= 1, got {self.packet_size}")
+        _check_finite("throttle_quality_fraction", self.throttle_quality_fraction)
         if not 0 < self.throttle_quality_fraction <= 1:
             raise ValueError("throttle_quality_fraction must be in (0, 1]")
         prev_end = 0.0
         for w in self.throttle_windows:
             if len(w) != 3:
                 raise ValueError(f"throttle window must be (t_start, t_end, cap), got {w}")
-            if not all(map(math.isfinite, w)):
-                raise ValueError(f"throttle_windows must be finite, got {w}")
+            _check_finite("throttle_windows", *w)
             t0, t1, cap = w
             if not (0 <= t0 < t1):
                 raise ValueError(f"throttle window must satisfy 0 <= t_start < t_end, got {w}")
@@ -379,9 +386,8 @@ def generate_bulk(duration: float = 60.0, rate: float = 1e6,
     """
     _check_whole(packet_size, "packet_size")
     _check_seed(seed, "seed")
-    for value, name in ((duration, "duration"), (rate, "rate")):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _check_finite("duration", duration)
+    _check_finite("rate", rate)
     if duration < 0 or rate <= 0 or packet_size < 1:
         raise ValueError("duration must be >= 0, rate > 0, packet_size >= 1")
     nbytes = int(round(duration * rate))

@@ -101,7 +101,28 @@ class TestGenerate:
 
     def test_unknown_scenario_exits_2_and_lists_presets(self, tmp_path, capsys):
         assert run(["generate", "ZZ", "--out", tmp_path / "x"]) == 2
-        assert "MQ, HQ, QC, AQ" in capsys.readouterr().err
+        assert "presets are MQ, HQ, QC, AQ, bulk\n" in capsys.readouterr().err
+
+    def test_detector_flags_are_not_options_of_generate(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "MQ", "--h-t", 2, "--out", tmp_path / "x"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+        capsys.readouterr()
+        for command in ("generate", "analyze", "evaluate"):
+            with pytest.raises(SystemExit):
+                run([command, "--help"])
+            text = capsys.readouterr().out
+            flags = [f for f in ("--delta-t", "--a ", "--c ", "--h-t", "--h-d", "--h-r",
+                                 "--h-s", "--h-n", "--match-tolerance", "--config")
+                     if f in text]
+            assert len(flags) == (1 if command == "generate" else 10), (command, flags)
+
+    def test_help_lists_every_preset(self, capsys):
+        for command in ("generate", "evaluate"):
+            with pytest.raises(SystemExit):
+                run([command, "--help"])
+            assert "preset name: MQ, HQ, QC, AQ, bulk" in capsys.readouterr().out
 
     def test_spec_file(self, tmp_path):
         spec = {
@@ -148,6 +169,8 @@ class TestGenerate:
         ("encode_rates", [[0.0, 80750.0], [float("nan"), 168250.0]],
          "encode_rates must be finite"),
         ("rng_seed", -3, "rng_seed must be >= 0"),
+        ("segment_duration", True, "segment_duration takes numbers, not True"),
+        ("encode_rates", [[0.0, True]], "encode_rates takes numbers, not True"),
     ])
     def test_malformed_spec_field_exits_2(self, tmp_path, capsys, field, value, message):
         spec = {"encode_rates": [[0.0, 80750.0]], "segment_duration": 5.0,

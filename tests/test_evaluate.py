@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from streamprofiler import (FusionParams, PhaseSegment, PhaseSpan, confusion, generate,
-                            generate_bulk, nrmse, profile, scenario_spec, score_run)
+from streamprofiler import (FusionParams, GeneratorDefaults, PhaseSegment, PhaseSpan, confusion,
+                            generate, generate_bulk, nrmse, profile, scenario_spec, score_run)
 from streamprofiler.evaluate import (
+    _GATES,
+    DEFAULT_THRESHOLDS,
+    PRESETS,
     SpanMismatchError,
+    build_preset,
     check_report,
     phase_counts,
     quality_change_detected,
@@ -170,14 +174,76 @@ class TestBatch:
         assert violations and "steady_state" in violations[0]
 
 
+# every value a gate reads; each gate below fires on it
+GATED = {"scenario": "XX", "runs": 4,
+         "confusion_diagonal_percent": {FILLING: 97.5, STEADY: None, OTHER: 12.5},
+         "nrmse": {"pooled": None, "per_steady_phase": {}},
+         "checks": {"video_detected_runs": 3, "exact_two_filling_two_steady_runs": 1,
+                    "throttle_window_and_refill_runs": 2}}
+ALL_FIRE = {"max_video_detected_fraction": 0.5, "min_video_detected_fraction": 1.0,
+            "min_window_refill_fraction": 0.96, "min_exact_two_two_fraction": 0.5,
+            "max_nrmse_first_steady": 0.035, "max_nrmse": 0.02, "min_diagonal_percent": 98}
+
+
+class TestGates:
+    def test_every_gate_fires_with_its_message_in_table_order(self):
+        assert check_report(GATED, ALL_FIRE) == [
+            "XX: confusion diagonal for filling is 97.50% < 98%",
+            "XX: confusion diagonal for other is 12.50% < 98%",
+            "XX: NRMSE None > 0.02",
+            "XX: first steady phase NRMSE None > 0.035",
+            "XX: two filling + two steady segments in 25.00% of runs < 50.00%",
+            "XX: throttle window + refill detected in 50.00% of runs < 96.00%",
+            "XX: video stream detected in 75.00% of runs",
+            "XX: video stream falsely detected in 75.00% of bulk runs",
+        ]
+
+    def test_a_value_on_its_bound_passes(self):
+        report = {**GATED, "nrmse": {"pooled": 0.02, "per_steady_phase": {"1": 0.035}}}
+        on_bound = {"min_diagonal_percent": 12.5, "max_nrmse": 0.02,
+                    "max_nrmse_first_steady": 0.035, "min_exact_two_two_fraction": 0.25,
+                    "min_window_refill_fraction": 0.5, "min_video_detected_fraction": 0.75,
+                    "max_video_detected_fraction": 0.75}
+        assert check_report(report, on_bound) == []
+
+    def test_unknown_threshold_raises_naming_it(self):
+        report = run_scenario("MQ", 1)
+        with pytest.raises(ValueError, match="unknown threshold.* min_diagonal_pct;"):
+            check_report(report, {"min_diagonal_pct": 100})
+
+    def test_default_thresholds_cover_each_preset_once_with_known_gates(self):
+        assert sorted(DEFAULT_THRESHOLDS) == sorted(PRESETS)
+        assert len(DEFAULT_THRESHOLDS) == len(PRESETS)
+        for limits in DEFAULT_THRESHOLDS.values():
+            assert set(limits) <= set(_GATES)
+
+    def test_every_gate_is_a_lower_or_upper_bound(self):
+        assert all(name.startswith(("min_", "max_")) for name in _GATES)
+        assert set(ALL_FIRE) == set(_GATES)
+
+
+class TestBuildPreset:
+    def test_unknown_preset_names_all_five(self):
+        with pytest.raises(ValueError, match="presets are MQ, HQ, QC, AQ, bulk$"):
+            build_preset("ZZ", 0, GeneratorDefaults())
+
+    def test_bulk_has_no_spec(self):
+        labeled, spec = build_preset("bulk", 2, GeneratorDefaults(packet_size=1000))
+        assert spec is None
+        assert labeled.trace == generate_bulk(packet_size=1000, seed=2).trace
+
+    def test_preset_is_its_spec_generated(self):
+        defaults = GeneratorDefaults(segment_duration=4.0)
+        labeled, spec = build_preset("QC", 3, defaults)
+        assert spec == scenario_spec("QC", seed=3, defaults=defaults)
+        assert labeled.trace == generate(spec).trace
+        assert labeled.labels == generate(spec).labels
+
+
 def scored(scenario, seed):
     """``score_run``'s record of one seeded run, generated as ``run_scenario`` does."""
     params = FusionParams()
-    if scenario == "bulk":
-        labeled, spec = generate_bulk(seed=seed), None
-    else:
-        spec = scenario_spec(scenario, seed=seed)
-        labeled = generate(spec)
+    labeled, spec = build_preset(scenario, seed, GeneratorDefaults())
     return score_run(profile(labeled.trace, fusion_params=params), labeled, spec, params)
 
 

@@ -483,6 +483,30 @@ class TestSpecInputs:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ScenarioSpec(**{**self.SPEC, field: value})
 
+    @pytest.mark.parametrize("field", ["segment_duration", "buffer_target", "fill_throughput",
+                                       "video_duration", "throttling_factor",
+                                       "throttle_quality_fraction"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_spec_rejects_bool_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} takes numbers, not {value}$"):
+            ScenarioSpec(**{**self.SPEC, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("encode_rates", ((0.0, True),)),
+        ("encode_rates", ((False, 1e5),)),
+        ("encode_rates", ((0.0, 1e5), (30.0, True))),
+        ("throttle_windows", ((10.0, 20.0, True),)),
+        ("throttle_windows", ((False, 20.0, 1e4),)),
+    ])
+    def test_spec_rejects_bool_entries(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} takes numbers, not (True|False)$"):
+            ScenarioSpec(**{**self.SPEC, field: value})
+
+    @pytest.mark.parametrize("field", ["duration", "rate"])
+    def test_bulk_rejects_bool_numbers(self, field):
+        with pytest.raises(ValueError, match=f"^{field} takes numbers, not True$"):
+            generate_bulk(**{"duration": 10.0, "rate": 5e5, field: True})
+
     @pytest.mark.parametrize("kwargs", [
         {"packet_size": 1400.5}, {"packet_size": True}, {"seed": 1.5},
     ])
