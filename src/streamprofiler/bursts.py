@@ -21,7 +21,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .trace import FILLING, STEADY, check_times
+from .trace import FILLING, STEADY, check_real, check_times
 
 KLASS_FILLING = 1
 KLASS_STEADY = -1
@@ -54,6 +54,7 @@ class BurstParams:
 
     def __post_init__(self):
         for name in ("h_t", "h_d", "h_r", "h_s", "rate_duration_floor"):
+            check_real(name, getattr(self, name))
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not self.h_r < 1:

@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluate as evaluate_mod
 from . import synth as synth_mod
 from . import rate as rate_mod
@@ -113,12 +115,13 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
 
 
 def _write_debug_csvs(report: ProfileReport, flow: Trace, cfg: Config, prefix: Path) -> None:
-    """Rate series and retained bursts of one flow, from the stage functions
-    run on its packets, then the ``report``'s segments and buffer samples."""
+    """Rate series, with the running maximum of the smoothed rate that its
+    flags compare against, and retained bursts of one flow, from the stage
+    functions run on its packets; then the ``report``'s segments and buffer samples."""
     series = rate_mod.analyze(flow.times, flow.sizes, cfg.rate, cfg.burst.h_t)
     _write_csv(f"{prefix}_rate.csv", ["bin", "rho", "r_smooth", "r_smooth_max", "flag"],
                zip(range(1, len(series) + 1), series.rho.tolist(), series.r_smooth.tolist(),
-                   series.r_smooth_max.tolist(), series.flags.tolist()))
+                   np.maximum.accumulate(series.r_smooth).tolist(), series.flags.tolist()))
     bursts = classify(filter_small(segment(flow.times, flow.sizes, cfg.burst), cfg.burst),
                       cfg.burst)
     _write_csv(f"{prefix}_bursts.csv",
@@ -268,12 +271,15 @@ def _print_profile(data: dict) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every flag is spelled in full: with abbreviations, a flag one subcommand
+    # dropped could still be read as the prefix of another (``--c`` as ``--config``)
     parser = argparse.ArgumentParser(
-        prog="streamprofiler",
+        prog="streamprofiler", allow_abbrev=False,
         description="Identify adaptive-streaming phases and encoding rate from packet traces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", help="profile every flow in a trace CSV")
+    p_analyze = sub.add_parser("analyze", allow_abbrev=False,
+                               help="profile every flow in a trace CSV")
     p_analyze.add_argument("input", help="trace CSV (t,size,src,dst,dst_port)")
     p_analyze.add_argument("--out", default="profile_out", help="output directory")
     p_analyze.add_argument("--merge-ports", action="store_true",
@@ -283,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_override_flags(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
-    p_generate = sub.add_parser("generate", help="write a synthetic labeled trace")
+    p_generate = sub.add_parser("generate", allow_abbrev=False,
+                                help="write a synthetic labeled trace")
     p_generate.add_argument("scenario", nargs="?", default=None,
                             help=f"preset name: {', '.join(evaluate_mod.PRESETS)}")
     p_generate.add_argument("--spec", help="scenario spec JSON instead of a preset")
@@ -295,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="config file whose generator section the presets use")
     p_generate.set_defaults(func=cmd_generate)
 
-    p_evaluate = sub.add_parser("evaluate", help="batch-score a scenario against ground truth")
+    p_evaluate = sub.add_parser("evaluate", allow_abbrev=False,
+                                help="batch-score a scenario against ground truth")
     p_evaluate.add_argument("scenario", help=f"preset name: {', '.join(evaluate_mod.PRESETS)}")
     p_evaluate.add_argument("--runs", type=int, default=50, help="number of seeded runs")
     p_evaluate.add_argument("--seed", type=int, default=0, help="base seed")
@@ -303,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_override_flags(p_evaluate)
     p_evaluate.set_defaults(func=cmd_evaluate)
 
-    p_report = sub.add_parser("report", help="pretty-print a saved JSON report")
+    p_report = sub.add_parser("report", allow_abbrev=False,
+                              help="pretty-print a saved JSON report")
     p_report.add_argument("path")
     p_report.set_defaults(func=cmd_report)
     return parser

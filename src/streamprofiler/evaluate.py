@@ -80,17 +80,17 @@ def _intersect(predicted: list[PhaseSegment], labels: list[PhaseSpan]) -> np.nda
     cuts = np.unique(np.concatenate([
         [s.t_start for s in predicted], [s.t_end for s in predicted],
         [s.t_start for s in labels], [s.t_end for s in labels]]))
-    pred_starts = np.array([s.t_start for s in predicted])
-    true_starts = np.array([s.t_start for s in labels])
+    mids = (cuts[:-1] + cuts[1:]) / 2.0
     out = np.zeros((3, 3))
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        mid = (a + b) / 2.0
-        pi = min(max(int(np.searchsorted(pred_starts, mid, side="right")) - 1, 0),
-                 len(predicted) - 1)
-        ti = min(max(int(np.searchsorted(true_starts, mid, side="right")) - 1, 0),
-                 len(labels) - 1)
-        out[_PHASE_INDEX[labels[ti].phase], _PHASE_INDEX[predicted[pi].phase]] += b - a
+    # ``add.at`` adds each cell's widths in cut order, as a loop over the cuts would
+    np.add.at(out, (_phase_at(labels, mids), _phase_at(predicted, mids)), cuts[1:] - cuts[:-1])
     return out
+
+
+def _phase_at(spans: list, times: np.ndarray) -> np.ndarray:
+    """Phase index of the last span starting at or before each time, or of the first span."""
+    i = np.searchsorted([s.t_start for s in spans], times, side="right") - 1
+    return np.array([_PHASE_INDEX[s.phase] for s in spans])[np.maximum(i, 0)]
 
 
 def confusion(predicted: list[PhaseSegment], labels: list[PhaseSpan]) -> ConfusionMatrix:
@@ -161,16 +161,16 @@ def score_run(report: ProfileReport, labeled: LabeledTrace, spec: ScenarioSpec |
               params: FusionParams) -> dict:
     """Score one profiled run against its ground truth.
 
-    Every record holds ``phase_counts`` and ``is_video_stream``. A video run
-    also holds its ``confusion``, the two multi-phase checks and
-    ``rate_pairs_Bps``; ``spec is None`` marks a bulk run, which has none.
+    Every record holds ``phase_counts``, ``is_video_stream`` and ``confusion``
+    against the run's labels. A video run also holds the two multi-phase checks
+    and ``rate_pairs_Bps``; ``spec is None`` marks a bulk run, which has neither.
     """
     record = {"phase_counts": phase_counts(report.segments),
-              "is_video_stream": report.verdict.is_video_stream}
+              "is_video_stream": report.verdict.is_video_stream,
+              "confusion": confusion(report.segments, labeled.labels)}
     if spec is None:
         return record
     return {**record,
-            "confusion": confusion(report.segments, labeled.labels),
             "quality_change_detected": quality_change_detected(report.segments),
             "throttle_window_detected": throttle_window_detected(
                 report.segments, labeled.labels, params.match_tolerance),
@@ -229,8 +229,7 @@ def run_scenario(scenario: str, n_runs: int,
         report = profile(labeled.trace, rate_params, burst_params, fp)
         records.append({"seed": seed, **score_run(report, labeled, spec, fp)})
 
-    confusions = [r["confusion"].seconds for r in records if "confusion" in r]  # none for bulk
-    cm = ConfusionMatrix(sum(confusions, np.zeros((3, 3)))) if confusions else None
+    cm = ConfusionMatrix(sum((r["confusion"].seconds for r in records), np.zeros((3, 3))))
     pairs_by_ordinal: dict[int, list[tuple[float, float]]] = {}
     for ordinal, est, true in (p for r in records for p in r.get("rate_pairs_Bps", ())):
         pairs_by_ordinal.setdefault(ordinal, []).append((est, true))
@@ -242,8 +241,8 @@ def run_scenario(scenario: str, n_runs: int,
         "base_seed": base_seed,
         "elapsed_s": time.perf_counter() - started,
         "unit_note": UNIT_NOTE,
-        "confusion": cm and cm.to_dict(),
-        "confusion_diagonal_percent": cm and {p: cm.diagonal_percent(p) for p in PHASES},
+        "confusion": cm.to_dict(),
+        "confusion_diagonal_percent": {p: cm.diagonal_percent(p) for p in PHASES},
         "nrmse": {
             "pooled": nrmse(all_pairs) if all_pairs else None,
             "per_steady_phase": nrmse_per_phase,

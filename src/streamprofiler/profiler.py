@@ -26,7 +26,7 @@ from . import bursts as bursts_mod
 from . import rate as rate_mod
 from .bursts import BurstParams, PhaseCandidate
 from .rate import DECREASE, INCREASE, RateChange, RateParams
-from .trace import _INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace
+from .trace import _INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace, check_real
 
 _EPS = 1e-9
 _INITIAL_CAPACITY = 1024  # packets a StreamProfiler makes room for at its first feed
@@ -56,6 +56,7 @@ class FusionParams:
     match_tolerance: float = 5.0
 
     def __post_init__(self):
+        check_real("match_tolerance", self.match_tolerance)
         if not 0 < self.match_tolerance < math.inf:
             raise ValueError(f"match_tolerance must be finite and > 0, "
                              f"got {self.match_tolerance}")

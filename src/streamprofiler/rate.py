@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .trace import check_times
+from .trace import check_real, check_times
 
 INCREASE = "increase"
 DECREASE = "decrease"
@@ -31,6 +31,8 @@ class RateParams:
     c: float = 0.6
 
     def __post_init__(self):
+        for name in ("delta_t", "a", "c"):
+            check_real(name, getattr(self, name))
         if not 0 < self.delta_t < math.inf:
             raise ValueError(f"delta_t must be finite and > 0, got {self.delta_t}")
         if not 0 < self.a <= 1:
@@ -60,7 +62,6 @@ class RateSeries:
     delta_t: float
     rho: np.ndarray
     r_smooth: np.ndarray
-    r_smooth_max: np.ndarray
     flags: np.ndarray
     events: list[RateChange]
 
@@ -201,5 +202,5 @@ def analyze(times: np.ndarray, sizes: np.ndarray, params: RateParams,
     r_smooth = smooth(rho, params)
     flags, raw = detect_changes(r_smooth, params)
     t0, dt = (float(times[0]) if len(times) else 0.0), params.delta_t
-    return RateSeries(t0, dt, rho, r_smooth, np.maximum.accumulate(r_smooth), flags,
+    return RateSeries(t0, dt, rho, r_smooth, flags,
                       [RateChange(b, d, t0 + (b - 1) * dt) for b, d in raw])

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import FILLING, OTHER, STEADY, FlowKey, PhaseSpan, Trace
+from .trace import FILLING, OTHER, STEADY, FlowKey, PhaseSpan, Trace, check_real
 
 _BPS_PER_KBPS = 1000.0 / 8.0  # bytes/s per kbit/s
 
@@ -70,10 +70,9 @@ def _check_whole(value, name: str) -> None:
 
 
 def _check_finite(name: str, *values) -> None:
-    """Reject a bool, which numeric checks take as 1 or 0, and a NaN or infinite number."""
+    """Reject what ``check_real`` rejects, and a NaN or infinite number."""
     for value in values:
-        if isinstance(value, bool):
-            raise ValueError(f"{name} takes numbers, not {value!r}")
+        check_real(name, value)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 

@@ -17,6 +17,7 @@ import csv
 import io
 import ipaddress
 import math
+import numbers
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -97,6 +98,14 @@ def check_times(times, sizes) -> np.ndarray:
     if len(times) and not (math.isfinite(times[0]) and math.isfinite(times[-1])):
         raise ValueError(f"packet times must be finite, got {times[0]} ... {times[-1]}")
     return times
+
+
+def check_real(name: str, *values) -> None:
+    """Raise ``ValueError`` naming the field ``name`` for a value that is not a real
+    number, or is a bool, which numeric checks would take as 1 or 0."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} takes numbers, not {value!r}")
 
 
 @dataclass(eq=False)

@@ -106,13 +106,15 @@ def reference_aggregate(times, sizes, params, tail=0.0):
 
 
 def reference_write_rate_csv(series, path):
+    """The rate dump of ``series``, keeping the running maximum of ``r_smooth`` by hand."""
+    r_max = -math.inf
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "rho", "r_smooth", "r_smooth_max", "flag"])
         for i in range(len(series)):
+            r_max = max(r_max, float(series.r_smooth[i]))
             writer.writerow([i + 1, repr(float(series.rho[i])),
-                             repr(float(series.r_smooth[i])),
-                             repr(float(series.r_smooth_max[i])),
+                             repr(float(series.r_smooth[i])), repr(r_max),
                              int(series.flags[i])])
 
 

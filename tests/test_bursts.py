@@ -137,6 +137,8 @@ class TestParams:
         {"h_t": float("inf")}, {"h_d": float("inf")}, {"h_s": float("inf")},
         {"h_s": float("nan")}, {"rate_duration_floor": float("inf")},
         {"h_n": True}, {"h_n": np.True_},
+        {"h_t": True}, {"h_d": "0.1"}, {"h_s": None}, {"h_r": False},
+        {"rate_duration_floor": "0.1"},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

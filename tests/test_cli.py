@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from streamprofiler import (BurstParams, FusionParams, GeneratorDefaults, RateParams, classify,
                             filter_small, profile, segment)
 from streamprofiler.rate import analyze
-from streamprofiler.cli import Config, main
+from streamprofiler.cli import Config, build_parser, main
 from streamprofiler.trace import demux, load_trace, normalize, write_trace
 from conftest import (
     assert_tiles_and_partitions,
@@ -83,6 +84,38 @@ class TestConfig:
         missing = tmp_path / "none.json"
         assert run(["generate", "MQ", "--config", missing, "--out", tmp_path / "x"]) == 2
         assert str(missing) in capsys.readouterr().err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv, unknown", [
+        (["evaluate", "MQ", "--run", 1], "--run 1"),
+        (["analyze", "t.csv", "--merge", "--debu"], "--merge --debu"),
+        (["generate", "MQ", "--c", 5, "--out", "x"], "--c 5"),  # not --config
+    ])
+    def test_abbreviated_flag_exits_2(self, tmp_path, monkeypatch, capsys, argv, unknown):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {unknown}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_full_flag_parses(self):
+        parser = build_parser()
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        base = {"analyze": ["t.csv"], "generate": ["MQ", "--out", "x"], "evaluate": ["MQ"],
+                "report": ["r.json"]}
+        assert set(commands.choices) == set(base)
+        seen = 0
+        for command, sub in commands.choices.items():
+            for action in sub._actions:
+                for flag in set(action.option_strings) - {"-h", "--help"}:
+                    value = [] if action.nargs == 0 else ["1"]
+                    args = parser.parse_args([command, *base[command], flag, *value])
+                    want = True if action.nargs == 0 else (action.type or str)("1")
+                    assert getattr(args, action.dest) == want, (command, flag)
+                    seen += 1
+        assert seen == 13 + 4 + 13 + 0  # analyze, generate, evaluate, report
 
 
 class TestGenerate:

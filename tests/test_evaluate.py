@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from streamprofiler import (FusionParams, GeneratorDefaults, PhaseSegment, PhaseSpan, confusion,
                             generate, generate_bulk, nrmse, profile, scenario_spec, score_run)
@@ -10,6 +12,7 @@ from streamprofiler.evaluate import (
     DEFAULT_THRESHOLDS,
     PRESETS,
     SpanMismatchError,
+    _intersect,
     build_preset,
     check_report,
     phase_counts,
@@ -73,6 +76,63 @@ class TestConfusion:
         truth = [PhaseSpan(0.0, 10.0, FILLING)]
         cm = confusion([seg(FILLING, 0.0, 10.0)], truth)
         assert cm.diagonal_percent(STEADY) is None
+
+
+def loop_intersect(predicted, labels):
+    """The per-cut loop that ``_intersect`` replaced: its bit-for-bit reference."""
+    index = {phase: i for i, phase in enumerate(PHASES)}
+    cuts = np.unique(np.concatenate([
+        [s.t_start for s in predicted], [s.t_end for s in predicted],
+        [s.t_start for s in labels], [s.t_end for s in labels]]))
+    pred_starts = np.array([s.t_start for s in predicted])
+    true_starts = np.array([s.t_start for s in labels])
+    out = np.zeros((3, 3))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid = (a + b) / 2.0
+        pi = min(max(int(np.searchsorted(pred_starts, mid, side="right")) - 1, 0),
+                 len(predicted) - 1)
+        ti = min(max(int(np.searchsorted(true_starts, mid, side="right")) - 1, 0),
+                 len(labels) - 1)
+        out[index[labels[ti].phase], index[predicted[pi].phase]] += b - a
+    return out
+
+
+@st.composite
+def tilings(draw):
+    """A truth tiling and a predicted tiling of the same span. Predicted cuts
+    are drawn from the truth's cuts and from anywhere in the span, and either
+    end of the prediction may sit one float outside the truth's (within the
+    span tolerance). Either list may be a single piece."""
+    times = st.floats(-1e3, 1e6, allow_nan=False, allow_infinity=False)
+    truth_cuts = sorted(set(draw(st.lists(times, min_size=2, max_size=8))))
+    if len(truth_cuts) < 2:
+        truth_cuts.append(truth_cuts[0] + 1.0)
+    lo, hi = truth_cuts[0], truth_cuts[-1]
+    inner = draw(st.lists(st.sampled_from(truth_cuts) | st.floats(lo, hi), max_size=8))
+    pred_cuts = sorted({lo, hi, *inner})
+    pred_cuts[0] = draw(st.sampled_from([lo, np.nextafter(lo, -np.inf)]))
+    pred_cuts[-1] = draw(st.sampled_from([hi, np.nextafter(hi, np.inf)]))
+    phases = st.sampled_from(PHASES)
+    labels = [PhaseSpan(a, b, draw(phases)) for a, b in zip(truth_cuts, truth_cuts[1:])]
+    predicted = [seg(draw(phases), a, b) for a, b in zip(pred_cuts, pred_cuts[1:])]
+    return predicted, labels
+
+
+class TestIntersect:
+    @given(tilings())
+    @example(([seg(STEADY, 0.0, 600.0)], TRUTH))
+    @example((spans_to_segments(TRUTH), [PhaseSpan(0.0, 600.0, OTHER)]))
+    @example((spans_to_segments(TRUTH), TRUTH))
+    def test_matches_the_per_cut_loop_bit_for_bit(self, tiling):
+        got, want = _intersect(*tiling), loop_intersect(*tiling)
+        assert got.tobytes() == want.tobytes()
+
+    def test_matches_the_loop_on_a_preset_run(self):
+        labeled, _ = build_preset("AQ", 3, GeneratorDefaults())
+        segments = profile(labeled.trace).segments
+        assert len(segments) > 4
+        got = _intersect(segments, labeled.labels)
+        assert got.tobytes() == loop_intersect(segments, labeled.labels).tobytes()
 
 
 class TestNrmse:
@@ -144,9 +204,14 @@ class TestBatch:
         for key in ("confusion", "nrmse", "checks", "per_run"):
             assert a[key] == b[key]
 
-    def test_bulk_batch_has_no_confusion(self):
+    def test_bulk_batch_scores_its_other_time(self):
         report = run_scenario("bulk", 3)
-        assert report["confusion"] is None
+        seconds = np.array(report["confusion"]["seconds"])
+        assert seconds[:2].sum() == 0.0  # truth is one ``other`` span per run
+        assert seconds.sum() == pytest.approx(3 * 60.0, rel=1e-3)
+        diagonal = report["confusion_diagonal_percent"]
+        assert diagonal[FILLING] is None and diagonal[STEADY] is None
+        assert isinstance(diagonal[OTHER], float)
         assert set(report["checks"].values()) == {0}
 
     def test_runs_must_be_positive(self):
@@ -248,10 +313,14 @@ def scored(scenario, seed):
 
 
 class TestScoreRun:
-    def test_bulk_record_has_no_confusion_checks_or_rates(self):
+    def test_bulk_record_has_confusion_but_no_checks_or_rates(self):
         record = scored("bulk", 0)
-        assert set(record) == {"phase_counts", "is_video_stream"}
+        assert set(record) == {"phase_counts", "is_video_stream", "confusion"}
         assert record["is_video_stream"] is False
+        labeled, _ = build_preset("bulk", 0, GeneratorDefaults())
+        assert record["confusion"].seconds.tolist() == confusion(
+            profile(labeled.trace).segments, labeled.labels).seconds.tolist()
+        assert record["confusion"].total_seconds == pytest.approx(labeled.labels[-1].t_end)
 
     def test_aq_run_passes_both_checks_with_a_pair_per_steady_segment(self):
         record = scored("AQ", 1)
@@ -281,6 +350,5 @@ class TestScoreRun:
         kept = ("phase_counts", "is_video_stream", "rate_pairs_Bps")
         assert report["per_run"] == [{"seed": seed, **{k: r[k] for k in kept if k in r}}
                                      for seed, r in zip(range(7, 10), records)]
-        if scenario != "bulk":
-            summed = sum(r["confusion"].seconds for r in records)
-            assert report["confusion"]["seconds"] == summed.tolist()
+        summed = sum(r["confusion"].seconds for r in records)
+        assert report["confusion"]["seconds"] == summed.tolist()

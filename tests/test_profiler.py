@@ -358,7 +358,7 @@ class TestProfile:
         with pytest.raises(ValueError, match="finite"):
             profile(flow_trace([0.0, 1.0, float("inf")]))
 
-    @pytest.mark.parametrize("tolerance", [0.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("tolerance", [0.0, float("inf"), float("nan"), True, "0.1", None])
     def test_invalid_match_tolerance(self, tolerance):
         with pytest.raises(ValueError, match="match_tolerance"):
             FusionParams(match_tolerance=tolerance)

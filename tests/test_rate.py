@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import streamprofiler
-from streamprofiler import RateParams, aggregate, detect_changes, smooth
+from streamprofiler import RateParams, aggregate, detect_changes, profile, smooth
+from streamprofiler.cli import Config, _write_debug_csvs
 from streamprofiler.rate import analyze
 from streamprofiler.rate import DECREASE, INCREASE
 from conftest import UNUSABLE_TIMES, columns, flow_trace, random_trace, reference_aggregate
@@ -73,6 +75,7 @@ class TestParams:
         {"a": 0.0}, {"a": 1.5},
         {"c": 0.5}, {"c": 0.4}, {"c": 1.0},
         {"delta_t": float("inf")}, {"delta_t": float("nan")},
+        {"delta_t": True}, {"delta_t": "0.1"}, {"delta_t": None}, {"a": True}, {"c": None},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -319,12 +322,17 @@ class TestDetectChanges:
 
 
 class TestAnalyze:
-    def test_running_max_matches_brute_force(self, rate_params):
+    def test_running_max_matches_brute_force(self, rate_params, tmp_path):
+        # the debug rate dump's r_smooth_max column, which ``analyze`` leaves to its writer
         trace = random_trace(seed=21, duration=8.0)
-        series = analyze(trace.times, trace.sizes, rate_params)
+        cfg = Config(rate=rate_params)
+        _write_debug_csvs(profile(trace, rate_params), trace, cfg, tmp_path / "flow")
+        with open(tmp_path / "flow_rate.csv", encoding="utf-8", newline="") as fh:
+            r_max = np.array([float(row["r_smooth_max"]) for row in csv.DictReader(fh)])
+        series = analyze(trace.times, trace.sizes, rate_params, tail=cfg.burst.h_t)
         brute = np.array([series.r_smooth[: i + 1].max() for i in range(len(series))])
-        assert np.array_equal(series.r_smooth_max, brute)
-        assert np.all(np.diff(series.r_smooth_max) >= 0)
+        assert np.array_equal(r_max, brute)
+        assert np.all(np.diff(r_max) >= 0)
 
     def test_event_times_are_bin_starts(self, rate_params):
         trace = flow_trace([10.0, 10.01, 10.02], sizes=[1000, 1000, 1000])

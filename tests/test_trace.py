@@ -1,5 +1,7 @@
 import gc
 import io
+import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -73,6 +75,19 @@ def test_stages_take_real_times_with_one_size_each(stage, params, times, sizes):
         return
     expected = stage(np.array([0.0, 1.0, 5.0]), np.array([1, 2, 3]), params)
     assert np.array_equal(stage(times, sizes, params), expected)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None, np.array(0.5)],
+                         ids=repr)
+def test_check_real_names_the_field_of_a_bool_or_non_number(value):
+    with pytest.raises(ValueError, match=f"^h_s takes numbers, not {re.escape(repr(value))}$"):
+        trace_mod.check_real("h_s", 1.0, value)
+
+
+@pytest.mark.parametrize("value", [1, 0.7, np.float64(0.7), np.int64(1), Fraction(7, 10)],
+                         ids=repr)
+def test_check_real_passes_real_numbers(value):
+    trace_mod.check_real("x", value, value)
 
 
 class TestParse:
