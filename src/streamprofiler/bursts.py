@@ -14,14 +14,13 @@ size column as ``bursts["size"]``: ``ndarray.size`` is the element count.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
-from .trace import FILLING, STEADY, check_real, check_times
+from .trace import FILLING, STEADY, check_positive, check_times
 
 KLASS_FILLING = 1
 KLASS_STEADY = -1
@@ -54,9 +53,7 @@ class BurstParams:
 
     def __post_init__(self):
         for name in ("h_t", "h_d", "h_r", "h_s", "rate_duration_floor"):
-            check_real(name, getattr(self, name))
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            check_positive(name, getattr(self, name))
         if not self.h_r < 1:
             raise ValueError(f"h_r must be < 1, got {self.h_r}")
         if not (isinstance(self.h_n, numbers.Integral) and not isinstance(self.h_n, bool)

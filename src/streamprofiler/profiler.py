@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
@@ -26,7 +25,7 @@ from . import bursts as bursts_mod
 from . import rate as rate_mod
 from .bursts import BurstParams, PhaseCandidate
 from .rate import DECREASE, INCREASE, RateChange, RateParams
-from .trace import _INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace, check_real
+from .trace import _INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace, check_positive, check_real
 
 _EPS = 1e-9
 _INITIAL_CAPACITY = 1024  # packets a StreamProfiler makes room for at its first feed
@@ -56,10 +55,7 @@ class FusionParams:
     match_tolerance: float = 5.0
 
     def __post_init__(self):
-        check_real("match_tolerance", self.match_tolerance)
-        if not 0 < self.match_tolerance < math.inf:
-            raise ValueError(f"match_tolerance must be finite and > 0, "
-                             f"got {self.match_tolerance}")
+        check_positive("match_tolerance", self.match_tolerance)
 
 
 @dataclass(frozen=True)
@@ -367,11 +363,9 @@ def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, play
     them.
     """
     cum = _checked_cum(times, cum)
-    for name, value in (("encode_rate", encode_rate), ("sample_dt", sample_dt)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
-    if not math.isfinite(playout_start):
-        raise ValueError(f"playout_start must be finite, got {playout_start}")
+    check_positive("encode_rate", encode_rate)
+    check_positive("sample_dt", sample_dt)
+    check_real("playout_start", playout_start)
     if len(times) == 0:
         return BufferTrajectory(np.zeros(0), np.zeros(0), playout_start, encode_rate)
     ts = _sample_times(times, sample_dt)
@@ -406,22 +400,14 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
                         trace.flows[0] if trace.flows else None)
 
 
-def _real(value, name: str):
-    """``value`` (the scalar of a 0-d array), unless it is not a real number."""
-    if isinstance(value, np.ndarray) and value.ndim == 0:
-        value = value[()]
-    if not isinstance(value, (numbers.Real, np.bool_)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value
-
-
 def _checked_time(t_arrival, last_t: float) -> float:
-    """``t_arrival`` as a float, if finite, >= 0 and not before ``last_t``."""
-    try:
-        t = float(_real(t_arrival, "t_arrival"))
-    except OverflowError:  # an int or Fraction beyond the float range
-        t = math.inf
-    if not 0.0 <= t < math.inf:
+    """``t_arrival`` (or the scalar of a 0-d array) as a float, if a finite real
+    number, >= 0 and not before ``last_t``."""
+    if isinstance(t_arrival, np.ndarray) and t_arrival.ndim == 0:
+        t_arrival = t_arrival[()]
+    check_real("t_arrival", t_arrival)
+    t = float(t_arrival)
+    if t < 0.0:
         raise ValueError(f"t_arrival must be finite and >= 0, got {t_arrival!r}")
     if t < last_t:
         raise ValueError(f"packet at t={t_arrival} arrived out of order (last was {last_t})")
@@ -429,13 +415,15 @@ def _checked_time(t_arrival, last_t: float) -> float:
 
 
 def _checked_size(payload_size) -> int:
-    """``payload_size`` as an int, if an integer in [1, 2**63 - 1] and not a bool."""
-    size = _real(payload_size, "payload_size")
-    if not (1 <= size <= _INT64_MAX and size == int(size)
-            and not isinstance(size, (bool, np.bool_))):
+    """``payload_size`` (or the scalar of a 0-d array) as an int, if an integer in
+    [1, 2**63 - 1]."""
+    if isinstance(payload_size, np.ndarray) and payload_size.ndim == 0:
+        payload_size = payload_size[()]
+    check_real("payload_size", payload_size)
+    if not (1 <= payload_size <= _INT64_MAX and payload_size == int(payload_size)):
         raise ValueError(f"payload_size must be an integer in [1, {_INT64_MAX}], "
                          f"got {payload_size!r}")
-    return int(size)
+    return int(payload_size)
 
 
 class StreamProfiler:

@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .trace import check_real, check_times
+from .trace import check_positive, check_real, check_times
 
 INCREASE = "increase"
 DECREASE = "decrease"
@@ -31,10 +31,9 @@ class RateParams:
     c: float = 0.6
 
     def __post_init__(self):
-        for name in ("delta_t", "a", "c"):
-            check_real(name, getattr(self, name))
-        if not 0 < self.delta_t < math.inf:
-            raise ValueError(f"delta_t must be finite and > 0, got {self.delta_t}")
+        check_positive("delta_t", self.delta_t)
+        check_real("a", self.a)
+        check_real("c", self.c)
         if not 0 < self.a <= 1:
             raise ValueError(f"a must be in (0, 1], got {self.a}")
         # c <= 0.5 would let the increase and decrease conditions hold at once
@@ -81,7 +80,8 @@ def aggregate(times: np.ndarray, sizes: np.ndarray, params: RateParams,
     ``tail`` (finite, >= 0) extends the series with empty bins past the last
     packet so that end-of-flow rate decay stays visible downstream.
     """
-    if not 0 <= tail < math.inf:
+    check_real("tail", tail)
+    if tail < 0:
         raise ValueError(f"tail must be finite and >= 0, got {tail}")
     times = check_times(times, sizes)
     if len(times) == 0:

@@ -18,14 +18,13 @@ exact ties while keeping label boundaries exact.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .trace import FILLING, OTHER, STEADY, FlowKey, PhaseSpan, Trace, check_real
+from .trace import FILLING, OTHER, STEADY, FlowKey, PhaseSpan, Trace, check_positive, check_real
 
 _BPS_PER_KBPS = 1000.0 / 8.0  # bytes/s per kbit/s
 
@@ -69,14 +68,6 @@ def _check_whole(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_finite(name: str, *values) -> None:
-    """Reject what ``check_real`` rejects, and a NaN or infinite number."""
-    for value in values:
-        check_real(name, value)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _check_seed(value, name: str) -> None:
     """Reject a seed numpy cannot take: not a whole number, or negative."""
     _check_whole(value, name)
@@ -112,7 +103,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if not self.encode_rates:
             raise ValueError("encode_rates must not be empty")
-        _check_finite("encode_rates", *(v for pair in self.encode_rates for v in pair))
+        check_real("encode_rates", *(v for pair in self.encode_rates for v in pair))
         if self.encode_rates[0][0] != 0.0:
             raise ValueError("the first encode rate must activate at t=0")
         starts = [t for t, _ in self.encode_rates]
@@ -121,26 +112,21 @@ class ScenarioSpec:
         for t, r in self.encode_rates:
             if r <= 0 or t < 0:
                 raise ValueError(f"encode rates must be positive at non-negative times, got ({t}, {r})")
-        for value, name in ((self.segment_duration, "segment_duration"),
-                            (self.buffer_target, "buffer_target"),
-                            (self.fill_throughput, "fill_throughput"),
-                            (self.video_duration, "video_duration"),
-                            (self.throttling_factor, "throttling_factor")):
-            _check_finite(name, value)  # an infinite or NaN video never ends
-            if value <= 0:
-                raise ValueError(f"{name} must be > 0, got {value}")
+        for name in ("segment_duration", "buffer_target", "fill_throughput", "video_duration",
+                     "throttling_factor"):
+            check_positive(name, getattr(self, name))  # an infinite or NaN video never ends
         _check_whole(self.packet_size, "packet_size")
         _check_seed(self.rng_seed, "rng_seed")
         if self.packet_size < 1:
             raise ValueError(f"packet_size must be >= 1, got {self.packet_size}")
-        _check_finite("throttle_quality_fraction", self.throttle_quality_fraction)
+        check_real("throttle_quality_fraction", self.throttle_quality_fraction)
         if not 0 < self.throttle_quality_fraction <= 1:
             raise ValueError("throttle_quality_fraction must be in (0, 1]")
         prev_end = 0.0
         for w in self.throttle_windows:
             if len(w) != 3:
                 raise ValueError(f"throttle window must be (t_start, t_end, cap), got {w}")
-            _check_finite("throttle_windows", *w)
+            check_real("throttle_windows", *w)
             t0, t1, cap = w
             if not (0 <= t0 < t1):
                 raise ValueError(f"throttle window must satisfy 0 <= t_start < t_end, got {w}")
@@ -385,8 +371,8 @@ def generate_bulk(duration: float = 60.0, rate: float = 1e6,
     """
     _check_whole(packet_size, "packet_size")
     _check_seed(seed, "seed")
-    _check_finite("duration", duration)
-    _check_finite("rate", rate)
+    check_real("duration", duration)
+    check_real("rate", rate)
     if duration < 0 or rate <= 0 or packet_size < 1:
         raise ValueError("duration must be >= 0, rate > 0, packet_size >= 1")
     nbytes = int(round(duration * rate))

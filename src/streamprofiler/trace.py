@@ -101,11 +101,26 @@ def check_times(times, sizes) -> np.ndarray:
 
 
 def check_real(name: str, *values) -> None:
-    """Raise ``ValueError`` naming the field ``name`` for a value that is not a real
-    number, or is a bool, which numeric checks would take as 1 or 0."""
+    """Raise ``ValueError`` naming the field ``name`` for a value that is not a finite
+    real number: a bool (numeric checks would take it as 1 or 0), a non-number, a NaN,
+    an infinity, or a number no float can hold."""
     for value in values:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} takes numbers, not {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int or Fraction beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_positive(name: str, *values) -> None:
+    """``check_real``, and raise ``ValueError`` for a value that is not > 0."""
+    check_real(name, *values)
+    for value in values:
+        if not value > 0:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(eq=False)
@@ -159,10 +174,6 @@ class Trace:
         return float(self.times[-1]) if len(self) else 0.0
 
     @property
-    def span(self) -> float:
-        return self.t_end - self.t_start
-
-    @property
     def total_bytes(self) -> int:
         return int(self.sizes.sum())
 
@@ -208,8 +219,7 @@ def demux(trace: Trace, merge_ports: bool = False) -> dict[FlowKey, Trace]:
     out: dict[FlowKey, Trace] = {}
     for gid in present.tolist():
         lo, hi = bounds[gid], bounds[gid + 1]
-        out[keys[gid]] = Trace(times[lo:hi], sizes[lo:hi], np.zeros(hi - lo, dtype=np.int32),
-                               [keys[gid]])
+        out[keys[gid]] = Trace.single_flow(times[lo:hi], sizes[lo:hi], keys[gid])
     return out
 
 

@@ -139,6 +139,7 @@ class TestParams:
         {"h_n": True}, {"h_n": np.True_},
         {"h_t": True}, {"h_d": "0.1"}, {"h_s": None}, {"h_r": False},
         {"rate_duration_floor": "0.1"},
+        {"h_t": 10**400}, {"h_s": 10**400}, {"rate_duration_floor": 10**400},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -240,6 +240,25 @@ def trace_path(tmp_path_factory):
     return tmp / "mq.csv"
 
 
+@pytest.mark.parametrize("argv, data, field", [
+    (["analyze", "TRACE", "--config"], {"burst": {"h_t": 10**400}}, "h_t"),
+    (["evaluate", "MQ", "--runs", 1, "--config"],
+     {"generator": {"segment_duration": 10**400}}, "segment_duration"),
+    (["generate", "--spec"],
+     {"encode_rates": [[0.0, 80750.0]], "segment_duration": 5.0, "buffer_target": 2e6,
+      "fill_throughput": 807500.0, "video_duration": 10**400, "packet_size": 1400,
+      "rng_seed": 0}, "video_duration"),
+], ids=["analyze", "evaluate", "generate"])
+def test_number_beyond_float_range_exits_2(tmp_path, trace_path, capsys, argv, data, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))  # the integer keeps all its 401 digits
+    argv = [trace_path if arg == "TRACE" else arg for arg in argv]
+    assert run([*argv, path, "--out", tmp_path / "x"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must be finite, got 1000" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists() and not (tmp_path / "x.csv").exists()
+
+
 class TestAnalyze:
 
     def test_detects_video_stream(self, tmp_path, trace_path, capsys):

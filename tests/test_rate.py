@@ -76,6 +76,7 @@ class TestParams:
         {"c": 0.5}, {"c": 0.4}, {"c": 1.0},
         {"delta_t": float("inf")}, {"delta_t": float("nan")},
         {"delta_t": True}, {"delta_t": "0.1"}, {"delta_t": None}, {"a": True}, {"c": None},
+        {"delta_t": 10**400}, {"a": 10**400}, {"c": -10**400},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -113,9 +114,13 @@ class TestAggregate:
         assert len(rho) == 11  # ceil((0.05 + 1.0) / 0.1) with data in bin 1
         assert np.all(rho[1:] == 0.0)
 
-    @pytest.mark.parametrize("tail", [-0.1, math.inf, math.nan])
-    def test_rejects_bad_tail(self, rate_params, tail):
-        with pytest.raises(ValueError, match="tail must be finite"):
+    @pytest.mark.parametrize("tail, message", [
+        (-0.1, "must be finite and >= 0"), (math.inf, "must be finite"),
+        (math.nan, "must be finite"), (True, "takes numbers, not True"),
+        ("1", "takes numbers, not '1'"),
+    ], ids=["-0.1", "inf", "nan", "True", "'1'"])
+    def test_rejects_bad_tail(self, rate_params, tail, message):
+        with pytest.raises(ValueError, match=f"^tail {message}"):
             aggregate(*columns([0.0, 1.0]), rate_params, tail=tail)
 
     def test_unsorted_rejected(self, rate_params):

@@ -465,7 +465,8 @@ class TestSpecInputs:
 
     @pytest.mark.parametrize("field", ["segment_duration", "buffer_target", "fill_throughput",
                                        "video_duration", "throttling_factor"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       pytest.param(10**400, id="10**400")])
     def test_spec_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ScenarioSpec(**{**self.SPEC, field: value})
@@ -478,6 +479,8 @@ class TestSpecInputs:
         ("throttle_windows", ((10.0, 20.0, float("nan")),)),
         ("throttle_windows", ((10.0, 20.0, float("inf")),)),
         ("throttle_windows", ((10.0, float("inf"), 1e4),)),
+        ("encode_rates", ((0.0, 10**400),)),
+        ("throttle_windows", ((10.0, 10**400, 1e4),)),
     ])
     def test_spec_rejects_non_finite_entries(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -524,7 +527,8 @@ class TestSpecInputs:
             make(**kwargs)
 
     @pytest.mark.parametrize("field", ["duration", "rate"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       pytest.param(10**400, id="10**400")])
     def test_bulk_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             generate_bulk(**{"duration": 10.0, "rate": 5e5, field: value})

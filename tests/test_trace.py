@@ -1,5 +1,6 @@
 import gc
 import io
+import math
 import re
 from fractions import Fraction
 from unittest import mock
@@ -77,17 +78,30 @@ def test_stages_take_real_times_with_one_size_each(stage, params, times, sizes):
     assert np.array_equal(stage(times, sizes, params), expected)
 
 
-@pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None, np.array(0.5)],
-                         ids=repr)
-def test_check_real_names_the_field_of_a_bool_or_non_number(value):
-    with pytest.raises(ValueError, match=f"^h_s takes numbers, not {re.escape(repr(value))}$"):
-        trace_mod.check_real("h_s", 1.0, value)
+@pytest.mark.parametrize("value, message", [
+    *(pytest.param(value, f"takes numbers, not {re.escape(repr(value))}", id=repr(value))
+      for value in (True, False, np.True_, "0.1", None, np.array(0.5))),
+    # math.isfinite raises OverflowError for a number no float can hold
+    *(pytest.param(value, f"must be finite, got {re.escape(str(value))}", id=value_id)
+      for value_id, value in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+                              ("10**400", 10**400), ("Fraction(10**400)", Fraction(10**400)))),
+])
+def test_check_real_names_the_field_of_a_bool_or_non_number(value, message):
+    # check_positive runs check_real first: a bool is not taken as 1
+    for check in (trace_mod.check_real, trace_mod.check_positive):
+        with pytest.raises(ValueError, match=f"^h_s {message}$"):
+            check("h_s", 1.0, value)
 
 
-@pytest.mark.parametrize("value", [1, 0.7, np.float64(0.7), np.int64(1), Fraction(7, 10)],
-                         ids=repr)
+@pytest.mark.parametrize("value", [1, 0.7, np.float64(0.7), np.int64(1), Fraction(7, 10),
+                                   0, -0.5], ids=repr)
 def test_check_real_passes_real_numbers(value):
     trace_mod.check_real("x", value, value)
+    if value > 0:
+        trace_mod.check_positive("x", value, value)
+    else:
+        with pytest.raises(ValueError, match=f"^x must be finite and > 0, got {value}$"):
+            trace_mod.check_positive("x", 1.0, value)
 
 
 class TestParse:
