@@ -83,12 +83,15 @@ def segment(times: np.ndarray, sizes: np.ndarray, params: BurstParams) -> np.nda
     n = len(times)
     if n == 0:
         return np.zeros(0, dtype=BURST_DTYPE)
-    gaps = np.diff(times)
-    breaks = np.flatnonzero(gaps >= params.h_t) + 1
-    starts = np.concatenate([[0], breaks])
+    first = np.empty(n, dtype=bool)  # whether a packet starts a burst
+    first[0] = True
+    np.greater_equal(times[1:] - times[:-1], params.h_t, out=first[1:])
+    starts = np.flatnonzero(first)
     bursts = np.empty(len(starts), dtype=BURST_DTYPE)
     bursts["t_start"] = times[starts]
-    bursts["t_end"] = times[np.append(breaks, n) - 1]
+    t_end = bursts["t_end"]
+    t_end[:-1] = times[starts[1:] - 1]
+    t_end[-1] = times[-1]
     bursts["size"] = np.add.reduceat(sizes, starts)
     bursts["klass"] = KLASS_UNSET
     return set_rates(bursts, params)

@@ -193,16 +193,16 @@ class ProfileReport:
 # -- fusion -----------------------------------------------------------------
 
 
-def _checked_cum(times, cum) -> np.ndarray:
-    """``cum`` as an array, if it holds one value per packet of ``times``."""
-    cum = np.asarray(cum)
+def _checked_cum(times, cum) -> tuple[np.ndarray, np.ndarray]:
+    """``times`` and ``cum`` as arrays, if ``cum`` holds one value per packet."""
+    times, cum = np.asarray(times), np.asarray(cum)
     if len(cum) != len(times):
         raise ValueError(f"cum must match times in length, got {len(cum)} and {len(times)}")
-    return cum
+    return times, cum
 
 
 def _bytes_up_to(times: np.ndarray, cum: np.ndarray, t: float, side: str = "right") -> int:
-    idx = int(np.searchsorted(times, t, side=side))
+    idx = int(times.searchsorted(t, side=side))
     return int(cum[idx - 1]) if idx > 0 else 0
 
 
@@ -284,7 +284,7 @@ def tile(times: np.ndarray, cum: np.ndarray,
     on a boundary is attributed to the candidate segment, not the surrounding
     ``other`` gap. ``cum`` is the cumulative payload bytes per packet.
     """
-    cum = _checked_cum(times, cum)
+    times, cum = _checked_cum(times, cum)
     if len(times) == 0:
         return []
     t0, t1 = float(times[0]), float(times[-1])
@@ -347,8 +347,9 @@ def estimate_rate(segments: list[PhaseSegment]) -> RateEstimate:
 def _sample_times(times: np.ndarray, sample_dt: float, start: int = 0) -> np.ndarray:
     """Buffer sample times ``times[0] + sample_dt * i``, from ``i = start`` to one
     sample past the last packet."""
-    n = int(np.floor((times[-1] - times[0]) / sample_dt)) + 1
-    return times[0] + sample_dt * np.arange(start, n + 1)
+    t0 = float(times[0])
+    n = math.floor((float(times[-1]) - t0) / float(sample_dt)) + 1
+    return t0 + sample_dt * np.arange(start, n + 1)
 
 
 def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, playout_start: float,
@@ -362,7 +363,7 @@ def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, play
     payload bytes arrived by each sample time when the caller already has
     them.
     """
-    cum = _checked_cum(times, cum)
+    times, cum = _checked_cum(times, cum)
     check_positive("encode_rate", encode_rate)
     check_positive("sample_dt", sample_dt)
     check_real("playout_start", playout_start)
@@ -370,9 +371,9 @@ def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, play
         return BufferTrajectory(np.zeros(0), np.zeros(0), playout_start, encode_rate)
     ts = _sample_times(times, sample_dt)
     if arrived is None:
-        arrived = cum[np.searchsorted(times, ts, side="right") - 1]
-    played = encode_rate * np.clip(ts - playout_start, 0.0, None)
-    levels = np.clip(arrived - played, 0.0, None)
+        arrived = cum[times.searchsorted(ts, side="right") - 1]
+    played = encode_rate * np.maximum(ts - playout_start, 0.0)
+    levels = np.maximum(arrived - played, 0.0)
     return BufferTrajectory(times=ts, levels=levels, playout_start=playout_start,
                             encode_rate_used=encode_rate)
 
@@ -426,6 +427,15 @@ def _checked_size(payload_size) -> int:
     return int(payload_size)
 
 
+def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.concatenate([a, b])`` in ``a``'s dtype, by two slice copies: for
+    ``BURST_DTYPE`` rows that skips numpy's structured-dtype promotion."""
+    out = np.empty(len(a) + len(b), dtype=a.dtype)
+    out[:len(a)] = a
+    out[len(a):] = b
+    return out
+
+
 class StreamProfiler:
     """Incremental per-flow profiler: feed packets, query the current profile.
 
@@ -473,7 +483,10 @@ class StreamProfiler:
         self._bursts = np.zeros(0, dtype=bursts_mod.BURST_DTYPE)  # of >= h_s bytes, classified
         self._open = self._bursts  # the last packet's burst, of any size; ends ``_bursts`` if kept
         self._candidates: list[PhaseCandidate] = []
-        self._arrived = np.zeros(0, dtype=np.int64)  # bytes arrived by each final sample
+        # bytes arrived by each buffer sample of the last query, as float64; the
+        # first ``_final`` are final, the rest is room to grow into
+        self._arrived = np.empty(0)
+        self._final = 0
         self._last_report: tuple[int, ProfileReport | None] = (-1, None)  # n_packets, report
 
     def feed(self, t_arrival: float, payload_size: int) -> None:
@@ -516,7 +529,9 @@ class StreamProfiler:
             return self._last_report[1]
         if n:
             self._advance(self._times[:n], self._sizes[:n])
-        self._cum[k:n] = np.cumsum(self._sizes[k:n]) + (self._cum[k - 1] if k else 0)
+        cum = np.cumsum(self._sizes[k:n], out=self._cum[k:n])
+        if k:
+            cum += self._cum[k - 1]
         report = self._report(self._times[:n], self._cum[:n], self.flow)
         self._last_report = (n, report)
         return report
@@ -560,27 +575,35 @@ class StreamProfiler:
 
     def _advance_bursts(self, times: np.ndarray, sizes: np.ndarray) -> None:
         """Resume the burst stages on the packets after the first ``_k``."""
-        bp, k = self.burst_params, self._k
+        bp, k, open_ = self.burst_params, self._k, self._open
         rows = bursts_mod.segment(times[k:], sizes[k:], bp)
-        if len(self._open):
-            if times[k] - self._open["t_end"][0] >= bp.h_t:
-                rows = np.concatenate([self._open, rows])
-            else:  # the first new packet continues the open burst
-                rows["t_start"][0] = self._open["t_start"][0]
-                rows["size"][:1] += self._open["size"]
-                bursts_mod.set_rates(rows[:1], bp)
-        closed = self._bursts[:len(self._bursts) - len(bursts_mod.filter_small(self._open, bp))]
+        closed = self._bursts
+        if len(open_) and times[k] - open_["t_end"][0] < bp.h_t:
+            # the first new packet continues the open burst: it is classified anew
+            rows["t_start"][0] = open_["t_start"][0]
+            rows["size"][:1] += open_["size"]
+            bursts_mod.set_rates(rows[:1], bp)
+            if open_["size"][0] >= bp.h_s:  # it ends ``_bursts``
+                closed = closed[:-1]
         kept = bursts_mod.filter_small(rows, bp)
         self._open = rows[-1:]
-        self._bursts = bursts_mod.classify(np.concatenate([closed, kept]) if len(closed)
-                                           else kept, bp)
+        if len(closed):
+            # the reference burst has closed, so the closed bursts keep their
+            # classes and only the new rows are classified, after the reference
+            new = bursts_mod.classify(_join(closed[:1], kept), bp)[1:]
+            self._bursts = _join(closed, new)
+        else:
+            self._bursts = bursts_mod.classify(kept, bp)
         self._candidates = bursts_mod.confirm_steady(self._bursts, bp)
         self._k = len(times)
 
     def _arrivals(self, times: np.ndarray, cum: np.ndarray) -> np.ndarray:
         """Payload bytes arrived by each buffer sample time."""
-        ts = _sample_times(times, self.rate_params.delta_t, start=len(self._arrived))
-        arrived = cum[np.searchsorted(times, ts, side="right") - 1]
-        n_final = int(np.searchsorted(ts, times[-1]))  # later packets arrive after these
-        self._arrived = np.concatenate([self._arrived, arrived[:n_final]])
-        return np.concatenate([self._arrived, arrived[n_final:]])
+        start = self._final
+        ts = _sample_times(times, self.rate_params.delta_t, start=start)
+        end = start + len(ts)
+        if end > len(self._arrived):
+            self._arrived = _join(self._arrived[:start], np.empty(max(end, 2 * start) - start))
+        self._arrived[start:end] = cum[times.searchsorted(ts, side="right") - 1]
+        self._final += int(ts.searchsorted(times[-1]))  # later packets arrive after these
+        return self._arrived[:end]
