@@ -787,22 +787,41 @@ def count_packets(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def _query_every_2s(trace) -> int:
+    """Feed ``trace`` to a ``StreamProfiler`` queried every 2 s of trace time and
+    after the last packet; return the number of queries."""
+    cuts = _cuts_every(trace, 2.0)
+    prof, fed_so_far = StreamProfiler(flow=TEST_FLOW), 0
+    for cut in cuts:
+        for t, s in zip(trace.times[fed_so_far:cut].tolist(),
+                        trace.sizes[fed_so_far:cut].tolist()):
+            prof.feed(t, s)
+        fed_so_far = cut
+        prof.report()
+    return len(cuts)
+
+
 class TestResumedBursts:
-    """A query passes the burst stages only the packets fed since the last one."""
+    """A query passes the burst stages only the packets fed since the last one,
+    and classifies only the bursts that are new since then."""
 
     @pytest.mark.parametrize("source", ["HQ", "bulk"])
     def test_segment_sees_each_packet_once(self, monkeypatch, source):
         trace = (generate(scenario_spec("HQ", seed=0)) if source == "HQ"
                  else generate_bulk(60.0, 1e6, seed=1)).trace
         calls = count_packets(monkeypatch, bursts_mod, "segment")
-        prof, fed_so_far = StreamProfiler(flow=TEST_FLOW), 0
-        for cut in _cuts_every(trace, 2.0):
-            for t, s in zip(trace.times[fed_so_far:cut].tolist(),
-                            trace.sizes[fed_so_far:cut].tolist()):
-                prof.feed(t, s)
-            fed_so_far = cut
-            prof.report()
+        _query_every_2s(trace)
         assert sum(calls) == len(trace)
+
+    @pytest.mark.parametrize("preset", ["HQ", "AQ"])
+    def test_classify_sees_only_new_bursts(self, monkeypatch, preset):
+        trace = generate(scenario_spec(preset, seed=0)).trace
+        params = BurstParams()
+        retained = len(filter_small(segment(trace.times, trace.sizes, params), params))
+        rows = count_packets(monkeypatch, bursts_mod, "classify")
+        queries = _query_every_2s(trace)
+        # a query may pass the reference burst besides its new rows
+        assert sum(rows) <= retained + queries
 
 
 class TestDeferredRate:
