@@ -18,6 +18,7 @@ import io
 import ipaddress
 import math
 import numbers
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -100,6 +101,14 @@ def check_times(times, sizes) -> np.ndarray:
     return times
 
 
+def _shown(value) -> str:
+    """``str(value)`` for a message, or what it is when it has too many digits to print."""
+    try:
+        return str(value)
+    except ValueError:  # beyond the interpreter's int-to-text limit (Python 3.10.7 and later)
+        return f"a number of more than {sys.get_int_max_str_digits()} digits"
+
+
 def check_real(name: str, *values) -> None:
     """Raise ``ValueError`` naming the field ``name`` for a value that is not a finite
     real number: a bool (numeric checks would take it as 1 or 0), a non-number, a NaN,
@@ -112,7 +121,7 @@ def check_real(name: str, *values) -> None:
         except OverflowError:  # an int or Fraction beyond the float range
             finite = False
         if not finite:
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise ValueError(f"{name} must be finite, got {_shown(value)}")
 
 
 def check_positive(name: str, *values) -> None:
@@ -120,7 +129,7 @@ def check_positive(name: str, *values) -> None:
     check_real(name, *values)
     for value in values:
         if not value > 0:
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+            raise ValueError(f"{name} must be finite and > 0, got {_shown(value)}")
 
 
 @dataclass(eq=False)

@@ -93,6 +93,16 @@ def test_check_real_names_the_field_of_a_bool_or_non_number(value, message):
             check("h_s", 1.0, value)
 
 
+@pytest.mark.parametrize("value", [10**5000, -10**5000, Fraction(10**5000),
+                                   Fraction(-10**5000, 10**5000 + 1)],
+                         ids=["10**5000", "-10**5000", "Fraction(10**5000)", "-Fraction(~1)"])
+def test_a_number_too_long_to_print_still_names_the_field(value):
+    # str() refuses an int of more than sys.get_int_max_str_digits() digits
+    with pytest.raises(ValueError, match=r"^x must be finite( and > 0)?, got a number of more "
+                                         r"than \d+ digits$"):
+        trace_mod.check_positive("x", 1.0, value)
+
+
 @pytest.mark.parametrize("value", [1, 0.7, np.float64(0.7), np.int64(1), Fraction(7, 10),
                                    0, -0.5], ids=repr)
 def test_check_real_passes_real_numbers(value):
