@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .trace import FILLING, OTHER, STEADY, FlowKey, PhaseSpan, Trace, check_positive, check_real
+from .trace import (_INT64_MAX, FILLING, OTHER, STEADY, FlowKey, PhaseSpan, Trace, _shown,
+                    check_positive, check_real)
 
 _BPS_PER_KBPS = 1000.0 / 8.0  # bytes/s per kbit/s
 
@@ -66,6 +67,14 @@ def _check_whole(value, name: str) -> None:
         isinstance(value, numbers.Real) and float(value).is_integer())
     if isinstance(value, bool) or not whole:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_packet_size(value) -> None:
+    """Reject a packet size that is not a whole number in [1, 2**63 - 1], the
+    range of a trace's int64 sizes."""
+    _check_whole(value, "packet_size")
+    if not 1 <= value <= _INT64_MAX:
+        raise ValueError(f"packet_size must be in [1, {_INT64_MAX}], got {_shown(value)}")
 
 
 def _check_seed(value, name: str) -> None:
@@ -115,10 +124,8 @@ class ScenarioSpec:
         for name in ("segment_duration", "buffer_target", "fill_throughput", "video_duration",
                      "throttling_factor"):
             check_positive(name, getattr(self, name))  # an infinite or NaN video never ends
-        _check_whole(self.packet_size, "packet_size")
+        _check_packet_size(self.packet_size)
         _check_seed(self.rng_seed, "rng_seed")
-        if self.packet_size < 1:
-            raise ValueError(f"packet_size must be >= 1, got {self.packet_size}")
         check_real("throttle_quality_fraction", self.throttle_quality_fraction)
         if not 0 < self.throttle_quality_fraction <= 1:
             raise ValueError("throttle_quality_fraction must be in (0, 1]")
@@ -369,12 +376,12 @@ def generate_bulk(duration: float = 60.0, rate: float = 1e6,
     remotely near a burst threshold) labeled ``other``. The defaults are
     the ``bulk`` preset: 60 s at 1 MB/s.
     """
-    _check_whole(packet_size, "packet_size")
+    _check_packet_size(packet_size)
     _check_seed(seed, "seed")
     check_real("duration", duration)
     check_real("rate", rate)
-    if duration < 0 or rate <= 0 or packet_size < 1:
-        raise ValueError("duration must be >= 0, rate > 0, packet_size >= 1")
+    if duration < 0 or rate <= 0:
+        raise ValueError("duration must be >= 0, rate > 0")
     nbytes = int(round(duration * rate))
     if nbytes < 1:
         return LabeledTrace(trace=Trace.empty(), labels=[])

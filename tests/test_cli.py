@@ -215,6 +215,23 @@ class TestGenerate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("source", ["bulk", "MQ", "spec"])
+    def test_packet_size_beyond_int64_exits_2(self, tmp_path, capsys, source):
+        if source == "spec":
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({
+                "encode_rates": [[0.0, 80750.0]], "segment_duration": 5.0, "buffer_target": 2e6,
+                "fill_throughput": 807500.0, "video_duration": 60.0, "packet_size": 10**400,
+                "rng_seed": 0}))
+            argv = ["--spec", path]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"generator": {"packet_size": 10**400}}))
+            argv = [source, "--config", path]
+        assert run(["generate", *argv, "--out", tmp_path / "c"]) == 2
+        assert "error: packet_size must be in [1, 9223372036854775807]" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("argv", [["generate", "MQ"], ["evaluate", "MQ", "--runs", 1]])
     def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
         assert run([*argv, "--seed", -1, "--out", tmp_path / "x"]) == 2
