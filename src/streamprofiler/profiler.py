@@ -428,8 +428,8 @@ def _checked_size(payload_size) -> int:
 
 
 def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.concatenate([a, b])`` in ``a``'s dtype, by two slice copies: for
-    ``BURST_DTYPE`` rows that skips numpy's structured-dtype promotion."""
+    """``np.concatenate([a, b])`` of two ``BURST_DTYPE`` arrays, by two slice
+    copies: that skips numpy's structured-dtype promotion."""
     out = np.empty(len(a) + len(b), dtype=a.dtype)
     out[:len(a)] = a
     out[len(a):] = b
@@ -445,18 +445,23 @@ class StreamProfiler:
     written again, so ``trace()`` views and earlier reports stay as they
     were; a ``float`` time and an ``int`` size take a fast path of one check
     each into the same arrays. A query resumes the burst stages on the
-    packets fed since the last one, keeping what is final (bursts closed by
-    a gap of at least ``h_t``, buffer arrivals before the last packet). The
-    rate method only confirms burst candidates, so its stages run, over
-    every packet held, only while some candidate's confirmation is not
-    settled (see ``decide``). Any other query costs what the new packets,
-    bursts, events and buffer samples cost, not the packets held. Every
+    packets fed since the last one, keeping what is final: bursts closed by
+    a gap of at least ``h_t``, and buffer arrivals before the last packet.
+    Once the first retained burst has closed, its rate (the classification
+    reference) is final, so closed bursts keep their classes and a query
+    classifies only the bursts that are new since the last one. The rate
+    method only confirms burst candidates, so its stages run, over every
+    packet held, only while some candidate's confirmation is not settled
+    (see ``decide``). Any other query costs what the new packets and bursts
+    cost, plus the candidates (O(bursts)), fusion (O(candidates + events))
+    and the buffer levels (O(samples held)), not the packets held. Every
     report equals ``profile()`` of the packets so far. A query with no
     packet fed since the last one returns that report object again, so
     treat reports as read-only. Besides the stage outputs (retained bursts,
     candidates, rate events), the profiler holds the packets, the burst
-    resume point (``_k``, ``_open``), the rate ``_horizon``, the final buffer
-    samples' ``_arrived`` bytes and the last report.
+    resume point (``_k``, ``_open``), the rate ``_horizon``, the buffer
+    samples' ``_arrived`` bytes (the first ``_final`` final) and the last
+    report.
     """
 
     def __init__(self, rate_params: RateParams | None = None,
@@ -598,12 +603,14 @@ class StreamProfiler:
         self._k = len(times)
 
     def _arrivals(self, times: np.ndarray, cum: np.ndarray) -> np.ndarray:
-        """Payload bytes arrived by each buffer sample time."""
+        """Payload bytes arrived by each buffer sample time, as float64."""
         start = self._final
         ts = _sample_times(times, self.rate_params.delta_t, start=start)
         end = start + len(ts)
-        if end > len(self._arrived):
-            self._arrived = _join(self._arrived[:start], np.empty(max(end, 2 * start) - start))
+        if end > len(self._arrived):  # grow by doubling, keeping the final samples
+            grown = np.empty(max(end, 2 * start))
+            grown[:start] = self._arrived[:start]
+            self._arrived = grown
         self._arrived[start:end] = cum[times.searchsorted(ts, side="right") - 1]
         self._final += int(ts.searchsorted(times[-1]))  # later packets arrive after these
         return self._arrived[:end]
