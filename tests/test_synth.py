@@ -520,8 +520,8 @@ class TestSpecInputs:
     @pytest.mark.parametrize("value", [0, -3, 2**63, pytest.param(10**400, id="10**400"), 1e300])
     @pytest.mark.parametrize("make, kwargs", [(ScenarioSpec, SPEC), (generate_bulk, {})])
     def test_packet_size_beyond_int64_names_field(self, make, kwargs, value):
-        with pytest.raises(ValueError, match=r"^packet_size must be in \[1, 9223372036854775807\], "
-                                             r"got "):
+        with pytest.raises(ValueError,
+                           match=r"^packet_size must be in \[1, 9223372036854775807\], got "):
             make(**{**kwargs, "packet_size": value})
 
     @pytest.mark.parametrize("make, kwargs, field", [

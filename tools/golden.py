@@ -33,7 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden.json"
 sys.path.insert(0, str(ROOT / "src"))
 
-from streamprofiler import FlowKey, StreamProfiler, Trace, cli, profile, run_scenario, write_trace  # noqa: E402
+from streamprofiler import (FlowKey, StreamProfiler, Trace, cli, profile,  # noqa: E402
+                            run_scenario, write_trace)
 from streamprofiler.evaluate import PRESETS, build_preset  # noqa: E402
 from streamprofiler.synth import GeneratorDefaults  # noqa: E402
 
@@ -72,14 +73,16 @@ def live_cases() -> dict[str, str]:
 def multi_flow_trace() -> Trace:
     """MQ seed 1, QC seed 2 from 30 s, bulk seed 3 from 100 s and five web
     packets, each on its own flow key, in time order."""
-    parts = [(_session("MQ", 1), 0.0), (_session("QC", 2), 30.0), (_session("bulk", 3), 100.0),
-             (Trace.single_flow([0.0, 0.5, 3.0, 9.0, 9.2], [1500] * 5, FlowKey("", "")), 40.0)]
+    sessions = (_session("MQ", 1), _session("QC", 2), _session("bulk", 3))
+    columns = [(s.times, s.sizes) for s in sessions]
+    columns.append((np.array([0.0, 0.5, 3.0, 9.0, 9.2]), np.full(5, 1500)))
+    offsets = (0.0, 30.0, 100.0, 40.0)
     flows = [FlowKey("203.0.113.10", "192.0.2.1", 443), FlowKey("203.0.113.11", "192.0.2.1", 443),
              FlowKey("198.51.100.7", "192.0.2.2", 8080), FlowKey("198.51.100.8", "192.0.2.2", 80)]
-    times = np.concatenate([t.times + offset for t, offset in parts])
+    times = np.concatenate([t + offset for (t, _), offset in zip(columns, offsets)])
+    sizes = np.concatenate([s for _, s in columns])
+    ids = np.concatenate([np.full(len(t), i) for i, (t, _) in enumerate(columns)])
     order = np.argsort(times, kind="stable")
-    sizes = np.concatenate([t.sizes for t, _ in parts])
-    ids = np.concatenate([np.full(len(t), i) for i, (t, _) in enumerate(parts)])
     return Trace(times[order], sizes[order], ids[order], flows)
 
 
