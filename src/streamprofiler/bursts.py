@@ -14,13 +14,12 @@ size column as ``bursts["size"]``: ``ndarray.size`` is the element count.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
-from .trace import FILLING, STEADY, check_positive, check_times
+from .trace import FILLING, STEADY, check_int, check_positive, check_times
 
 KLASS_FILLING = 1
 KLASS_STEADY = -1
@@ -56,9 +55,7 @@ class BurstParams:
             check_positive(name, getattr(self, name))
         if not self.h_r < 1:
             raise ValueError(f"h_r must be < 1, got {self.h_r}")
-        if not (isinstance(self.h_n, numbers.Integral) and not isinstance(self.h_n, bool)
-                and self.h_n >= 1):
-            raise ValueError(f"h_n must be a positive integer, got {self.h_n}")
+        check_int("h_n", self.h_n, 1)
 
 
 @dataclass(frozen=True)

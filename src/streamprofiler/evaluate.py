@@ -21,7 +21,7 @@ from .profiler import UNIT_NOTE, FusionParams, PhaseSegment, ProfileReport, prof
 from .rate import RateParams
 from .synth import (SCENARIOS, GeneratorDefaults, LabeledTrace, ScenarioSpec, generate,
                     generate_bulk, scenario_spec)
-from .trace import FILLING, OTHER, PHASES, STEADY, PhaseSpan
+from .trace import FILLING, OTHER, PHASES, STEADY, PhaseSpan, check_int
 
 _PHASE_INDEX = {phase: i for i, phase in enumerate(PHASES)}
 
@@ -216,9 +216,7 @@ def run_scenario(scenario: str, n_runs: int,
     phase ordinal, empirical CDF points of estimated and true rates, the
     per-run check counts and each record's ``PER_RUN_FIELDS``.
     """
-    n_runs, base_seed = _integer("n_runs", n_runs), _integer("base_seed", base_seed)
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be an integer >= 1, got {n_runs!r}")
+    n_runs, base_seed = check_int("n_runs", n_runs, 1), check_int("base_seed", base_seed)
     fp = fusion_params or FusionParams()
     gd = gen_defaults or GeneratorDefaults()
 
@@ -252,17 +250,6 @@ def run_scenario(scenario: str, n_runs: int,
                    for name, key in _CHECK_FIELDS.items()},
         "per_run": [{k: r[k] for k in PER_RUN_FIELDS if k in r} for r in records],
     }
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python ``int`` (numpy integers too); ``ValueError`` naming
-    ``name`` for a bool or a non-integer."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _cdf_points(pairs_by_ordinal: dict[int, list[tuple[float, float]]]) -> dict:

@@ -25,7 +25,8 @@ from . import bursts as bursts_mod
 from . import rate as rate_mod
 from .bursts import BurstParams, PhaseCandidate
 from .rate import DECREASE, INCREASE, RateChange, RateParams
-from .trace import _INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace, check_positive, check_real
+from .trace import (_INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace, check_int, check_positive,
+                    check_real)
 
 _EPS = 1e-9
 _INITIAL_CAPACITY = 1024  # packets a StreamProfiler makes room for at its first feed
@@ -367,6 +368,8 @@ def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, play
     check_positive("encode_rate", encode_rate)
     check_positive("sample_dt", sample_dt)
     check_real("playout_start", playout_start)
+    # as floats: a Fraction would make object arrays of the samples
+    encode_rate, playout_start, sample_dt = map(float, (encode_rate, playout_start, sample_dt))
     if len(times) == 0:
         return BufferTrajectory(np.zeros(0), np.zeros(0), playout_start, encode_rate)
     ts = _sample_times(times, sample_dt)
@@ -404,8 +407,7 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
 def _checked_time(t_arrival, last_t: float) -> float:
     """``t_arrival`` (or the scalar of a 0-d array) as a float, if a finite real
     number, >= 0 and not before ``last_t``."""
-    if isinstance(t_arrival, np.ndarray) and t_arrival.ndim == 0:
-        t_arrival = t_arrival[()]
+    t_arrival = _scalar(t_arrival)
     check_real("t_arrival", t_arrival)
     t = float(t_arrival)
     if t < 0.0:
@@ -415,16 +417,9 @@ def _checked_time(t_arrival, last_t: float) -> float:
     return t
 
 
-def _checked_size(payload_size) -> int:
-    """``payload_size`` (or the scalar of a 0-d array) as an int, if an integer in
-    [1, 2**63 - 1]."""
-    if isinstance(payload_size, np.ndarray) and payload_size.ndim == 0:
-        payload_size = payload_size[()]
-    check_real("payload_size", payload_size)
-    if not (1 <= payload_size <= _INT64_MAX and payload_size == int(payload_size)):
-        raise ValueError(f"payload_size must be an integer in [1, {_INT64_MAX}], "
-                         f"got {payload_size!r}")
-    return int(payload_size)
+def _scalar(value):
+    """The scalar of a 0-d array, else ``value``."""
+    return value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
 
 
 def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -505,7 +500,7 @@ class StreamProfiler:
         if not (type(t) is float and self._last_t <= t < math.inf):
             t = _checked_time(t, self._last_t)
         if not (type(size) is int and 1 <= size <= _INT64_MAX):
-            size = _checked_size(size)
+            size = check_int("payload_size", _scalar(size), 1, _INT64_MAX)
         n = self._n
         if n == len(self._tv):
             # ``len(a)``, not ``n``: a generator reading ``n`` would make ``n`` a

@@ -39,6 +39,8 @@ class RateParams:
         # c <= 0.5 would let the increase and decrease conditions hold at once
         if not 0.5 < self.c < 1:
             raise ValueError(f"c must be in (0.5, 1), got {self.c}")
+        for name in ("delta_t", "a", "c"):  # a Fraction would reach numpy's in-place ops
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,12 @@ exact ties while keeping label boundaries exact.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .trace import (_INT64_MAX, FILLING, OTHER, STEADY, FlowKey, PhaseSpan, Trace, _shown,
+from .trace import (_INT64_MAX, FILLING, OTHER, STEADY, FlowKey, PhaseSpan, Trace, check_int,
                     check_positive, check_real)
 
 _BPS_PER_KBPS = 1000.0 / 8.0  # bytes/s per kbit/s
@@ -59,29 +58,6 @@ class GeneratorDefaults:
     video_duration: float = 700.0
     throttle_quality_fraction: float = 0.5
     throttling_factor: float = 1.0
-
-
-def _check_whole(value, name: str) -> None:
-    """Reject a boolean or a number that is not a whole number (``1400.5``)."""
-    whole = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer())
-    if isinstance(value, bool) or not whole:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_packet_size(value) -> None:
-    """Reject a packet size that is not a whole number in [1, 2**63 - 1], the
-    range of a trace's int64 sizes."""
-    _check_whole(value, "packet_size")
-    if not 1 <= value <= _INT64_MAX:
-        raise ValueError(f"packet_size must be in [1, {_INT64_MAX}], got {_shown(value)}")
-
-
-def _check_seed(value, name: str) -> None:
-    """Reject a seed numpy cannot take: not a whole number, or negative."""
-    _check_whole(value, name)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +100,9 @@ class ScenarioSpec:
         for name in ("segment_duration", "buffer_target", "fill_throughput", "video_duration",
                      "throttling_factor"):
             check_positive(name, getattr(self, name))  # an infinite or NaN video never ends
-        _check_packet_size(self.packet_size)
-        _check_seed(self.rng_seed, "rng_seed")
+        # a trace's sizes are int64; numpy takes no negative seed
+        check_int("packet_size", self.packet_size, 1, _INT64_MAX)
+        check_int("rng_seed", self.rng_seed, 0)
         check_real("throttle_quality_fraction", self.throttle_quality_fraction)
         if not 0 < self.throttle_quality_fraction <= 1:
             raise ValueError("throttle_quality_fraction must be in (0, 1]")
@@ -173,8 +150,7 @@ def scenario_spec(name: str, seed: int = 0,
     """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; presets are {', '.join(SCENARIOS)}")
-    _check_seed(seed, "seed")
-    rng = np.random.default_rng([int(seed), 0xA5])
+    rng = np.random.default_rng([check_int("seed", seed, 0), 0xA5])
     epoch = float(rng.uniform(*CHANGE_WINDOW))
     rates: tuple[tuple[float, float], ...]
     windows: tuple[tuple[float, float, float], ...] = ()
@@ -376,8 +352,8 @@ def generate_bulk(duration: float = 60.0, rate: float = 1e6,
     remotely near a burst threshold) labeled ``other``. The defaults are
     the ``bulk`` preset: 60 s at 1 MB/s.
     """
-    _check_packet_size(packet_size)
-    _check_seed(seed, "seed")
+    packet_size = check_int("packet_size", packet_size, 1, _INT64_MAX)
+    seed = check_int("seed", seed, 0)
     check_real("duration", duration)
     check_real("rate", rate)
     if duration < 0 or rate <= 0:
@@ -385,7 +361,7 @@ def generate_bulk(duration: float = 60.0, rate: float = 1e6,
     nbytes = int(round(duration * rate))
     if nbytes < 1:
         return LabeledTrace(trace=Trace.empty(), labels=[])
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     em = _Emitter(packet_size, rng)
     em.burst(0.0, nbytes, rate)
     t_last = em.last_time()

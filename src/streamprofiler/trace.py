@@ -101,10 +101,10 @@ def check_times(times, sizes) -> np.ndarray:
     return times
 
 
-def _shown(value) -> str:
-    """``str(value)`` for a message, or what it is when it has too many digits to print."""
+def _shown(value, text=str) -> str:
+    """``text(value)`` for a message, or what it is when it has too many digits to print."""
     try:
-        return str(value)
+        return text(value)
     except ValueError:  # beyond the interpreter's int-to-text limit (Python 3.10.7 and later)
         return f"a number of more than {sys.get_int_max_str_digits()} digits"
 
@@ -130,6 +130,28 @@ def check_positive(name: str, *values) -> None:
     for value in values:
         if not value > 0:
             raise ValueError(f"{name} must be finite and > 0, got {_shown(value)}")
+
+
+def check_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
+    """``value`` as a Python ``int``: an int, a numpy integer or any real number with
+    an integral value (``1400.0``, ``Fraction(6, 2)``), as JSON has one number type.
+
+    Raise ``ValueError`` naming the field ``name`` for a bool, a non-number, a
+    fractional value, NaN or an infinity, and for a value below ``minimum`` or
+    above ``maximum`` (given with a ``minimum``).
+    """
+    n = None
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            n = int(value)
+        except (ValueError, OverflowError):  # NaN, an infinity
+            pass
+    if n is None or n != value:
+        raise ValueError(f"{name} must be an integer, got {_shown(value, repr)}")
+    if minimum is not None and (n < minimum or maximum is not None and n > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be {bound}, got {_shown(value)}")
+    return n
 
 
 @dataclass(eq=False)

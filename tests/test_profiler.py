@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -254,6 +255,15 @@ class TestEstimateBuffer:
             estimate_buffer(*flow_arrays(flow_trace([0.0])), encode_rate=0.0, playout_start=0.0,
                             sample_dt=1.0)
 
+    def test_fractions_give_float64_arrays(self):
+        arrays = flow_arrays(generate(scenario_spec("MQ", seed=0)).trace)
+        as_fractions = estimate_buffer(*arrays, encode_rate=Fraction(80750),
+                                       playout_start=Fraction(5, 2), sample_dt=Fraction(1, 2))
+        as_floats = estimate_buffer(*arrays, encode_rate=80750.0, playout_start=2.5, sample_dt=0.5)
+        for got, want in ((as_fractions.times, as_floats.times),
+                          (as_fractions.levels, as_floats.levels)):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+
 
 # the stages that take cumulative bytes, each reduced to a comparable result
 CUM_STAGES = {
@@ -281,6 +291,12 @@ def mq():
 
 
 class TestProfile:
+
+    def test_fraction_rate_params_give_the_float_report(self, mq):
+        labeled, report = mq
+        params = RateParams(delta_t=Fraction(1, 10), a=Fraction(1, 50), c=Fraction(3, 5))
+        assert params == RateParams()
+        assert profile(labeled.trace, rate_params=params).to_json() == report.to_json()
 
     def test_segments_tile_and_are_disjoint(self, mq):
         labeled, report = mq

@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import math
 import re
 from fractions import Fraction
@@ -16,14 +17,21 @@ from streamprofiler import (
     FlowKey,
     PhaseSpan,
     RateParams,
+    ScenarioSpec,
+    StreamProfiler,
     Trace,
     TraceParseError,
     aggregate,
     demux,
+    generate,
+    generate_bulk,
     load_trace,
     normalize,
     parse_labels,
     parse_trace,
+    profile,
+    run_scenario,
+    scenario_spec,
     segment,
     serialize_labels,
     serialize_trace,
@@ -112,6 +120,80 @@ def test_check_real_passes_real_numbers(value):
     else:
         with pytest.raises(ValueError, match=f"^x must be finite and > 0, got {value}$"):
             trace_mod.check_positive("x", 1.0, value)
+
+
+@pytest.mark.parametrize("value, args, outcome", [
+    # whole numbers of any real type, returned as a Python int
+    *(pytest.param(value, (), 2, id=repr(value))
+      for value in (2, 2.0, np.int64(2), np.float64(2.0), Fraction(4, 2))),
+    pytest.param(Fraction(6, 2), (1,), 3, id="Fraction(6, 2)"),
+    pytest.param(10**5000, (1,), 10**5000, id="10**5000 >= 1"),
+    pytest.param(1, (1, trace_mod._INT64_MAX), 1, id="minimum"),
+    pytest.param(INT64_MAX, (1, trace_mod._INT64_MAX), INT64_MAX, id="maximum"),
+    pytest.param(-10**5000, (), -10**5000, id="-10**5000 unbounded"),
+    # a bool, a non-number, a fractional value, NaN and the infinities
+    *(pytest.param(value, (), f"must be an integer, got {re.escape(repr(value))}", id=repr(value))
+      for value in (True, np.True_, 2.5, math.nan, math.inf, -math.inf, "2", None,
+                    np.array(2))),
+    pytest.param(Fraction(10**5000 + 1, 2), (), r"must be an integer, got a number of more than "
+                 r"\d+ digits", id="Fraction(10**5000 + 1, 2)"),
+    # out of range
+    pytest.param(0, (1,), "must be >= 1, got 0", id="below minimum"),
+    pytest.param(-1.0, (0,), "must be >= 0, got -1.0", id="-1.0 below minimum"),
+    pytest.param(0, (1, trace_mod._INT64_MAX), re.escape(f"must be in [1, {INT64_MAX}], got 0"),
+                 id="0 in range"),
+    pytest.param(2**63, (1, trace_mod._INT64_MAX),
+                 re.escape(f"must be in [1, {INT64_MAX}], got {2**63}"), id="2**63"),
+    *(pytest.param(value, args, r"must be (>= 0|in \[1, \d+\]), got a number of more than "
+                                r"\d+ digits", id=value_id)
+      for value_id, value, args in (("10**5000 in range", 10**5000, (1, trace_mod._INT64_MAX)),
+                                    ("-10**5000 >= 0", -10**5000, (0,)))),
+])
+def test_check_int(value, args, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=f"^x {outcome}$"):
+            trace_mod.check_int("x", value, *args)
+    else:
+        result = trace_mod.check_int("x", value, *args)
+        assert type(result) is int and result == outcome
+
+
+def _spec(**fields) -> ScenarioSpec:
+    return ScenarioSpec(**{**dict(encode_rates=((0.0, 1e5),), segment_duration=5,
+                                  buffer_target=1e6, fill_throughput=1e6, video_duration=60,
+                                  packet_size=1400, rng_seed=0), **fields})
+
+
+@pytest.mark.parametrize("field, call", [
+    ("packet_size", lambda v: _spec(packet_size=v)),
+    ("rng_seed", lambda v: _spec(rng_seed=v)),
+    ("seed", lambda v: scenario_spec("MQ", seed=v)),
+    ("packet_size", lambda v: generate_bulk(packet_size=v)),
+    ("seed", lambda v: generate_bulk(seed=v)),
+    ("n_runs", lambda v: run_scenario("MQ", v)),
+    # base_seed has no bound of its own: the first run's seed is out of range
+    ("seed", lambda v: run_scenario("MQ", 1, base_seed=v)),
+    ("h_n", lambda v: BurstParams(h_n=v)),
+    ("payload_size", lambda v: StreamProfiler().feed(1.0, v)),
+], ids=["ScenarioSpec.packet_size", "ScenarioSpec.rng_seed", "scenario_spec.seed",
+        "generate_bulk.packet_size", "generate_bulk.seed", "run_scenario.n_runs",
+        "run_scenario.base_seed", "BurstParams.h_n", "StreamProfiler.feed"])
+def test_every_integer_field_names_itself_for_a_number_too_long_to_print(field, call):
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got a number of more than "
+                                         r"\d+ digits$"):
+        call(-10**5000)
+
+
+def test_integer_fields_take_whole_floats_and_show_strings_quoted():
+    with pytest.raises(ValueError, match=r"^h_n must be an integer, got '2'$"):
+        BurstParams(h_n="2")
+    as_floats, as_ints = run_scenario("MQ", 2.0, base_seed=1.0), run_scenario("MQ", 2, base_seed=1)
+    for report in (as_floats, as_ints):
+        del report["elapsed_s"]
+    assert json.dumps(as_floats) == json.dumps(as_ints)
+    mq = generate(scenario_spec("MQ", seed=0)).trace
+    assert (profile(mq, burst_params=BurstParams(h_n=3.0)).to_json()
+            == profile(mq).to_json())
 
 
 class TestParse:
