@@ -46,14 +46,8 @@ class Config:
             values = data.get(f.name, {})
             if not isinstance(values, dict):
                 raise ValueError(f"config section {f.name!r} must be a JSON object")
-            defaults = f.default_factory()
-            for name, value in values.items():
-                # a numeric field takes a JSON number, not a bool (which would pass as 1/0)
-                if (isinstance(getattr(defaults, name, None), (int, float))
-                        and (isinstance(value, bool) or not isinstance(value, (int, float)))):
-                    raise ValueError(f"config field {f.name}.{name} must be a number, got {value!r}")
-            try:
-                sections[f.name] = f.default_factory(**values)  # the section's params class
+            try:  # the section's params class checks its fields and names a bad one
+                sections[f.name] = f.default_factory(**values)
             except TypeError as exc:
                 raise ValueError(f"bad config section {f.name!r}: {exc}") from None
         return cls(**sections)

@@ -3,12 +3,11 @@
 Models a segment-requesting video client behind a fast bottleneck: an
 initial back-to-back fill at line rate until the play-back buffer reaches
 its byte target, then one media-segment download per segment duration,
-which matches the average streaming rate to the encoding rate (throttling
-factor 1) and produces the characteristic on-off burst pattern. A quality
-switch discards the buffer and triggers a fresh fill at the new rate. A
-throughput cap below the encoding rate degrades the client to capped
-low-quality segments until the cap lifts, after which the buffer deficit
-is refilled at line rate.
+which paces the average streaming rate at the encoding rate and produces
+the characteristic on-off burst pattern. A quality switch discards the
+buffer and triggers a fresh fill at the new rate. A throughput cap below
+the encoding rate degrades the client to capped low-quality segments
+until the cap lifts, after which the buffer deficit is refilled at line rate.
 
 All client decisions happen at request instants, so every phase boundary
 is known exactly and the emitted labels are authoritative ground truth.
@@ -47,7 +46,7 @@ class GenerationError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorDefaults:
-    """Session-model defaults shared by the scenario presets."""
+    """Session-model defaults shared by the scenario presets, checked as ``ScenarioSpec``'s."""
 
     segment_duration: float = 5.0
     buffer_target: float = 18e6
@@ -57,7 +56,20 @@ class GeneratorDefaults:
     # still leaves room for a full refill and a second steady stretch
     video_duration: float = 700.0
     throttle_quality_fraction: float = 0.5
-    throttling_factor: float = 1.0
+
+    def __post_init__(self):
+        _check_session(self, "fill_factor")
+
+
+def _check_session(record, fill_name: str) -> None:
+    """Check the fields ``GeneratorDefaults`` and ``ScenarioSpec`` share; ``fill_name`` is
+    the record's fill field."""
+    for name in ("segment_duration", "buffer_target", fill_name, "video_duration"):
+        check_positive(name, getattr(record, name))  # an infinite or NaN video never ends
+    check_int("packet_size", record.packet_size, 1, _INT64_MAX)  # a trace's sizes are int64
+    check_real("throttle_quality_fraction", record.throttle_quality_fraction)
+    if not 0 < record.throttle_quality_fraction <= 1:
+        raise ValueError("throttle_quality_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,6 @@ class ScenarioSpec:
     rng_seed: int
     throttle_windows: tuple[tuple[float, float, float], ...] = ()
     throttle_quality_fraction: float = GeneratorDefaults.throttle_quality_fraction
-    throttling_factor: float = GeneratorDefaults.throttling_factor
     name: str = ""
 
     def __post_init__(self):
@@ -97,15 +108,8 @@ class ScenarioSpec:
         for t, r in self.encode_rates:
             if r <= 0 or t < 0:
                 raise ValueError(f"encode rates must be positive at non-negative times, got ({t}, {r})")
-        for name in ("segment_duration", "buffer_target", "fill_throughput", "video_duration",
-                     "throttling_factor"):
-            check_positive(name, getattr(self, name))  # an infinite or NaN video never ends
-        # a trace's sizes are int64; numpy takes no negative seed
-        check_int("packet_size", self.packet_size, 1, _INT64_MAX)
-        check_int("rng_seed", self.rng_seed, 0)
-        check_real("throttle_quality_fraction", self.throttle_quality_fraction)
-        if not 0 < self.throttle_quality_fraction <= 1:
-            raise ValueError("throttle_quality_fraction must be in (0, 1]")
+        _check_session(self, "fill_throughput")
+        check_int("rng_seed", self.rng_seed, 0)  # numpy takes no negative seed
         prev_end = 0.0
         for w in self.throttle_windows:
             if len(w) != 3:
@@ -174,7 +178,6 @@ def scenario_spec(name: str, seed: int = 0,
         rng_seed=seed,
         throttle_windows=windows,
         throttle_quality_fraction=defaults.throttle_quality_fraction,
-        throttling_factor=defaults.throttling_factor,
         name=name,
     )
 
@@ -271,8 +274,7 @@ def generate(spec: ScenarioSpec) -> LabeledTrace:
     marks: list[tuple[float, str]] = []
 
     fill = spec.fill_throughput
-    seg_d = spec.segment_duration
-    request_gap = seg_d / spec.throttling_factor
+    seg_d = spec.segment_duration  # one steady-state request every segment duration
     duration = spec.video_duration
     pending_changes = list(spec.encode_rates[1:])
     windows = spec.throttle_windows
@@ -301,7 +303,7 @@ def generate(spec: ScenarioSpec) -> LabeledTrace:
             fill_due = capped = False
             if media < duration - 1e-9:
                 marks.append((end, STEADY))
-            next_req = end + request_gap
+            next_req = end + seg_d
         if media >= duration - 1e-9 or (duration - media) * q < 1.0:
             break
         # quality switch: discard the buffer and refill at the new rate
@@ -331,12 +333,12 @@ def generate(spec: ScenarioSpec) -> LabeledTrace:
             tx = min(fill, w[2]) if w is not None else fill
         em.burst(next_req, nbytes, tx)
         media += seg_media
-        buf += nbytes - q * request_gap
+        buf += nbytes - q * seg_d
         if capped and buf <= 0:
             raise GenerationError(
                 f"play-back buffer underrun at t={next_req:.2f}: cap {tx:.0f} B/s is "
                 f"below the encoding rate {q:.0f} B/s for too long")
-        next_req += request_gap
+        next_req += seg_d
 
     t_last = em.last_time()
     labels = _spans_from_marks(marks, t_last)

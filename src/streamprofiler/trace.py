@@ -76,6 +76,8 @@ class PhaseSpan:
     def __post_init__(self):
         if self.phase not in PHASES:
             raise ValueError(f"phase must be one of {PHASES}, got {self.phase!r}")
+        check_real("t_start", self.t_start)
+        check_real("t_end", self.t_end)
         if not self.t_end > self.t_start:
             raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
 

@@ -48,9 +48,10 @@ class TestConfig:
         ({"fusion": {"silence_timeout": 30.0}}, "silence_timeout"),  # a removed field
         ([{"rate": {}}], "JSON object"),
         ({"burst": [1, 2]}, "'burst' must be a JSON object"),
-        ({"burst": {"h_n": True}}, "burst.h_n must be a number"),  # would pass as 1
-        ({"rate": {"a": True}}, "rate.a must be a number"),
-        ({"generator": {"packet_size": False}}, "generator.packet_size must be a number"),
+        ({"burst": {"h_n": True}}, "h_n must be an integer, got True"),  # would pass as 1
+        ({"rate": {"a": True}}, "a takes numbers, not True"),
+        ({"generator": {"packet_size": False}}, "packet_size must be an integer, got False"),
+        ({"generator": {"throttling_factor": 1.0}}, "throttling_factor"),  # a removed field
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, data, message):
         path = tmp_path / "config.json"
@@ -68,7 +69,15 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"generator": {field: value}}))
         assert run([*argv, "--config", path, "--out", tmp_path / "x"]) == 2
-        assert f"generator.{field} must be a number, got {value!r}" in capsys.readouterr().err
+        assert f"error: {field} takes numbers, not {value!r}\n" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("field", ["fill_factor", "segment_duration"])
+    def test_generator_section_checked_for_bulk(self, tmp_path, capsys, field):
+        path = tmp_path / "config.json"  # bulk uses neither field, but the config is bad
+        path.write_text(json.dumps({"generator": {field: -1}}))
+        assert run(["generate", "bulk", "--config", path, "--out", tmp_path / "x"]) == 2
+        assert f"error: {field} must be finite and > 0, got -1\n" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv", [["generate", "bulk"], ["generate", "MQ"],

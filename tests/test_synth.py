@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from streamprofiler import (
     GenerationError,
+    GeneratorDefaults,
     ScenarioSpec,
     generate,
     generate_bulk,
@@ -75,7 +76,6 @@ def reference_generate(spec):
 
     fill = spec.fill_throughput
     seg_d = spec.segment_duration
-    request_gap = seg_d / spec.throttling_factor
     duration = spec.video_duration
     pending_changes = list(spec.encode_rates[1:])
     windows = list(spec.throttle_windows)
@@ -112,7 +112,7 @@ def reference_generate(spec):
     mode = STEADY
     if state["media"] < duration - 1e-9:
         marks.append((t, STEADY))
-    next_req = t + request_gap
+    next_req = t + seg_d
 
     while state["media"] < duration - 1e-9:
         q = state["quality"]
@@ -129,7 +129,7 @@ def reference_generate(spec):
                 break
             marks.append((end, STEADY))
             mode = STEADY
-            next_req = end + request_gap
+            next_req = end + seg_d
             continue
 
         w = active_window(next_req)
@@ -143,12 +143,12 @@ def reference_generate(spec):
             nbytes = max(1, int(round(q_adapted * seg_media)))
             em.burst(next_req, nbytes, w[2])
             state["media"] += seg_media
-            state["buf"] += nbytes - q * request_gap
+            state["buf"] += nbytes - q * seg_d
             if state["buf"] <= 0:
                 raise GenerationError(
                     f"play-back buffer underrun at t={next_req:.2f}: cap {w[2]:.0f} B/s is "
                     f"below the encoding rate {q:.0f} B/s for too long")
-            next_req += request_gap
+            next_req += seg_d
             continue
 
         if mode == OTHER:
@@ -158,7 +158,7 @@ def reference_generate(spec):
             if state["media"] >= duration - 1e-9:
                 break
             marks.append((end, STEADY))
-            next_req = end + request_gap
+            next_req = end + seg_d
             continue
 
         # plain steady-state segment; a non-degrading window still caps the wire
@@ -167,8 +167,8 @@ def reference_generate(spec):
         tx = min(fill, w[2]) if w is not None else fill
         em.burst(next_req, nbytes, tx)
         state["media"] += seg_media
-        state["buf"] += nbytes - q * request_gap
-        next_req += request_gap
+        state["buf"] += nbytes - q * seg_d
+        next_req += seg_d
 
     t_last = em.last_time()
     labels = _spans_from_marks(marks, t_last)
@@ -333,19 +333,6 @@ class TestGenerate:
         with pytest.raises(GenerationError, match="underrun"):
             generate(bad)
 
-    def test_throttling_factor_scales_average_rate(self):
-        spec = scenario_spec("MQ", seed=2)
-        fast = dataclasses.replace(spec, throttling_factor=1.25)
-        labeled = generate(fast)
-        steady = next(s for s in labeled.labels if s.phase == STEADY)
-        times, sizes = labeled.trace.times, labeled.trace.sizes
-        gap = spec.segment_duration / 1.25
-        start = steady.t_start + gap  # first request comes one gap into steady state
-        window = 15 * gap
-        mask = (times >= start) & (times < start + window)
-        avg = sizes[mask].sum() / window
-        assert avg == pytest.approx(1.25 * MEDIUM_RATE, rel=0.02)
-
     def test_nonbiting_window_keeps_steady_label(self):
         spec = scenario_spec("MQ", seed=2)
         gentle = dataclasses.replace(spec, throttle_windows=((150.0, 200.0, MEDIUM_RATE * 4),))
@@ -404,7 +391,6 @@ def session_specs(draw):
         rng_seed=draw(st.integers(0, 2**32)),
         throttle_windows=tuple(windows),
         throttle_quality_fraction=draw(st.floats(0.05, 1.0)),
-        throttling_factor=draw(st.floats(0.8, 1.5)),
     )
 
 
@@ -464,7 +450,7 @@ class TestSpecInputs:
             ScenarioSpec(**{**self.SPEC, field: value})
 
     @pytest.mark.parametrize("field", ["segment_duration", "buffer_target", "fill_throughput",
-                                       "video_duration", "throttling_factor"])
+                                       "video_duration"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        pytest.param(10**400, id="10**400")])
     def test_spec_rejects_non_finite(self, field, value):
@@ -487,8 +473,7 @@ class TestSpecInputs:
             ScenarioSpec(**{**self.SPEC, field: value})
 
     @pytest.mark.parametrize("field", ["segment_duration", "buffer_target", "fill_throughput",
-                                       "video_duration", "throttling_factor",
-                                       "throttle_quality_fraction"])
+                                       "video_duration", "throttle_quality_fraction"])
     @pytest.mark.parametrize("value", [True, False])
     def test_spec_rejects_bool_numbers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} takes numbers, not {value}$"):
@@ -547,6 +532,18 @@ class TestSpecInputs:
         assert np.array_equal(as_int.trace.times, as_float.trace.times)
         assert np.array_equal(as_int.trace.sizes, as_float.trace.sizes)
         assert scenario_spec("QC", seed=3.0) == scenario_spec("QC", seed=3)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(GeneratorDefaults)])
+    @pytest.mark.parametrize("value", ["x", True, float("nan"), float("inf"), -1.0,
+                                       pytest.param(10**400, id="10**400")])
+    def test_defaults_reject_bad_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            GeneratorDefaults(**{field: value})
+
+    def test_defaults_fill_factor_at_one_fails_in_the_generator(self):
+        spec = scenario_spec("MQ", defaults=GeneratorDefaults(fill_factor=1.0))
+        with pytest.raises(GenerationError, match="fill_throughput"):
+            generate(spec)
 
 
 class TestBulk:

@@ -491,3 +491,16 @@ class TestLabels:
     def test_empty_interval_rejected(self):
         with pytest.raises(TraceParseError, match="t_end"):
             parse_labels("t_start,t_end,phase\n1,1,filling\n")
+
+    @pytest.mark.parametrize("t_start, t_end, field", [
+        (True, 2.0, "t_start"), ("a", "b", "t_start"), (0.0, math.inf, "t_end"),
+        (0.0, math.nan, "t_end"), (-math.inf, 1.0, "t_start"), (0.0, None, "t_end"),
+    ])
+    def test_span_bounds_are_finite_reals(self, t_start, t_end, field):
+        with pytest.raises(ValueError, match=f"^{field} (takes numbers|must be finite)"):
+            PhaseSpan(t_start, t_end, "other")
+
+    @pytest.mark.parametrize("bounds", ["0,inf", "-inf,1", "nan,1"])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(TraceParseError, match="^line 2: t_(start|end) must be finite, got "):
+            parse_labels(f"t_start,t_end,phase\n{bounds},other\n")
