@@ -23,7 +23,6 @@ from .profiler import (
     estimate_rate,
     fuse,
     profile,
-    tile,
     to_kbps,
 )
 from .rate import RateChange, RateParams, RateSeries, aggregate, detect_changes, smooth

@@ -266,20 +266,12 @@ def decide(candidates: list[PhaseCandidate], rate_events: list[RateChange],
     return decisions
 
 
-def fuse(times: np.ndarray, cum: np.ndarray, candidates: list[PhaseCandidate],
-         rate_events: list[RateChange], params: FusionParams) -> list[PhaseSegment]:
-    """Cross-check the two methods: ``tile`` the candidates that ``decide`` confirms."""
-    return tile(times, cum, [d.candidate for d in decide(candidates, rate_events, params)
-                             if d.confirmed])
+def fuse(times: np.ndarray, cum: np.ndarray, decisions: list[Decision]) -> list[PhaseSegment]:
+    """Tile the span of one flow's packet ``times`` with the candidates ``decisions`` confirm.
 
-
-def tile(times: np.ndarray, cum: np.ndarray,
-         confirmed: list[PhaseCandidate]) -> list[PhaseSegment]:
-    """Tile the span of one flow's packet ``times`` with the ``confirmed`` candidates.
-
-    The candidates become segments with the burst method's boundaries
-    (packet-exact, unlike the filter-lagged rate method); uncovered time
-    becomes ``other``, and so do the bytes of a candidate not passed in.
+    The confirmed candidates become segments with the burst method's
+    boundaries (packet-exact, unlike the filter-lagged rate method); uncovered
+    time becomes ``other``, and so do the bytes of an unconfirmed candidate.
     Segment volumes partition the flow's payload exactly; candidate
     boundaries fall on their own burst's packets, so a packet sitting exactly
     on a boundary is attributed to the candidate segment, not the surrounding
@@ -291,7 +283,7 @@ def tile(times: np.ndarray, cum: np.ndarray,
     t0, t1 = float(times[0]), float(times[-1])
     pieces: list[tuple[str, float, float]] = []
     cursor = t0
-    for cand in sorted(confirmed, key=attrgetter("t_start")):
+    for cand in sorted((d.candidate for d in decisions if d.confirmed), key=attrgetter("t_start")):
         if cand.t_start - cursor > _EPS:
             pieces.append((OTHER, cursor, cand.t_start))
         pieces.append((cand.kind, cand.t_start, cand.t_end))
@@ -447,16 +439,17 @@ class StreamProfiler:
     classifies only the bursts that are new since the last one. The rate
     method only confirms burst candidates, so its stages run, over every
     packet held, only while some candidate's confirmation is not settled
-    (see ``decide``). Any other query costs what the new packets and bursts
-    cost, plus the candidates (O(bursts)), fusion (O(candidates + events))
-    and the buffer levels (O(samples held)), not the packets held. Every
-    report equals ``profile()`` of the packets so far. A query with no
-    packet fed since the last one returns that report object again, so
-    treat reports as read-only. Besides the stage outputs (retained bursts,
-    candidates, rate events), the profiler holds the packets, the burst
-    resume point (``_k``, ``_open``), the rate ``_horizon``, the buffer
-    samples' ``_arrived`` bytes (the first ``_final`` final) and the last
-    report.
+    (see ``decide``), then decide again; if they raise (``aggregate``: 2**63
+    bins or more), the next query reruns them. Any other query costs what
+    the new packets and bursts cost, plus the candidates (O(bursts)), one
+    ``decide`` and ``fuse`` of its decisions (O(candidates + events)) and
+    the buffer levels (O(samples held)), not the packets held. Every report
+    equals ``profile()`` of the packets so far. A query with no packet fed
+    since the last one returns that report object again, so treat reports as
+    read-only. Besides the stage outputs (retained bursts, candidates, rate
+    events, decisions), the profiler holds the packets, the burst resume
+    point (``_k``, ``_open``), the rate ``_horizon``, the buffer samples'
+    ``_arrived`` bytes (the first ``_final`` final) and the last report.
     """
 
     def __init__(self, rate_params: RateParams | None = None,
@@ -483,6 +476,7 @@ class StreamProfiler:
         self._bursts = np.zeros(0, dtype=bursts_mod.BURST_DTYPE)  # of >= h_s bytes, classified
         self._open = self._bursts  # the last packet's burst, of any size; ends ``_bursts`` if kept
         self._candidates: list[PhaseCandidate] = []
+        self._decisions: list[Decision] = []  # of ``_candidates`` against ``_events``
         # bytes arrived by each buffer sample of the last query, as float64; the
         # first ``_final`` are final, the rest is room to grow into
         self._arrived = np.empty(0)
@@ -539,7 +533,7 @@ class StreamProfiler:
     def _report(self, times: np.ndarray, cum: np.ndarray, flow: FlowKey | None) -> ProfileReport:
         """Fuse the stage results on packets ``times``, with ``cum`` bytes by each."""
         n = len(times)
-        segments = fuse(times, cum, self._candidates, self._events, self.fusion_params)
+        segments = fuse(times, cum, self._decisions)
         rate_estimate = estimate_rate(segments)
         buffer = None
         t_start, t_end = (float(times[0]), float(times[-1])) if n else (0.0, 0.0)
@@ -567,11 +561,14 @@ class StreamProfiler:
         so any event still to come lies at or after ``_horizon``."""
         if len(times) > self._k:
             self._advance_bursts(times, sizes)
-        if not all(d.settled for d in decide(self._candidates, self._events,
-                                             self.fusion_params, self._horizon)):
+            self._decisions = decide(self._candidates, self._events, self.fusion_params,
+                                     self._horizon)
+        if not all(d.settled for d in self._decisions):
             series = rate_mod.analyze(times, sizes, self.rate_params, self.burst_params.h_t)
             self._events, t0, dt = series.events, series.t0, series.delta_t
             self._horizon = t0 + math.floor((times[-1] - t0) / dt) * dt
+            self._decisions = decide(self._candidates, self._events, self.fusion_params,
+                                     self._horizon)
 
     def _advance_bursts(self, times: np.ndarray, sizes: np.ndarray) -> None:
         """Resume the burst stages on the packets after the first ``_k``."""

@@ -80,7 +80,8 @@ def aggregate(times: np.ndarray, sizes: np.ndarray, params: RateParams,
     first packet; its value is the summed payload divided by the bin width, so
     empty bins read 0 and ``sum(rho) * delta_t`` equals the flow's total bytes.
     ``tail`` (finite, >= 0) extends the series with empty bins past the last
-    packet so that end-of-flow rate decay stays visible downstream.
+    packet so that end-of-flow rate decay stays visible downstream. A bin
+    count ``(span + tail) / delta_t`` of 2**63 or more raises ``ValueError``.
     """
     check_real("tail", tail)
     if tail < 0:
@@ -90,6 +91,9 @@ def aggregate(times: np.ndarray, sizes: np.ndarray, params: RateParams,
         return np.zeros(0)
     rel = times - times[0]
     span = float(rel[-1])
+    if (count := (span + tail) / params.delta_t) >= 2**63:  # int64 bin indices
+        raise ValueError(f"delta_t {params.delta_t} and tail {tail} give {count:.3g} rate bins "
+                         f"over a {span} s span; the count must be below 2**63")
     rel /= params.delta_t
     idx = np.floor(rel, out=rel).astype(np.int64)
     n_bins = int(idx[-1]) + 1

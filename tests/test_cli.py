@@ -348,6 +348,12 @@ class TestAnalyze:
         assert "h_t must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--h-t", "1e300"), ("--delta-t", "1e-300")])
+    def test_bin_count_beyond_int64_exits_2(self, tmp_path, trace_path, capsys, flag, value):
+        assert run(["analyze", trace_path, "--out", tmp_path / "out", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "error: delta_t" in err and "below 2**63" in err and "Traceback" not in err
+
     def test_single_packet_steady_run_with_h_n_1(self, tmp_path):
         path = tmp_path / "lone.csv"
         write_trace(single_packet_steady_trace(), path)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from streamprofiler import (
     BurstParams,
+    Decision,
     FusionParams,
     PhaseSegment,
     RateParams,
@@ -24,12 +25,12 @@ from streamprofiler import (
     generate_bulk,
     profile,
     scenario_spec,
-    tile,
 )
 from streamprofiler.bursts import PhaseCandidate, classify, confirm_steady, filter_small, segment
 from streamprofiler.cli import Config, _write_debug_csvs
 from streamprofiler.profiler import _INITIAL_CAPACITY, BufferTrajectory
 from streamprofiler import bursts as bursts_mod
+from streamprofiler import profiler as profiler_mod
 from streamprofiler import rate as rate_mod
 from streamprofiler.rate import DECREASE, INCREASE, RateChange
 from streamprofiler.trace import FILLING, OTHER, STEADY, FlowKey
@@ -48,14 +49,14 @@ class TestFuse:
         events = [RateChange(4, "increase", 0.3), RateChange(431, "decrease", 43.0)]
         candidates = [PhaseCandidate(FILLING, 0.0, 41.0),
                       PhaseCandidate(STEADY, 44.0, 560.0)]
-        segments = fuse(*flow_arrays(trace), candidates, events, fusion_params)
+        segments = fuse(*flow_arrays(trace), decide(candidates, events, fusion_params))
         assert [(s.phase, s.t_start, s.t_end) for s in segments] == [
             (FILLING, 0.0, 41.0), (OTHER, 41.0, 44.0), (STEADY, 44.0, 560.0)]
 
     def test_candidate_without_matching_event_becomes_other(self, fusion_params):
         trace = flow_trace([0.0, 44.0, 560.0])
         candidates = [PhaseCandidate(STEADY, 44.0, 560.0)]
-        segments = fuse(*flow_arrays(trace), candidates, [], fusion_params)
+        segments = fuse(*flow_arrays(trace), decide(candidates, [], fusion_params))
         assert [s.phase for s in segments] == [OTHER]
         assert segments[0].t_start == 0.0 and segments[0].t_end == 560.0
 
@@ -63,25 +64,25 @@ class TestFuse:
         trace = flow_trace([0.0, 44.0, 560.0])
         events = [RateChange(1, "decrease", 44.0 + fusion_params.match_tolerance + 0.5)]
         candidates = [PhaseCandidate(STEADY, 44.0, 560.0)]
-        segments = fuse(*flow_arrays(trace), candidates, events, fusion_params)
+        segments = fuse(*flow_arrays(trace), decide(candidates, events, fusion_params))
         assert [s.phase for s in segments] == [OTHER]
 
     def test_wrong_event_type_is_no_match(self, fusion_params):
         trace = flow_trace([0.0, 44.0, 560.0])
         events = [RateChange(1, "increase", 44.0)]
         candidates = [PhaseCandidate(STEADY, 44.0, 560.0)]
-        segments = fuse(*flow_arrays(trace), candidates, events, fusion_params)
+        segments = fuse(*flow_arrays(trace), decide(candidates, events, fusion_params))
         assert [s.phase for s in segments] == [OTHER]
 
-    def test_empty_trace_yields_no_segments(self, fusion_params):
-        assert fuse(np.zeros(0), np.zeros(0, dtype=np.int64), [], [], fusion_params) == []
+    def test_empty_trace_yields_no_segments(self):
+        assert fuse(np.zeros(0), np.zeros(0, dtype=np.int64), []) == []
 
     def test_volumes_partition_payload(self, fusion_params):
         trace = flow_trace([0.0, 10.0, 41.0, 44.0, 100.0, 560.0], sizes=[10] * 6)
         events = [RateChange(1, "increase", 0.0), RateChange(431, "decrease", 43.0)]
         candidates = [PhaseCandidate(FILLING, 0.0, 41.0),
                       PhaseCandidate(STEADY, 44.0, 560.0)]
-        segments = fuse(*flow_arrays(trace), candidates, events, fusion_params)
+        segments = fuse(*flow_arrays(trace), decide(candidates, events, fusion_params))
         assert sum(s.volume for s in segments) == trace.total_bytes
         # boundary packets at 41.0 and 44.0 belong to the candidates, not the gap
         assert segments[0].volume == 30
@@ -92,18 +93,22 @@ class TestFuse:
         trace = flow_trace([0.0, 11.9, 30.0], sizes=[10, 20, 30])
         events = [RateChange(120, "decrease", 11.9)]
         candidates = [PhaseCandidate(STEADY, 11.9, 11.9)]
-        segments = fuse(*flow_arrays(trace), candidates, events, fusion_params)
+        segments = fuse(*flow_arrays(trace), decide(candidates, events, fusion_params))
         assert [s.phase for s in segments] == [OTHER]
         assert_tiles_and_partitions(segments, 0.0, 30.0, 60)
 
     def test_tile_takes_the_confirmed_candidates_in_any_order(self):
         times, cum = flow_arrays(flow_trace([0.0, 10.0, 41.0, 44.0, 100.0, 560.0],
                                             sizes=[10] * 6))
-        candidates = [PhaseCandidate(STEADY, 44.0, 560.0), PhaseCandidate(FILLING, 0.0, 41.0)]
-        segments = tile(times, cum, candidates)
+        decisions = [Decision(cand, None, None, True, True)
+                     for cand in (PhaseCandidate(STEADY, 44.0, 560.0),
+                                  PhaseCandidate(FILLING, 0.0, 41.0))]
+        segments = fuse(times, cum, decisions)
         assert [(s.phase, s.t_start, s.t_end, s.volume) for s in segments] == [
             (FILLING, 0.0, 41.0, 30), (OTHER, 41.0, 44.0, 0), (STEADY, 44.0, 560.0, 30)]
-        assert [(s.phase, s.volume) for s in tile(times, cum, [])] == [(OTHER, 60)]
+        unconfirmed = [d._replace(confirmed=False) for d in decisions]
+        for none in ([], unconfirmed):
+            assert [(s.phase, s.volume) for s in fuse(times, cum, none)] == [(OTHER, 60)]
 
 
 def scan_confirms(cand, events, tolerance) -> bool:
@@ -267,8 +272,7 @@ class TestEstimateBuffer:
 
 # the stages that take cumulative bytes, each reduced to a comparable result
 CUM_STAGES = {
-    "tile": lambda t, cum: tile(t, cum, []),
-    "fuse": lambda t, cum: fuse(t, cum, [], [], FusionParams()),
+    "fuse": lambda t, cum: fuse(t, cum, []),
     "estimate_buffer": lambda t, cum: estimate_buffer(t, cum, 0.5, 0.0, 1.0).levels.tolist(),
 }
 
@@ -869,6 +873,25 @@ class TestDeferredRate:
                 assert report.to_json() == batch.to_json(), f"query after {cut} packets"
             previous = report
         assert 1 <= binned <= 10
+
+    def test_query_decides_once_unless_the_rate_stages_run(self, monkeypatch):
+        trace = generate(scenario_spec("HQ", seed=0)).trace
+        decided = count_packets(monkeypatch, profiler_mod, "decide")
+        binned = count_packets(monkeypatch, rate_mod, "aggregate")
+        _query_every_2s(trace)
+        # a query computes a report unless no packet came since the last one
+        computing = len(set(_cuts_every(trace, 2.0)))
+        assert 1 <= len(binned) < computing
+        assert len(decided) == computing + len(binned)
+
+    def test_rate_stage_error_repeats_at_the_next_query(self):
+        trace = generate(scenario_spec("MQ", seed=0)).trace
+        prof = StreamProfiler(RateParams(delta_t=1e-300), flow=TEST_FLOW)
+        for t, s in zip(trace.times[:5000].tolist(), trace.sizes[:5000].tolist()):
+            prof.feed(t, s)
+        for _ in range(2):  # the second query runs the rate stages on the same candidates
+            with pytest.raises(ValueError, match=r"^delta_t 1e-300 and tail 1\.5 give"):
+                prof.report()
 
     def test_profile_bins_a_flow_without_candidates_only_for_debug(self, monkeypatch,
                                                                       tmp_path):

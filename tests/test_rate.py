@@ -123,6 +123,15 @@ class TestAggregate:
         with pytest.raises(ValueError, match=f"^tail {message}"):
             aggregate(*columns([0.0, 1.0]), rate_params, tail=tail)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("times, delta_t, tail", [
+        ([0.0, 10.0], 1e-300, 0.0), ([0.0, 10.0], 1e-18, 0.0), ([0.0, 1.0], 0.1, 1e300),
+        ([0.0], 0.5, 2.0**62), ([0.0, 1e300], 1e-10, 1e300)],
+        ids=["delta_t", "just-beyond", "tail", "exactly-2**63", "inf"])
+    def test_rejects_bin_count_beyond_int64(self, times, delta_t, tail):
+        with pytest.raises(ValueError, match=r"^delta_t .* and tail .* the count must be below"):
+            aggregate(*columns(times), RateParams(delta_t=delta_t), tail=tail)
+
     def test_unsorted_rejected(self, rate_params):
         for times, message in UNUSABLE_TIMES:
             with pytest.raises(ValueError, match=message):
