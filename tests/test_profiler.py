@@ -106,9 +106,8 @@ class TestFuse:
         segments = fuse(times, cum, decisions)
         assert [(s.phase, s.t_start, s.t_end, s.volume) for s in segments] == [
             (FILLING, 0.0, 41.0, 30), (OTHER, 41.0, 44.0, 0), (STEADY, 44.0, 560.0, 30)]
-        unconfirmed = [d._replace(confirmed=False) for d in decisions]
-        for none in ([], unconfirmed):
-            assert [(s.phase, s.volume) for s in fuse(times, cum, none)] == [(OTHER, 60)]
+        for unconfirmed in ([], [d._replace(confirmed=False) for d in decisions]):
+            assert [(s.phase, s.volume) for s in fuse(times, cum, unconfirmed)] == [(OTHER, 60)]
 
 
 def scan_confirms(cand, events, tolerance) -> bool:
