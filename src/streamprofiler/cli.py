@@ -54,8 +54,21 @@ class Config:
 
     @classmethod
     def load(cls, path: str | Path) -> "Config":
+        return cls.from_dict(_read_json_object("config", path))
+
+
+def _read_json_object(role: str, path: str | Path) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; the ``ValueError`` for
+    any other file names its ``role`` and ``path``."""
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            data = json.load(fh)
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ValueError(f"{role} {path} is not UTF-8 JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{role} must be a JSON object, got a JSON {type(data).__name__} "
+                         f"in {path}")
+    return data
 
 
 _OVERRIDES = {
@@ -124,8 +137,7 @@ def _write_debug_csvs(report: ProfileReport, flow: Trace, cfg: Config, prefix: P
     _write_csv(f"{prefix}_segments.csv",
                ["phase", "t_start", "t_end", "volume_bytes", "duration_s", "mean_rate_Bps",
                 "mean_rate_kbps"],
-               ((s.phase, s.t_start, s.t_end, s.volume, s.duration, s.mean_rate,
-                 to_kbps(s.mean_rate)) for s in report.segments))
+               (s.to_dict().values() for s in report.segments))
     _write_csv(f"{prefix}_buffer.csv", ["t", "buffered_bytes"],
                () if report.buffer is None else report.buffer.samples())
 
@@ -134,11 +146,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     trace = load_trace(args.input)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     flows = demux(normalize(trace), merge_ports=args.merge_ports)
     print(f"{len(flows)} flow(s) in {args.input} ({UNIT_NOTE})")
     for i, (key, sub) in enumerate(flows.items()):
         report = profile(sub, cfg.rate, cfg.burst, cfg.fusion)
+        if not i:  # once, after a flow has profiled: a failing first flow leaves no directory
+            out_dir.mkdir(parents=True, exist_ok=True)
         slug = _flow_slug(i, key)
         (out_dir / f"{slug}.json").write_text(report.to_json() + "\n", encoding="utf-8")
         if args.debug:
@@ -152,10 +165,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _spec_from_file(path: str, seed: int | None) -> ScenarioSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"scenario spec must be a JSON object, got {type(data).__name__}")
+    data = _read_json_object("scenario spec", path)
     if seed is not None:
         data["rng_seed"] = seed
     try:
@@ -225,13 +235,7 @@ def _print_evaluation(report: dict) -> None:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not a JSON report: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"not a report: a JSON {type(data).__name__}")
+    data = _read_json_object("report", args.path)
     if "segments" in data:
         show = _print_profile
     elif "scenario" in data:

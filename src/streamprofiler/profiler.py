@@ -67,8 +67,14 @@ class PhaseSegment:
     t_start: float
     t_end: float
     volume: int
-    duration: float
-    mean_rate: float
+
+    @property
+    def duration(self) -> float:
+        return self.t_end - self.t_start
+
+    @property
+    def mean_rate(self) -> float:
+        return self.volume / self.duration
 
     def to_dict(self) -> dict:
         return {
@@ -272,33 +278,27 @@ def fuse(times: np.ndarray, cum: np.ndarray, decisions: list[Decision]) -> list[
     The confirmed candidates become segments with the burst method's
     boundaries (packet-exact, unlike the filter-lagged rate method); uncovered
     time becomes ``other``, and so do the bytes of an unconfirmed candidate.
-    Segment volumes partition the flow's payload exactly; candidate
-    boundaries fall on their own burst's packets, so a packet sitting exactly
-    on a boundary is attributed to the candidate segment, not the surrounding
-    ``other`` gap. ``cum`` is the cumulative payload bytes per packet.
+    Segment volumes partition the flow's payload exactly: a segment takes the
+    bytes up to and including its last packet, except a gap before a
+    candidate, which stops short of the candidate's first packet. ``cum`` is
+    the cumulative payload bytes per packet.
     """
     times, cum = _checked_cum(times, cum)
     if len(times) == 0:
         return []
-    t0, t1 = float(times[0]), float(times[-1])
-    pieces: list[tuple[str, float, float]] = []
-    cursor = t0
+    segments: list[PhaseSegment] = []
+    cursor, done = float(times[0]), 0  # where and after how many bytes the next segment starts
     for cand in sorted((d.candidate for d in decisions if d.confirmed), key=attrgetter("t_start")):
         if cand.t_start - cursor > _EPS:
-            pieces.append((OTHER, cursor, cand.t_start))
-        pieces.append((cand.kind, cand.t_start, cand.t_end))
-        cursor = cand.t_end
+            upto = _bytes_up_to(times, cum, cand.t_start, side="left")
+            segments.append(PhaseSegment(OTHER, cursor, cand.t_start, upto - done))
+            done = upto
+        upto = _bytes_up_to(times, cum, cand.t_end)
+        segments.append(PhaseSegment(cand.kind, cand.t_start, cand.t_end, upto - done))
+        cursor, done = cand.t_end, upto
+    t1 = float(times[-1])
     if t1 - cursor > _EPS:
-        pieces.append((OTHER, cursor, t1))
-    segments: list[PhaseSegment] = []
-    prev_bytes = 0
-    for k, (phase, a, b) in enumerate(pieces):
-        # an `other` piece ends where the next candidate's first packet sits
-        side = "left" if (phase == OTHER and k < len(pieces) - 1) else "right"
-        upto = _bytes_up_to(times, cum, b, side=side)
-        volume, prev_bytes = upto - prev_bytes, upto
-        segments.append(PhaseSegment(phase=phase, t_start=a, t_end=b, volume=volume,
-                                     duration=b - a, mean_rate=volume / (b - a)))
+        segments.append(PhaseSegment(OTHER, cursor, t1, int(cum[-1]) - done))
     return segments
 
 

@@ -461,8 +461,11 @@ def serialize_trace(trace: Trace) -> str:
 
 
 def load_trace(path: str | Path) -> Trace:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_trace(fh)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return parse_trace(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"trace {path} is not UTF-8: {exc}") from None
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:

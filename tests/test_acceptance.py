@@ -194,8 +194,7 @@ class TestPropertySuite:
     def test_truth_against_itself(self):
         labeled = generate(scenario_spec("AQ", seed=14))
         from streamprofiler import PhaseSegment
-        as_segments = [PhaseSegment(phase=s.phase, t_start=s.t_start, t_end=s.t_end,
-                                    volume=0, duration=s.duration, mean_rate=0.0)
+        as_segments = [PhaseSegment(phase=s.phase, t_start=s.t_start, t_end=s.t_end, volume=0)
                        for s in labeled.labels]
         cm = confusion(as_segments, labeled.labels)
         off_diag = cm.total_seconds - float(np.trace(cm.seconds))

@@ -285,6 +285,26 @@ def test_number_beyond_float_range_exits_2(tmp_path, trace_path, capsys, argv, d
     assert not (tmp_path / "x").exists() and not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv, content", [
+    pytest.param(["generate", "MQ", "--config"], b'{"rate": ', id="config-truncated"),
+    pytest.param(["generate", "MQ", "--config"], b"\xff{}", id="config-not-utf8"),
+    pytest.param(["generate", "--spec"], b'{"rate": ', id="spec-truncated"),
+    pytest.param(["generate", "--spec"], b"\xff{}", id="spec-not-utf8"),
+    pytest.param(["report"], b'{"rate": ', id="report-truncated"),
+    pytest.param(["report"], b"\xff{}", id="report-not-utf8"),
+    pytest.param(["analyze"], b"t,size,src,dst,dst_port\n0.1,100,10.0.0.1,10.0.0.2,443\n\xff\n",
+                 id="trace-not-utf8"),
+])
+def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, argv, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    out = [] if argv == ["report"] else ["--out", tmp_path / "x"]
+    assert run([*argv, path, *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists() and not (tmp_path / "x.csv").exists()
+
+
 class TestAnalyze:
 
     def test_detects_video_stream(self, tmp_path, trace_path, capsys):
@@ -350,9 +370,11 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flag, value", [("--h-t", "1e300"), ("--delta-t", "1e-300")])
     def test_bin_count_beyond_int64_exits_2(self, tmp_path, trace_path, capsys, flag, value):
-        assert run(["analyze", trace_path, "--out", tmp_path / "out", flag, value]) == 2
+        out = tmp_path / "out"
+        assert run(["analyze", trace_path, "--out", out, flag, value]) == 2
         err = capsys.readouterr().err
         assert "error: delta_t" in err and "below 2**63" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_single_packet_steady_run_with_h_n_1(self, tmp_path):
         path = tmp_path / "lone.csv"
@@ -416,7 +438,7 @@ class TestReport:
         assert str(tmp_path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("data, message", [
-        (5, "not a report: a JSON int"),
+        (5, "report must be a JSON object, got a JSON int"),
         ({"segments": []}, "incomplete report: KeyError: 'n_packets'"),
         ({"scenario": "MQ"}, "incomplete report: KeyError: 'runs'"),
         ({"segments": [], "n_packets": 0, "total_bytes": 0, "t_start": None, "t_end": 0.0},

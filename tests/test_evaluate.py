@@ -25,8 +25,7 @@ from streamprofiler.trace import FILLING, OTHER, PHASES, STEADY
 
 
 def seg(phase, t0, t1):
-    return PhaseSegment(phase=phase, t_start=t0, t_end=t1, volume=0,
-                        duration=t1 - t0, mean_rate=0.0)
+    return PhaseSegment(phase=phase, t_start=t0, t_end=t1, volume=0)
 
 
 def spans_to_segments(labels):

@@ -39,8 +39,17 @@ from conftest import (TEST_FLOW, assert_tiles_and_partitions, flow_arrays, flow_
 
 
 def seg(phase, t0, t1, volume=0):
-    return PhaseSegment(phase=phase, t_start=t0, t_end=t1, volume=volume,
-                        duration=t1 - t0, mean_rate=volume / (t1 - t0))
+    return PhaseSegment(phase=phase, t_start=t0, t_end=t1, volume=volume)
+
+
+class TestPhaseSegment:
+    def test_duration_and_mean_rate_derive_from_the_stored_fields(self):
+        s = PhaseSegment(STEADY, 1.0, 3.0, 10)
+        assert [f.name for f in dataclasses.fields(s)] == ["phase", "t_start", "t_end", "volume"]
+        assert (s.duration, s.mean_rate) == (2.0, 5.0)
+        assert list(s.to_dict().items()) == [
+            ("phase", STEADY), ("t_start", 1.0), ("t_end", 3.0), ("volume_bytes", 10),
+            ("duration_s", 2.0), ("mean_rate_Bps", 5.0), ("mean_rate_kbps", 0.04)]
 
 
 class TestFuse:
