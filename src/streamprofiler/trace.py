@@ -38,11 +38,13 @@ LABEL_HEADER = ("t_start", "t_end", "phase")
 
 
 class TraceParseError(ValueError):
-    """Malformed trace or label CSV. Carries the 1-based line number."""
+    """Malformed trace or label CSV. Carries the 1-based line number, and the
+    file's ``path`` when the input was read from one by ``load_trace``."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    def __init__(self, line_no: int, message: str, path: str | Path | None = None):
+        where = f"line {line_no}" if path is None else f"trace {path}: line {line_no}"
+        super().__init__(f"{where}: {message}")
+        self.line_no, self.message, self.path = line_no, message, path
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,15 +352,24 @@ def _parse_columns(chunk: list[str], table: _FlowTable
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Parse plain data lines column-wise; None if any line needs the row parser.
 
-    Returns ``(times, sizes, flow_ids)``. A chunk that fails a check may
-    already have added flows to ``table``, but only in first-appearance
-    order, which is the order the row parser assigns them in as well.
+    Returns ``(times, sizes, flow_ids)``. A chunk of one flow, whose every
+    line ends with a newline and with the first line's ``src,dst,dst_port``
+    text, is known by three counts on its text, and then no line is split.
+    A chunk that fails a check may already have added flows to ``table``,
+    but only in first-appearance order, which is the order the row parser
+    assigns them in as well.
     """
     text = "".join(chunk)
     # quoting and bare carriage returns change how csv splits a line into fields
     if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
         return None
-    rows = [line for line in chunk if not line.isspace()]
+    # A match of "," + tail ends at a newline and holds no other, so n matches
+    # end the n lines. 4n commas then give every line five fields: a line of
+    # four would give loadtxt its src field as the size, and a src that loads
+    # as an integer is no IP address, which the flow check below refuses.
+    n, tail = len(chunk), chunk[0].split(",", 2)[-1]
+    one_flow = text.endswith("\n") and text.count("," + tail) == n and text.count(",") == 4 * n
+    rows = chunk if one_flow else [line for line in chunk if not line.isspace()]
     if not rows:
         return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
     try:
@@ -367,25 +378,26 @@ def _parse_columns(chunk: list[str], table: _FlowTable
             warnings.simplefilter("error", DeprecationWarning)
             numeric = np.loadtxt(rows, dtype=_NUMERIC, delimiter=",", comments=None,
                                  usecols=(0, 1), ndmin=1)
-        tails = [line.split(",", 2)[2] for line in rows]
+        tails = [tail] if one_flow else [line.split(",", 2)[2] for line in rows]
     except (ValueError, DeprecationWarning, IndexError):
         return None
     times, sizes = numeric["t"], numeric["size"]
     if not (np.isfinite(times).all() and (times >= 0.0).all() and (sizes >= 1).all()):
         return None
     id_of_tail = table.id_of_tail
-    for tail in dict.fromkeys(tails):
-        if tail in id_of_tail:
+    for line_tail in dict.fromkeys(tails):
+        if line_tail in id_of_tail:
             continue
-        fields = [f.strip() for f in tail.split(",")]
+        fields = [f.strip() for f in line_tail.split(",")]
         if len(fields) != 3:
             return None
         try:
-            id_of_tail[tail] = table.id_of(table.flow(*fields, line_no=0))
+            id_of_tail[line_tail] = table.id_of(table.flow(*fields, line_no=0))
         except TraceParseError:
             return None
-    return (np.ascontiguousarray(times), np.ascontiguousarray(sizes),
-            np.array([id_of_tail[tail] for tail in tails], dtype=np.int32))
+    ids = (np.full(n, id_of_tail[tail], np.int32) if one_flow
+           else np.array([id_of_tail[t] for t in tails], dtype=np.int32))
+    return np.ascontiguousarray(times), np.ascontiguousarray(sizes), ids
 
 
 def _parse_rows(lines: Iterable[str], line_no: int,
@@ -466,6 +478,8 @@ def load_trace(path: str | Path) -> Trace:
             return parse_trace(fh)
     except UnicodeDecodeError as exc:
         raise ValueError(f"trace {path} is not UTF-8: {exc}") from None
+    except TraceParseError as exc:
+        raise TraceParseError(exc.line_no, exc.message, path) from None
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
