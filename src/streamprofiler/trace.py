@@ -38,13 +38,13 @@ LABEL_HEADER = ("t_start", "t_end", "phase")
 
 
 class TraceParseError(ValueError):
-    """Malformed trace or label CSV. Carries the 1-based line number, and the
-    file's ``path`` when the input was read from one by ``load_trace``."""
+    """Malformed trace or label CSV. Carries the 1-based line number; the text
+    also names the file's ``path`` when ``load_trace`` read one."""
 
     def __init__(self, line_no: int, message: str, path: str | Path | None = None):
         where = f"line {line_no}" if path is None else f"trace {path}: line {line_no}"
         super().__init__(f"{where}: {message}")
-        self.line_no, self.message, self.path = line_no, message, path
+        self.line_no, self.message = line_no, message
 
 
 @dataclass(frozen=True, slots=True)
@@ -352,9 +352,13 @@ def _parse_columns(chunk: list[str], table: _FlowTable
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Parse plain data lines column-wise; None if any line needs the row parser.
 
-    Returns ``(times, sizes, flow_ids)``. A chunk of one flow, whose every
-    line ends with a newline and with the first line's ``src,dst,dst_port``
-    text, is known by three counts on its text, and then no line is split.
+    Returns ``(times, sizes, flow_ids)``. A chunk of n lines is one flow
+    when its text ends with a newline and holds n matches of ``"," + tail``
+    and 4n commas, where ``tail`` is the first line's ``src,dst,dst_port``
+    text with its newline. Then no line is split and every id is that
+    flow's; any other chunk splits each line for its flow text. Both share
+    the ``loadtxt`` call, the array checks and the flow table.
+
     A chunk that fails a check may already have added flows to ``table``,
     but only in first-appearance order, which is the order the row parser
     assigns them in as well.
@@ -441,9 +445,11 @@ def parse_trace(source: str | bytes | IO) -> Trace:
     with its line number.
 
     Data lines are read in chunks of ``_CHUNK_LINES``, so the input is never
-    held whole. A chunk of plain lines is parsed column-wise; from the first
-    chunk that is not (quoted fields, literals only Python's ``float`` or
-    ``int`` accepts, or a bad row) to the end, rows are parsed one by one.
+    held whole. A chunk of plain lines is parsed column-wise, and a chunk of
+    one flow, whose lines all end in the first line's ``src,dst,dst_port``
+    and a newline, without splitting a line; from the first chunk that is
+    not plain (quoted fields, literals only Python's ``float`` or ``int``
+    accepts, or a bad row) to the end, rows are parsed one by one.
     """
     with _text_lines(source) as lines:
         line_no = _read_header(lines, TRACE_HEADER)

@@ -305,6 +305,14 @@ def test_unreadable_input_exits_2_naming_the_file(tmp_path, capsys, argv, conten
     assert not (tmp_path / "x").exists() and not (tmp_path / "x.csv").exists()
 
 
+def test_malformed_trace_exits_2_naming_the_file_and_line(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text('t,size,src,dst,dst_port\n0.1,100,10.0.0.1,10.0.0.2,443\n{"rate": \n')
+    assert run(["analyze", path, "--out", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err == f"error: trace {path}: line 3: expected 5 fields, got 1\n"
+    assert not (tmp_path / "x").exists()
+
+
 class TestAnalyze:
 
     def test_detects_video_stream(self, tmp_path, trace_path, capsys):

@@ -297,6 +297,32 @@ def trace_lines(draw):
     return ",".join(pad + f for f in fields) + end
 
 
+# the src,dst,dst_port text of a one-flow chunk: valid, portless, a bad address, a bad port
+_ONE_FLOW_TAILS = ["10.0.0.1,192.0.2.9,443", "10.0.0.1,192.0.2.9,", "host,192.0.2.9,443",
+                   "10.0.0.1,192.0.2.9,70000"]
+# one line of such a chunk that the one-flow counts must not let through unread
+_MUTATED_LINES = ["\n", "  \t\n", "{t},{s},{src_dst},80\n", "{t},{tail}\n", "{t},{s},7,{tail}\n",
+                  "{t}, {s},{tail}\n", "{t},{s},{tail}\r\n", ",{tail}\n", "{t},5.0,{tail}\n"]
+
+
+@st.composite
+def one_flow_lines(draw):
+    """Lines of one flow, 0-2 of them mutated, and sometimes no final newline."""
+    tail = draw(st.sampled_from(_ONE_FLOW_TAILS))
+    n = draw(st.integers(min_value=1, max_value=12))
+    times = sorted(draw(st.lists(st.floats(min_value=0, max_value=1e4, allow_nan=False),
+                                 min_size=n, max_size=n)))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=1500), min_size=n, max_size=n))
+    lines = [f"{t!r},{s},{tail}\n" for t, s in zip(times, sizes)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        lines[i] = draw(st.sampled_from(_MUTATED_LINES)).format(
+            t=repr(times[i]), s=sizes[i], tail=tail, src_dst=tail.rsplit(",", 1)[0])
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\n")
+    return lines
+
+
 class TestColumnarParse:
     def test_plain_input_stays_on_the_columnar_path(self):
         text = HEADER + MIXED_BODY
@@ -371,6 +397,51 @@ class TestColumnarParse:
         with mock.patch.object(trace_mod, "_CHUNK_LINES", chunk_lines):
             got = parse_outcome(parse_trace, text)
         assert_same_outcome(got, parse_outcome(row_parse, text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_flow_lines(), st.integers(min_value=1, max_value=6))
+    def test_one_flow_chunks_match_row_parser(self, lines, chunk_lines):
+        text = HEADER + "".join(lines)
+        with mock.patch.object(trace_mod, "_CHUNK_LINES", chunk_lines):
+            got = parse_outcome(parse_trace, text)
+        assert_same_outcome(got, parse_outcome(row_parse, text))
+
+    @pytest.mark.parametrize("chunk_lines", [1, 7, trace_mod._CHUNK_LINES])
+    def test_one_flow_file_takes_the_one_flow_branch(self, tmp_path, chunk_lines):
+        rows = [f"{i * 0.01!r},{1000 + i},10.0.0.1,192.0.2.9,443\n" for i in range(40)]
+        path = tmp_path / "one.csv"
+        path.write_text(HEADER + "".join(rows))
+        with mock.patch.object(trace_mod, "_CHUNK_LINES", chunk_lines), \
+                mock.patch.object(trace_mod, "_parse_rows",
+                                  side_effect=AssertionError("row parser used")), \
+                mock.patch.object(trace_mod.np, "full", wraps=np.full) as full:
+            got = load_trace(path)
+        assert full.call_count == -(-len(rows) // chunk_lines)  # once per chunk
+        assert_same_outcome(got, row_parse(HEADER + "".join(rows)))
+
+    def test_four_and_six_field_lines_are_not_one_flow(self):
+        # the pair holds 4 commas a line on average, and both end with the first line's flow
+        text = HEADER + ("0.1,100,10.0.0.1,192.0.2.9,443\n"
+                         "0.2,10.0.0.1,192.0.2.9,443\n"
+                         "0.3,300,7,10.0.0.1,192.0.2.9,443\n")
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(text)
+        assert str(exc.value) == "line 3: expected 5 fields, got 4"
+
+    def test_bad_address_on_every_line_raises_at_line_2(self):
+        text = HEADER + "".join(f"{i},100,host,192.0.2.9,443\n" for i in range(5))
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(text)
+        assert exc.value.line_no == 2
+        assert str(exc.value) == "line 2: src is not an IP address: 'host'"
+
+    def test_load_trace_names_the_file_and_keeps_the_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + "0.1,100,10.0.0.1,192.0.2.9,443\n0.2,0,10.0.0.1,192.0.2.9,443\n")
+        with pytest.raises(TraceParseError) as exc:
+            load_trace(path)
+        assert exc.value.line_no == 3
+        assert str(exc.value) == f"trace {path}: line 3: payload size must be >= 1, got 0"
 
 
 class TestRoundTrip:
