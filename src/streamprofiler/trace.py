@@ -353,9 +353,9 @@ def _parse_columns(chunk: list[str], table: _FlowTable
     """Parse plain data lines column-wise; None if any line needs the row parser.
 
     Returns ``(times, sizes, flow_ids)``. A chunk of n lines is one flow
-    when its text ends with a newline and holds n matches of ``"," + tail``
-    and 4n commas, where ``tail`` is the first line's ``src,dst,dst_port``
-    text with its newline. Then no line is split and every id is that
+    when its text ends with a newline and holds n matches of ``"," +
+    first_tail`` and 4n commas, where ``first_tail`` is the first line's
+    ``src,dst,dst_port`` text with its newline. Then no line is split and every id is that
     flow's; any other chunk splits each line for its flow text. Both share
     the ``loadtxt`` call, the array checks and the flow table.
 
@@ -367,12 +367,13 @@ def _parse_columns(chunk: list[str], table: _FlowTable
     # quoting and bare carriage returns change how csv splits a line into fields
     if '"' in text or ("\r" in text and text.count("\r") != text.count("\r\n")):
         return None
-    # A match of "," + tail ends at a newline and holds no other, so n matches
-    # end the n lines. 4n commas then give every line five fields: a line of
-    # four would give loadtxt its src field as the size, and a src that loads
-    # as an integer is no IP address, which the flow check below refuses.
-    n, tail = len(chunk), chunk[0].split(",", 2)[-1]
-    one_flow = text.endswith("\n") and text.count("," + tail) == n and text.count(",") == 4 * n
+    # A match of "," + first_tail ends at a newline and holds no other, so n
+    # matches end the n lines. 4n commas then give every line five fields: a
+    # line of four would give loadtxt its src field as the size, and a src
+    # that loads as an integer is no IP address, which the flow check refuses.
+    n, first_tail = len(chunk), chunk[0].split(",", 2)[-1]
+    one_flow = (text.endswith("\n") and text.count("," + first_tail) == n
+                and text.count(",") == 4 * n)
     rows = chunk if one_flow else [line for line in chunk if not line.isspace()]
     if not rows:
         return np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)
@@ -382,25 +383,25 @@ def _parse_columns(chunk: list[str], table: _FlowTable
             warnings.simplefilter("error", DeprecationWarning)
             numeric = np.loadtxt(rows, dtype=_NUMERIC, delimiter=",", comments=None,
                                  usecols=(0, 1), ndmin=1)
-        tails = [tail] if one_flow else [line.split(",", 2)[2] for line in rows]
+        tails = [first_tail] if one_flow else [line.split(",", 2)[2] for line in rows]
     except (ValueError, DeprecationWarning, IndexError):
         return None
     times, sizes = numeric["t"], numeric["size"]
     if not (np.isfinite(times).all() and (times >= 0.0).all() and (sizes >= 1).all()):
         return None
     id_of_tail = table.id_of_tail
-    for line_tail in dict.fromkeys(tails):
-        if line_tail in id_of_tail:
+    for tail in dict.fromkeys(tails):
+        if tail in id_of_tail:
             continue
-        fields = [f.strip() for f in line_tail.split(",")]
+        fields = [f.strip() for f in tail.split(",")]
         if len(fields) != 3:
             return None
         try:
-            id_of_tail[line_tail] = table.id_of(table.flow(*fields, line_no=0))
+            id_of_tail[tail] = table.id_of(table.flow(*fields, line_no=0))
         except TraceParseError:
             return None
-    ids = (np.full(n, id_of_tail[tail], np.int32) if one_flow
-           else np.array([id_of_tail[t] for t in tails], dtype=np.int32))
+    ids = (np.full(n, id_of_tail[first_tail], np.int32) if one_flow
+           else np.array([id_of_tail[tail] for tail in tails], dtype=np.int32))
     return np.ascontiguousarray(times), np.ascontiguousarray(sizes), ids
 
 

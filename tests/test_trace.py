@@ -419,14 +419,16 @@ class TestColumnarParse:
         assert full.call_count == -(-len(rows) // chunk_lines)  # once per chunk
         assert_same_outcome(got, row_parse(HEADER + "".join(rows)))
 
-    def test_four_and_six_field_lines_are_not_one_flow(self):
-        # the pair holds 4 commas a line on average, and both end with the first line's flow
-        text = HEADER + ("0.1,100,10.0.0.1,192.0.2.9,443\n"
-                         "0.2,10.0.0.1,192.0.2.9,443\n"
-                         "0.3,300,7,10.0.0.1,192.0.2.9,443\n")
+    @pytest.mark.parametrize("lines, fields", [
+        (["0.3,300,7,10.0.0.1,192.0.2.9,443\n"], 6),
+        # the pair holds 4 commas a line on average, as one flow's lines do
+        (["0.2,10.0.0.1,192.0.2.9,443\n", "0.3,300,7,10.0.0.1,192.0.2.9,443\n"], 4),
+    ], ids=["six", "four-and-six"])
+    def test_lines_ending_in_the_flow_need_five_fields(self, lines, fields):
+        text = HEADER + "".join(["0.1,100,10.0.0.1,192.0.2.9,443\n", *lines])
         with pytest.raises(TraceParseError) as exc:
             parse_trace(text)
-        assert str(exc.value) == "line 3: expected 5 fields, got 4"
+        assert str(exc.value) == f"line 3: expected 5 fields, got {fields}"
 
     def test_bad_address_on_every_line_raises_at_line_2(self):
         text = HEADER + "".join(f"{i},100,host,192.0.2.9,443\n" for i in range(5))
