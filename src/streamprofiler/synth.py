@@ -183,7 +183,11 @@ def scenario_spec(name: str, seed: int = 0,
 
 
 class _Emitter:
-    """Lays out packet bursts with jittered inter-arrival times in one buffer."""
+    """Lays out packet bursts with jittered inter-arrival times in one buffer.
+
+    A run of queued bursts of one shape ``(n_full, rem, tx_rate)`` is laid out as
+    one block, with the jitter stream of per-burst draws, once ``burst``, another
+    shape or a read of the times ends it."""
 
     def __init__(self, packet_size: int, rng: np.random.Generator):
         self.ps = int(packet_size)
@@ -192,38 +196,58 @@ class _Emitter:
         self.n = 0
         self.short_at: list[int] = []    # position and size of each burst's
         self.short_size: list[int] = []  # short last packet
+        self.shape: tuple[int, int, float] | None = None  # of the queued run
+        self.starts: list[float] = []
 
-    def burst(self, start: float, nbytes: int, tx_rate: float) -> float:
-        """Emit ``nbytes`` from ``start`` at ``tx_rate``; returns the last arrival."""
+    def queue(self, start: float, nbytes: int, tx_rate: float) -> None:
+        """Emit ``nbytes`` from ``start`` at ``tx_rate``, laid out later."""
         nbytes = int(nbytes)
         if nbytes < 1:
             raise ValueError("burst needs at least one byte")
-        n_full, rem = divmod(nbytes, self.ps)
-        lo, hi = self.n, self.n + n_full + (1 if rem else 0)
+        shape = (*divmod(nbytes, self.ps), tx_rate)
+        if shape != self.shape:
+            self._flush()
+            self.shape = shape
+        self.starts.append(start)
+
+    def burst(self, start: float, nbytes: int, tx_rate: float) -> float:
+        """Emit ``nbytes`` from ``start`` at ``tx_rate``; returns the last arrival."""
+        self.queue(start, nbytes, tx_rate)
+        return self.last_time()
+
+    def _flush(self) -> None:
+        """Lay out the queued run as a (rows, packets per burst) block."""
+        if not self.starts:
+            return
+        n_full, rem, tx_rate = self.shape
+        m, rows = n_full + (1 if rem else 0), len(self.starts)
+        lo, hi = self.n, self.n + rows * m
         if hi > len(self.times):
             grown = np.empty(max(hi, 2 * len(self.times)))
             grown[:lo] = self.times[:lo]
             self.times = grown
         if rem:
-            self.short_at.append(hi - 1)
-            self.short_size.append(rem)
+            self.short_at.extend(range(lo + m - 1, hi, m))
+            self.short_size.extend([rem] * rows)
         # the gap before packet i is size_i / tx_rate * jitter: packets 1 to
         # n_full - 1 are full-size, a last one of rem bytes follows if rem > 0
-        iat = self.rng.uniform(0.9, 1.1, size=hi - lo - 1)
+        iat = self.rng.uniform(0.9, 1.1, size=(rows, m - 1))
         k = max(n_full - 1, 0)
-        iat[:k] *= self.ps / tx_rate
-        iat[k:] *= rem / tx_rate
-        times = self.times[lo:hi]
-        times[0] = 0.0
-        iat.cumsum(out=times[1:])
-        times += start
+        iat[:, :k] *= self.ps / tx_rate
+        iat[:, k:] *= rem / tx_rate
+        block = self.times[lo:hi].reshape(rows, m)
+        block[:, 0] = 0.0
+        iat.cumsum(axis=1, out=block[:, 1:])
+        block += np.array(self.starts)[:, None]
         self.n = hi
-        return float(times[-1])
+        self.starts = []
 
     def last_time(self) -> float:
+        self._flush()
         return float(self.times[self.n - 1]) if self.n else 0.0
 
     def build(self) -> Trace:
+        self._flush()
         if not self.n:
             return Trace.empty()
         sizes = np.full(self.n, self.ps, dtype=np.int64)
@@ -331,7 +355,7 @@ def generate(spec: ScenarioSpec) -> LabeledTrace:
             # plain steady-state segment; a non-degrading window still caps the wire
             nbytes = max(1, int(round(q * seg_media)))
             tx = min(fill, w[2]) if w is not None else fill
-        em.burst(next_req, nbytes, tx)
+        em.queue(next_req, nbytes, tx)  # nothing reads a steady or capped burst's end
         media += seg_media
         buf += nbytes - q * seg_d
         if capped and buf <= 0:

@@ -436,6 +436,57 @@ class TestReference:
     def test_bulk_random_match(self, args):
         assert _outcome(generate_bulk, *args) == _outcome(reference_generate_bulk, *args)
 
+    # The edge shapes of the emitter's block layout: each session below matches
+    # the reference and shows, by its structure, that it has the shape named.
+    _EDGE = ScenarioSpec(encode_rates=((0.0, 20_000.0),), segment_duration=5.0,
+                         buffer_target=100_000.0, fill_throughput=200_000.0,
+                         video_duration=62.0, packet_size=1000, rng_seed=7)
+
+    def _match(self, **changes):
+        spec = dataclasses.replace(self._EDGE, **changes)
+        assert _outcome(generate, spec) == _outcome(reference_generate, spec)
+        return generate(spec)
+
+    def test_steady_bursts_of_whole_packets(self):
+        # 100,000 B segments of 1000 B packets: only the fill and the last,
+        # shorter segment end in a short packet
+        labeled = self._match()
+        assert np.count_nonzero(labeled.trace.sizes != 1000) == 2
+
+    @pytest.mark.parametrize("rate", [1000.0, 800.0])
+    def test_one_packet_steady_bursts(self, rate):
+        # a 5000 B and a 4000 B segment, each a single packet of at most 5000 B
+        labeled = self._match(encode_rates=((0.0, rate),), packet_size=5000,
+                              buffer_target=20_000.0)
+        times = labeled.trace.times
+        steady = times[times > labeled.labels[1].t_start]
+        assert len(steady) >= 8 and np.all(np.diff(steady) > 4.0)
+
+    def test_last_shorter_segment_is_a_run_of_one(self):
+        labeled = self._match()
+        times, sizes = labeled.trace.times, labeled.trace.sizes
+        assert sizes[times > 60.0].sum() == 28_889  # after eleven 100,000 B segments
+        assert labeled.labels[-1].t_end == times[-1]
+
+    def test_nonbiting_windows_change_only_the_wire_rate(self):
+        # one window holds a single request, the other starts partway through
+        # a run and slows four bursts of the same size to 50,000 B/s
+        labeled = self._match(throttle_windows=((20.0, 24.0, 50_000.0),
+                                                (30.0, 50.0, 50_000.0)))
+        times = labeled.trace.times
+        slow = [t0 for t0 in (20.55, 30.55, 35.55, 40.55, 45.55)
+                if np.ptp(times[(times > t0) & (times < t0 + 5.0)]) > 1.5]
+        assert len(slow) == 5
+        assert [s.phase for s in labeled.labels] == [FILLING, STEADY]
+
+    def test_quality_switch_right_after_a_run(self):
+        labeled = self._match(encode_rates=((0.0, 20_000.0), (30.0, 10_000.0)))
+        assert [s.phase for s in labeled.labels] == [FILLING, STEADY, FILLING, STEADY]
+
+    def test_refill_right_after_a_capped_run(self):
+        labeled = self._match(buffer_target=300_000.0, throttle_windows=((20.0, 32.0, 5000.0),))
+        assert [s.phase for s in labeled.labels] == [FILLING, STEADY, OTHER, FILLING, STEADY]
+
 
 class TestSpecInputs:
     SPEC = dict(encode_rates=((0.0, 1e5),), segment_duration=5, buffer_target=1e6,
