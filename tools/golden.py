@@ -12,7 +12,9 @@ The cases:
 - ``analyze/<file>``: every file ``analyze --debug`` writes for one
   four-flow trace (two video sessions, a bulk transfer, a short web flow);
 - ``scenario/<preset>``: ``run_scenario(preset, 10)`` as ``evaluate``
-  writes it, without the run-time-dependent ``elapsed_s``.
+  writes it, without the run-time-dependent ``elapsed_s``;
+- ``synth/<preset>/seed0``: the generated session itself, its times and
+  sizes as bytes and its labels.
 
 A change that keeps behaviour leaves the manifest as it is; a change that
 moves a report on purpose regenerates it and says which cases moved.
@@ -49,6 +51,17 @@ def _sha256(data: str | bytes) -> str:
 
 def _session(preset: str, seed: int):
     return build_preset(preset, seed, GeneratorDefaults())[0].trace
+
+
+def synth_cases() -> dict[str, str]:
+    cases = {}
+    for preset in PRESETS:
+        labeled = build_preset(preset, 0, GeneratorDefaults())[0]
+        labels = json.dumps([[s.t_start, s.t_end, s.phase] for s in labeled.labels])
+        cases[f"synth/{preset}/seed0"] = _sha256(labeled.trace.times.tobytes()
+                                                 + labeled.trace.sizes.tobytes()
+                                                 + labels.encode("utf-8"))
+    return cases
 
 
 def profile_cases() -> dict[str, str]:
@@ -110,7 +123,8 @@ def scenario_cases() -> dict[str, str]:
 
 def digests() -> dict[str, str]:
     """Every case's digest, by case name."""
-    return {**profile_cases(), **live_cases(), **analyze_cases(), **scenario_cases()}
+    return {**profile_cases(), **live_cases(), **analyze_cases(), **scenario_cases(),
+            **synth_cases()}
 
 
 def moved(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
