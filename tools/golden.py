@@ -7,8 +7,10 @@ The cases:
 
 - ``profile/<preset>/seed<n>``: ``profile().to_json()`` of each preset
   (MQ, HQ, QC, AQ, bulk), seeds 0-2;
-- ``live/MQ/seed0``: every report of a ``StreamProfiler`` fed the MQ seed-0
-  session and queried every 2 s of trace time and after the last packet;
+- ``live/<preset>/seed0``: every report of a ``StreamProfiler`` fed the
+  seed-0 session of MQ, QC (its quality-switch refill and the reference
+  burst's hand-over) or AQ (its capped class-0 stretch), queried every 2 s
+  of trace time and after the last packet;
 - ``analyze/<file>``: every file ``analyze --debug`` writes for one
   four-flow trace (two video sessions, a bulk transfer, a short web flow);
 - ``scenario/<preset>``: ``run_scenario(preset, 10)`` as ``evaluate``
@@ -41,6 +43,7 @@ from streamprofiler.evaluate import PRESETS, build_preset  # noqa: E402
 from streamprofiler.synth import GeneratorDefaults  # noqa: E402
 
 SEEDS = (0, 1, 2)
+LIVE_PRESETS = ("MQ", "QC", "AQ")
 QUERY_EVERY_S = 2.0
 SCENARIO_RUNS = 10
 
@@ -69,8 +72,8 @@ def profile_cases() -> dict[str, str]:
             for preset in PRESETS for seed in SEEDS}
 
 
-def live_cases() -> dict[str, str]:
-    trace = _session("MQ", 0)
+def live_case(preset: str) -> str:
+    trace = _session(preset, 0)
     times, sizes = trace.times.tolist(), trace.sizes.tolist()
     prof, digest = StreamProfiler(flow=trace.flows[0]), hashlib.sha256()
     next_query = times[0] + QUERY_EVERY_S
@@ -80,7 +83,11 @@ def live_cases() -> dict[str, str]:
             next_query += QUERY_EVERY_S
         prof.feed(t, size)
     digest.update(prof.report().to_json().encode("utf-8") + b"\n")
-    return {"live/MQ/seed0": digest.hexdigest()}
+    return digest.hexdigest()
+
+
+def live_cases() -> dict[str, str]:
+    return {f"live/{preset}/seed0": live_case(preset) for preset in LIVE_PRESETS}
 
 
 def multi_flow_trace() -> Trace:
