@@ -7,15 +7,16 @@ paced steady-state request pattern, everything else is unclassified.
 A run of consecutive steady bursts of minimum length confirms a
 steady-state phase candidate.
 
-Bursts are held as one structured array of ``BURST_DTYPE``, one row per
-burst in time order; a burst's number is its position plus one. Index the
-size column as ``bursts["size"]``: ``ndarray.size`` is the element count.
+Bursts are held as a list of ``Burst`` records ``(t_start, t_end, size,
+duration, rate, klass)`` of Python floats and ints, in time order; a burst's
+number is its position plus one. ``segment`` builds them once from arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +26,6 @@ KLASS_FILLING = 1
 KLASS_STEADY = -1
 KLASS_NONE = 0
 KLASS_UNSET = 2  # set by ``segment``, replaced by ``classify``
-
-BURST_DTYPE = np.dtype([("t_start", np.float64), ("t_end", np.float64), ("size", np.int64),
-                        ("duration", np.float64), ("rate", np.float64), ("klass", np.int8)])
 
 
 @dataclass(frozen=True)
@@ -67,47 +65,61 @@ class PhaseCandidate:
     t_end: float
 
 
-def segment(times: np.ndarray, sizes: np.ndarray, params: BurstParams) -> np.ndarray:
+class Burst(NamedTuple):
+    """One burst: first and last packet times, payload bytes, duration, rate and class."""
+
+    t_start: float
+    t_end: float
+    size: int
+    duration: float
+    rate: float
+    klass: int
+
+
+def merge(first: Burst, last: Burst, params: BurstParams) -> Burst:
+    """``first`` continued by ``last``: one unclassified burst, as ``segment`` makes it."""
+    size = (first.size + last.size + 2**63) % 2**64 - 2**63  # wrapped, as an int64 sum is
+    duration = last.t_end - first.t_start
+    return Burst(first.t_start, last.t_end, size, duration,
+                 size / max(duration, params.rate_duration_floor), KLASS_UNSET)
+
+
+def segment(times: np.ndarray, sizes: np.ndarray, params: BurstParams) -> list[Burst]:
     """Split a flow into maximal bursts at inter-arrival gaps >= ``h_t``.
 
     ``times`` (any real array-like, finite, non-decreasing) and ``sizes`` (one
     per time) are the flow's packet arrival times and payload bytes. Every
     packet belongs to exactly one burst. Burst boundaries are the first and
     last packet arrival times; the gap is measured last-packet-to-first-packet.
-    Every burst comes out with class ``KLASS_UNSET``.
+    A burst's size is its summed payload as an int64, so a float sum is
+    truncated. Every burst comes out with class ``KLASS_UNSET``.
     """
     times = check_times(times, sizes)
     n = len(times)
     if n == 0:
-        return np.zeros(0, dtype=BURST_DTYPE)
+        return []
     first = np.empty(n, dtype=bool)  # whether a packet starts a burst
     first[0] = True
     np.greater_equal(times[1:] - times[:-1], params.h_t, out=first[1:])
     starts = np.flatnonzero(first)
-    bursts = np.empty(len(starts), dtype=BURST_DTYPE)
-    bursts["t_start"] = times[starts]
-    t_end = bursts["t_end"]
+    t_start = times[starts]
+    t_end = np.empty(len(starts))
     t_end[:-1] = times[starts[1:] - 1]
     t_end[-1] = times[-1]
-    bursts["size"] = np.add.reduceat(sizes, starts)
-    bursts["klass"] = KLASS_UNSET
-    return set_rates(bursts, params)
+    size = np.add.reduceat(sizes, starts).astype(np.int64, copy=False)
+    duration = t_end - t_start
+    rate = size / np.maximum(duration, params.rate_duration_floor)
+    return list(map(Burst, t_start.tolist(), t_end.tolist(), size.tolist(), duration.tolist(),
+                    rate.tolist(), repeat(KLASS_UNSET)))
 
 
-def set_rates(bursts: np.ndarray, params: BurstParams) -> np.ndarray:
-    """Fill in each burst's duration and rate from its bounds and size."""
-    bursts["duration"] = bursts["t_end"] - bursts["t_start"]
-    bursts["rate"] = bursts["size"] / np.maximum(bursts["duration"], params.rate_duration_floor)
-    return bursts
-
-
-def filter_small(bursts: np.ndarray, params: BurstParams) -> np.ndarray:
+def filter_small(bursts: list[Burst], params: BurstParams) -> list[Burst]:
     """Drop bursts below ``h_s`` bytes."""
-    return bursts[bursts["size"] >= params.h_s]
+    return [b for b in bursts if b.size >= params.h_s]
 
 
-def classify(bursts: np.ndarray, params: BurstParams) -> np.ndarray:
-    """Return a copy of the retained bursts with each burst's class set.
+def classify(bursts: list[Burst], params: BurstParams) -> list[Burst]:
+    """Return the retained bursts with each burst's class set.
 
     With r1 the rate of the first retained burst: a burst at rate >= h_r * r1
     is filling (+1) when its duration reaches h_d and steady (-1) otherwise;
@@ -116,16 +128,16 @@ def classify(bursts: np.ndarray, params: BurstParams) -> np.ndarray:
     The first burst trivially passes the rate bar and is classed by duration
     alone, which is intended: the initial filling burst is long.
     """
-    out = bursts.copy()
-    if len(out):
-        rate, duration = out["rate"], out["duration"]
-        out["klass"] = np.where(rate >= params.h_r * rate[0],
-                                np.where(duration >= params.h_d, KLASS_FILLING, KLASS_STEADY),
-                                KLASS_NONE)
-    return out
+    if not bursts:
+        return []
+    bar, h_d = params.h_r * bursts[0].rate, params.h_d
+    return [Burst(t0, t1, size, duration, rate,
+                  (KLASS_FILLING if duration >= h_d else KLASS_STEADY) if rate >= bar
+                  else KLASS_NONE)
+            for t0, t1, size, duration, rate, _ in bursts]
 
 
-def confirm_steady(bursts: np.ndarray, params: BurstParams) -> list[PhaseCandidate]:
+def confirm_steady(bursts: list[Burst], params: BurstParams) -> list[PhaseCandidate]:
     """Turn classified bursts into phase candidates.
 
     Adjacent filling bursts merge into one filling candidate. A steady
@@ -133,7 +145,7 @@ def confirm_steady(bursts: np.ndarray, params: BurstParams) -> list[PhaseCandida
     bursts; shorter runs and unclassified bursts yield nothing. Candidate
     intervals run from the first burst's start to the last burst's end.
     """
-    klass = bursts["klass"].tolist()
+    klass = [b.klass for b in bursts]
     if KLASS_UNSET in klass:
         raise ValueError("bursts must be classified before confirmation")
     runs, first = [], 0
@@ -142,5 +154,4 @@ def confirm_steady(bursts: np.ndarray, params: BurstParams) -> list[PhaseCandida
         if k == KLASS_FILLING or (k == KLASS_STEADY and n >= params.h_n):
             runs.append((FILLING if k == KLASS_FILLING else STEADY, first, first + n - 1))
         first += n
-    starts, ends = bursts["t_start"].tolist(), bursts["t_end"].tolist()
-    return [PhaseCandidate(kind, starts[i], ends[j]) for kind, i, j in runs]
+    return [PhaseCandidate(kind, bursts[i].t_start, bursts[j].t_end) for kind, i, j in runs]

@@ -133,7 +133,7 @@ def _write_debug_csvs(report: ProfileReport, flow: Trace, cfg: Config, prefix: P
                       cfg.burst)
     _write_csv(f"{prefix}_bursts.csv",
                ["n", "t_start", "t_end", "size", "duration", "rate", "klass"],
-               ((n, *row) for n, row in enumerate(bursts.tolist(), 1)))
+               ((n, *row) for n, row in enumerate(bursts, 1)))
     _write_csv(f"{prefix}_segments.csv",
                ["phase", "t_start", "t_end", "volume_bytes", "duration_s", "mean_rate_Bps",
                 "mean_rate_kbps"],

@@ -122,7 +122,7 @@ def reference_write_bursts_csv(bursts, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "t_start", "t_end", "size", "duration", "rate", "klass"])
-        for n, (t_start, t_end, size, duration, rate, klass) in enumerate(bursts.tolist(), 1):
+        for n, (t_start, t_end, size, duration, rate, klass) in enumerate(bursts, 1):
             writer.writerow([n, repr(t_start), repr(t_end), size, repr(duration), repr(rate),
                              "" if klass == KLASS_UNSET else klass])
 

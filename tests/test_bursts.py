@@ -17,11 +17,11 @@ from streamprofiler import (
     segment,
 )
 from streamprofiler.bursts import (
-    BURST_DTYPE,
     KLASS_FILLING,
     KLASS_NONE,
     KLASS_STEADY,
     KLASS_UNSET,
+    Burst,
 )
 from streamprofiler.trace import FILLING, STEADY
 from conftest import (UNUSABLE_TIMES, columns, flow_trace, random_trace,
@@ -29,15 +29,20 @@ from conftest import (UNUSABLE_TIMES, columns, flow_trace, random_trace,
 
 
 def burst(duration, rate, size=10**6, t_start=0.0, klass=KLASS_UNSET):
-    """One burst row in ``BURST_DTYPE`` field order."""
+    """One burst's fields in ``Burst`` field order."""
     return (t_start, t_start + duration, size, duration, rate, klass)
 
 
 def as_bursts(*rows):
-    return np.array(list(rows), dtype=BURST_DTYPE)
+    return [Burst(*row) for row in rows]
 
 
-# -- reference: the list-of-dataclasses burst method the arrays replace ------
+def field(bursts, name):
+    """One field of every burst, in order."""
+    return [getattr(b, name) for b in bursts]
+
+
+# -- reference: the list-of-dataclasses burst method the stages reproduce ----
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ def ref_write_bursts_csv(bursts, path):
 
 def rows_of(bursts):
     """Exact (bit-level) burst fields, ignoring the class."""
-    return [(t0, t1, size, dur, rate) for t0, t1, size, dur, rate, _ in bursts.tolist()]
+    return [(t0, t1, size, dur, rate) for t0, t1, size, dur, rate, _ in bursts]
 
 
 def ref_rows_of(bursts):
@@ -152,13 +157,13 @@ class TestParams:
 class TestSegment:
     def test_gap_splits(self, burst_params):
         bursts = segment(*columns([0.0, 0.5, 1.0, 3.0]), burst_params)
-        assert list(zip(bursts["t_start"].tolist(), bursts["t_end"].tolist())) == [
+        assert list(zip(field(bursts, "t_start"), field(bursts, "t_end"))) == [
             (0.0, 1.0), (3.0, 3.0)]
 
     def test_all_gaps_below_threshold_one_burst(self, burst_params):
         bursts = segment(*columns([0.0, 1.4, 2.8]), burst_params)
         assert len(bursts) == 1
-        assert bursts["t_end"][0] == 2.8
+        assert bursts[0].t_end == 2.8
 
     def test_gap_exactly_h_t_splits(self, burst_params):
         bursts = segment(*columns([0.0, 1.5]), burst_params)
@@ -171,29 +176,36 @@ class TestSegment:
         gaps = np.diff(trace.times)
         expected_bursts = 1 + int(np.sum(gaps >= burst_params.h_t))
         assert len(bursts) == expected_bursts
-        assert int(bursts["size"].sum()) == trace.total_bytes
+        assert sum(field(bursts, "size")) == trace.total_bytes
         # reconstruct membership: burst spans are disjoint and ordered
-        assert np.all(bursts["t_start"][1:] - bursts["t_end"][:-1] >= burst_params.h_t)
+        assert all(b.t_start - a.t_end >= burst_params.h_t for a, b in zip(bursts, bursts[1:]))
 
     def test_sizes_and_rates(self, burst_params):
         bursts = segment(*columns([0.0, 1.0], sizes=[600, 400]), burst_params)
-        assert bursts["size"][0] == 1000
-        assert bursts["duration"][0] == 1.0
-        assert bursts["rate"][0] == 1000.0
+        assert [type(v) for v in bursts[0]] == [float, float, int, float, float, int]
+        assert bursts[0].size == 1000
+        assert bursts[0].duration == 1.0
+        assert bursts[0].rate == 1000.0
+
+    def test_float_sizes_sum_and_truncate_per_burst(self, burst_params):
+        # each burst's summed payload is truncated to an integer, as an int64 cast does
+        bursts = segment([0.0, 0.5, 3.0], np.array([100.7, 200.6, 50.9]), burst_params)
+        assert [tuple(b)[2:5] for b in bursts] == [(301, 0.5, 602.0),
+                                                  (50, 0.0, 50 / burst_params.rate_duration_floor)]
 
     def test_single_packet_burst_uses_duration_floor(self, burst_params):
         bursts = segment(*columns([0.0], sizes=[500]), burst_params)
-        assert bursts["duration"][0] == 0.0
-        assert bursts["rate"][0] == 500 / burst_params.rate_duration_floor
+        assert bursts[0].duration == 0.0
+        assert bursts[0].rate == 500 / burst_params.rate_duration_floor
 
     def test_bursts_start_unclassified(self, burst_params):
         bursts = segment(*columns([0.0, 0.5, 3.0]), burst_params)
-        assert bursts.dtype == BURST_DTYPE
-        assert bursts["klass"].tolist() == [KLASS_UNSET, KLASS_UNSET]
+        assert [type(b) for b in bursts] == [Burst, Burst]
+        assert field(bursts, "klass") == [KLASS_UNSET, KLASS_UNSET]
 
     def test_empty_trace(self, burst_params):
         bursts = segment(*columns([]), burst_params)
-        assert len(bursts) == 0 and bursts.dtype == BURST_DTYPE
+        assert bursts == []
 
     def test_unsorted_rejected(self, burst_params):
         for times, message in UNUSABLE_TIMES:
@@ -206,14 +218,14 @@ class TestFilterSmall:
         bursts = as_bursts(burst(1.0, 1e6, size=25_000), burst(1.0, 1e6, size=4_000),
                            burst(1.0, 1e6, size=100_000))
         retained = filter_small(bursts, burst_params)
-        assert retained["size"].tolist() == [25_000, 100_000]
+        assert field(retained, "size") == [25_000, 100_000]
 
     def test_all_small(self, burst_params):
         assert len(filter_small(as_bursts(burst(1.0, 1e6, size=10)), burst_params)) == 0
 
     def test_none_small_is_identity(self, burst_params):
         bursts = as_bursts(burst(1.0, 1e6, size=30_000))
-        assert filter_small(bursts, burst_params).tolist() == bursts.tolist()
+        assert filter_small(bursts, burst_params) == bursts
 
     def test_monotone_in_h_s(self):
         rng = np.random.default_rng(2)
@@ -230,22 +242,22 @@ class TestClassify:
         bursts = as_bursts(burst(6.0, 4e6), burst(6.0, 2e6), burst(2.0, 2e6),
                            burst(2.0, 0.3e6), burst(2.0, burst_params.h_r * 4e6))
         out = classify(bursts, burst_params)
-        assert out["klass"].tolist() == [KLASS_FILLING, KLASS_FILLING,
-                                         KLASS_STEADY, KLASS_NONE, KLASS_STEADY]
+        assert field(out, "klass") == [KLASS_FILLING, KLASS_FILLING,
+                                       KLASS_STEADY, KLASS_NONE, KLASS_STEADY]
 
     def test_returns_a_copy(self, burst_params):
         bursts = as_bursts(burst(6.0, 4e6))
         classify(bursts, burst_params)
-        assert bursts["klass"].tolist() == [KLASS_UNSET]
+        assert field(bursts, "klass") == [KLASS_UNSET]
 
     def test_first_burst_classified_by_duration_alone(self, burst_params):
-        assert classify(as_bursts(burst(10.0, 7e5)), burst_params)["klass"][0] == KLASS_FILLING
-        assert classify(as_bursts(burst(1.0, 7e5)), burst_params)["klass"][0] == KLASS_STEADY
+        assert classify(as_bursts(burst(10.0, 7e5)), burst_params)[0].klass == KLASS_FILLING
+        assert classify(as_bursts(burst(1.0, 7e5)), burst_params)[0].klass == KLASS_STEADY
 
     def test_reference_rate_is_sessionwide(self, burst_params):
         # a throttled stretch later in the session fails the rate criterion
         out = classify(as_bursts(burst(10.0, 1e6), burst(8.0, 0.1e6)), burst_params)
-        assert out["klass"][1] == KLASS_NONE
+        assert out[1].klass == KLASS_NONE
 
     def test_empty(self, burst_params):
         assert len(classify(as_bursts(), burst_params)) == 0
@@ -253,8 +265,7 @@ class TestClassify:
     def test_prefix_independent_of_later_bursts(self, burst_params):
         a = [burst(6.0, 4e6), burst(2.0, 2e6)]
         b = a + [burst(9.0, 0.1e6)]
-        assert (classify(as_bursts(*b), burst_params)[:2].tolist()
-                == classify(as_bursts(*a), burst_params).tolist())
+        assert classify(as_bursts(*b), burst_params)[:2] == classify(as_bursts(*a), burst_params)
 
 
 class TestConfirmSteady:
@@ -317,8 +328,8 @@ class TestDetectPipeline:
     def test_retained_bursts_respect_thresholds(self, burst_params):
         trace = random_trace(seed=4, duration=20.0, mean_rate=3e4, packet_size=1500)
         bursts = filter_small(segment(trace.times, trace.sizes, burst_params), burst_params)
-        assert np.all(bursts["size"] >= burst_params.h_s)
-        assert np.all(bursts["t_start"][1:] - bursts["t_end"][:-1] >= burst_params.h_t)
+        assert all(size >= burst_params.h_s for size in field(bursts, "size"))
+        assert all(b.t_start - a.t_end >= burst_params.h_t for a, b in zip(bursts, bursts[1:]))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -342,18 +353,18 @@ class TestDetectPipeline:
         assert rows_of(retained) == ref_rows_of(ref_retained)
         classified, ref_classified = classify(retained, params), ref_classify(ref_retained, params)
         assert rows_of(classified) == ref_rows_of(ref_classified)
-        assert classified["klass"].tolist() == [b.klass for b in ref_classified]
+        assert field(classified, "klass") == [b.klass for b in ref_classified]
 
         ref_cands = ref_confirm_steady(ref_classified, params)
         cands = confirm_steady(classified, params)
         assert [(c.kind, c.t_start, c.t_end) for c in cands] == [c[:3] for c in ref_cands]
         # a burst's number is its position plus one
         for _, t0, t1, first, last in ref_cands:
-            assert classified["t_start"][first - 1] == t0
-            assert classified["t_end"][last - 1] == t1
+            assert classified[first - 1].t_start == t0
+            assert classified[last - 1].t_end == t1
         # the profiler's retained bursts, resumed at every packet
         prof = StreamProfiler(burst_params=params)
         for t, s in zip(trace.times.tolist(), trace.sizes.tolist()):
             prof.feed(t, s)
             prof.report()
-        assert prof._bursts.tolist() == classified.tolist()
+        assert prof._bursts == classified

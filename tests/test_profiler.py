@@ -569,10 +569,15 @@ def slow_json(report, **kwargs) -> str:
     return json.dumps(report.to_dict(**kwargs), indent=2, sort_keys=True)
 
 
-def retained_bursts(times, sizes, params: BurstParams) -> np.ndarray:
+def retained_bursts(times, sizes, params: BurstParams) -> list:
     """The bursts ``profile()`` fuses, from the burst stage functions."""
     times, sizes = np.asarray(times, dtype=np.float64), np.asarray(sizes, dtype=np.int64)
     return classify(filter_small(segment(times, sizes, params), params), params)
+
+
+def exact(bursts) -> list:
+    """Each burst's fields, bit for bit: a float as its ``float.hex()``, an int as itself."""
+    return [tuple(v.hex() if type(v) is float else (type(v), v) for v in b) for b in bursts]
 
 
 def rate_events(times, sizes, rate_params: RateParams, burst_params: BurstParams) -> list:
@@ -599,8 +604,8 @@ def assert_queries_match_prefixes(times, sizes, cuts=None, **params):
         last = cut, live
         prefix = flow_trace(times[:cut], sizes=sizes[:cut])
         assert live.to_json() == profile(prefix, **params).to_json(), f"query after {cut} packets"
-        assert prof._bursts.tobytes() == retained_bursts(
-            prefix.times, prefix.sizes, prof.burst_params).tobytes(), f"bursts after {cut} packets"
+        assert exact(prof._bursts) == exact(retained_bursts(
+            prefix.times, prefix.sizes, prof.burst_params)), f"bursts after {cut} packets"
 
 
 def fed(packets, flow=TEST_FLOW) -> StreamProfiler:
@@ -749,6 +754,7 @@ def _targeted_flows():
         ("confirming decrease moves out of reach", receding, [5_000] * len(receding), {}),
         ("confirming event in the last packet's bin", last_bin, last_bin_sizes,
          {"rate_params": RateParams(a=1.0)}),
+        ("a burst's size wraps as int64 sums do", [0.0, 1.0, 1.2, 2.0, 4.0], [2**62] * 5, {}),
     ]
 
 
@@ -851,6 +857,28 @@ class TestResumedBursts:
         # besides its new rows, a query passes the reference burst, and the open
         # burst again when its packets continue it; a query with no new packet passes none
         assert sum(rows) <= retained + queries
+
+    def test_closed_bursts_stay_the_same_records(self):
+        """A query extends the burst list in place: the bursts that were closed
+        at the last query come back as the same objects, not as a copy."""
+        trace = generate(scenario_spec("HQ", seed=0)).trace
+        cuts = _cuts_every(trace, 2.0)
+        prof, fed_so_far, seen, grew = StreamProfiler(flow=TEST_FLOW), 0, [], 0
+        for cut in cuts:
+            for t, s in zip(trace.times[fed_so_far:cut].tolist(),
+                            trace.sizes[fed_so_far:cut].tolist()):
+                prof.feed(t, s)
+            fed_so_far = cut
+            bursts = prof._bursts
+            prof.report()
+            assert prof._bursts is bursts
+            # all but the last can no longer be continued by a later packet
+            closed = seen[:-1]
+            assert len(prof._bursts) >= len(closed)
+            assert all(a is b for a, b in zip(closed, prof._bursts)), f"query after {cut} packets"
+            grew += len(prof._bursts) > len(seen)
+            seen = list(prof._bursts)
+        assert grew > 50
 
 
 class TestDeferredRate:
