@@ -576,7 +576,7 @@ def retained_bursts(times, sizes, params: BurstParams) -> list:
 
 
 def exact(bursts) -> list:
-    """Each burst's fields, bit for bit: a float as its ``float.hex()``, an int as itself."""
+    """Each burst's fields, bit for bit: a float as its ``float.hex()``, an int with its type."""
     return [tuple(v.hex() if type(v) is float else (type(v), v) for v in b) for b in bursts]
 
 
