@@ -153,27 +153,20 @@ def _decay_runs(out: np.ndarray, starts: np.ndarray, lens: np.ndarray, heads, c:
     """Write ``h, c*h, c*(c*h), ...`` (``n`` values, each product rounded) to
     ``out[s:s+n]`` for every run's start ``s``, length ``n`` and head ``h``.
 
-    One ``np.multiply.accumulate`` along the rows of a block, a row per run.
-    The first block has at most ``4 * out.size`` cells; runs longer than its
-    width carry on, from c times their last value, in a block twice as wide.
+    One ``np.multiply.accumulate`` along the rows of a block, a row per run,
+    of at most ``4 * out.size`` cells; runs longer than its width carry on,
+    from c times their last value, in a recursive call. Each call holds at
+    most a quarter of its caller's runs, so the depth is O(log runs).
     """
-    longest = int(lens.max())
-    width = min(longest, 4 * out.size // lens.size)
-    while True:
-        cols = np.arange(min(width, longest))
-        block = np.full((lens.size, cols.size), c)
-        block[:, 0] = heads
-        np.multiply.accumulate(block, axis=1, out=block)
-        keep = cols < lens[:, None]
-        out[(starts[:, None] + cols)[keep]] = block[keep]
-        if longest <= cols.size:
-            return
-        more = lens > cols.size
-        heads = c * block[more, -1]
-        starts = starts[more] + cols.size
-        lens = lens[more] - cols.size
-        longest -= cols.size
-        width *= 2
+    cols = np.arange(min(int(lens.max()), 4 * out.size // lens.size))
+    block = np.full((lens.size, cols.size), c)
+    block[:, 0] = heads
+    np.multiply.accumulate(block, axis=1, out=block)
+    keep = cols < lens[:, None]
+    out[(starts[:, None] + cols)[keep]] = block[keep]
+    more = lens > cols.size
+    if more.any():
+        _decay_runs(out, starts[more] + cols.size, lens[more] - cols.size, c * block[more, -1], c)
 
 
 def detect_changes(r_smooth: np.ndarray,

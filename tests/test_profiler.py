@@ -163,6 +163,13 @@ class TestDecide:
         (d,) = decide([cand], events, FusionParams(), horizon=11.0)
         assert d.event == events[1] and d.distance == -2.0 and d.confirmed and d.settled
 
+    @pytest.mark.parametrize("t", [8.0, 12.0])
+    def test_events_at_the_same_time_go_to_the_first_in_the_list(self, t):
+        cand = PhaseCandidate(FILLING, 10.0, 20.0)
+        events = [RateChange(7, INCREASE, t), RateChange(3, INCREASE, t)]
+        (d,) = decide([cand], events, FusionParams())
+        assert d.event is events[0] and d.distance == t - 10.0 and d.confirmed
+
     def test_settled_once_no_later_event_can_change_it(self):
         params = FusionParams()  # match_tolerance 5 s
         steady, lone = PhaseCandidate(STEADY, 10.0, 20.0), PhaseCandidate(STEADY, 12.0, 12.0)
@@ -928,6 +935,24 @@ class TestDeferredRate:
         for _ in range(2):  # the second query runs the rate stages on the same candidates
             with pytest.raises(ValueError, match=r"^delta_t 1e-300 and tail 1\.5 give"):
                 prof.report()
+
+    def test_query_after_a_rate_stage_error_matches_profile(self, monkeypatch):
+        trace = generate(scenario_spec("MQ", seed=0)).trace
+        times, sizes = trace.times[:6000], trace.sizes[:6000]
+        prof, analyze = StreamProfiler(flow=TEST_FLOW), rate_mod.analyze
+
+        def fails_once(*args, **kwargs):
+            monkeypatch.setattr(rate_mod, "analyze", analyze)
+            raise MemoryError
+
+        monkeypatch.setattr(rate_mod, "analyze", fails_once)
+        for t, s in zip(times[:3000].tolist(), sizes[:3000].tolist()):
+            prof.feed(t, s)
+        with pytest.raises(MemoryError):
+            prof.report()
+        for t, s in zip(times[3000:].tolist(), sizes[3000:].tolist()):
+            prof.feed(t, s)
+        assert prof.report().to_json() == profile(flow_trace(times, sizes=sizes)).to_json()
 
     def test_profile_bins_a_flow_without_candidates_only_for_debug(self, monkeypatch,
                                                                       tmp_path):

@@ -48,6 +48,16 @@ def lfilter_smooth(rho, a):
     return lfilter([a], [1.0, -(1.0 - a)], rho, zi=np.array([(1.0 - a) * rho[0]]))[0]
 
 
+def plain_smooth(rho, params) -> list:
+    """``smooth`` as a plain loop, one bin at a time in the filter's operation order."""
+    prev, out = (1.0 - params.a) * rho[0], []
+    for x in rho.tolist():
+        prev = prev + params.a * x
+        out.append(prev)
+        prev = (1.0 - params.a) * prev
+    return out
+
+
 def reference_detect_changes(r_smooth, params):
     """The per-bin hysteresis loop that ``detect_changes`` vectorizes."""
     r = np.asarray(r_smooth, dtype=np.float64)
@@ -227,16 +237,17 @@ class TestSmooth:
 
     def test_one_long_run_among_short_ones(self):
         # the first block of empty runs is capped at 4x the series' length and
-        # the long run carries on in wider blocks
+        # the two long runs carry on in a second block
         rho = runs_of([(1.0, 1), *[(0.0, 1), (2.0, 1)] * 300, (0.0, 20000), (3.0, 2), (0.0, 9000)])
-        params = RateParams()
-        out = smooth(rho, params)
-        prev, expected = (1.0 - params.a) * rho[0], []
-        for x in rho.tolist():
-            prev = prev + params.a * x
-            expected.append(prev)
-            prev = (1.0 - params.a) * prev
-        assert out.tolist() == expected
+        assert smooth(rho, RateParams()).tolist() == plain_smooth(rho, RateParams())
+
+    def test_runs_that_need_three_blocks(self):
+        # 2,000 one-bin runs cap the first block at 50 columns; the eight runs
+        # longer than that fill a second block of 12,704, and the longest run
+        # carries on in a third
+        rho = runs_of([(1.0, 1), *[(0.0, 1), (2.0, 1)] * 2000, *[(0.0, 200), (4.0, 1)] * 7,
+                       (0.0, 20000), (3.0, 1)])
+        assert smooth(rho, RateParams()).tolist() == plain_smooth(rho, RateParams())
 
     def test_import_leaves_scipy_unloaded(self):
         code = ("import sys, streamprofiler, streamprofiler.cli, streamprofiler.evaluate; "
