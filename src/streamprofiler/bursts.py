@@ -78,7 +78,7 @@ class Burst(NamedTuple):
 
 def merge(first: Burst, last: Burst, params: BurstParams) -> Burst:
     """``first`` continued by ``last``: one unclassified burst, as ``segment`` makes it."""
-    size = (first.size + last.size + 2**63) % 2**64 - 2**63  # wrapped, as an int64 sum is
+    size = first.size + last.size
     duration = last.t_end - first.t_start
     return Burst(first.t_start, last.t_end, size, duration,
                  size / max(duration, params.rate_duration_floor), KLASS_UNSET)

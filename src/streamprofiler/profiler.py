@@ -386,8 +386,16 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
         prof._advance(trace.times, trace.sizes)
     # the cumulative bytes come after the stages: allocated before their
     # temporaries, they left malloc faulting fresh pages in on every call
-    return prof._report(trace.times, np.cumsum(trace.sizes),
-                        trace.flows[0] if trace.flows else None)
+    cum = np.cumsum(trace.sizes)
+    _check_total(cum)
+    return prof._report(trace.times, cum, trace.flows[0] if trace.flows else None)
+
+
+def _check_total(cum: np.ndarray) -> None:
+    """Raise ``ValueError`` if the int64 byte sums ``cum`` passed 2**63 - 1. Each
+    size is >= 1 and <= 2**63 - 1, so the first sum past the bound wraps negative."""
+    if len(cum) and cum.min() < 0:
+        raise ValueError(f"a flow's payload must total <= {_INT64_MAX} bytes")
 
 
 def _checked_time(t_arrival, last_t: float) -> float:
@@ -434,8 +442,10 @@ class StreamProfiler:
     modelled play-out changes with every steady burst. On the HQ preset
     queried every 2 s, the median query that computes a report takes ~88 us
     (raw, 2-vCPU host). Every report equals ``profile()`` of the packets so
-    far. A query with no packet fed since the last one returns that report
-    object again, so treat reports as read-only. Besides the stage outputs
+    far; once they total more than 2**63 - 1 bytes, every query raises
+    ``ValueError``, as ``profile()`` does. A query with no packet fed since
+    the last one returns that report object again, so treat reports as
+    read-only. Besides the stage outputs
     (the retained ``Burst`` list, which a query extends in place, candidates,
     rate events, decisions), the profiler holds the packets, the burst resume
     point (``_k``, ``_open``), the rate ``_horizon``, the buffer samples'
@@ -515,6 +525,7 @@ class StreamProfiler:
         cum = np.cumsum(self._sizes[k:n], out=self._cum[k:n])
         if k:
             cum += self._cum[k - 1]
+        _check_total(cum)
         if n:
             self._advance(self._times[:n], self._sizes[:n])
         report = self._report(self._times[:n], self._cum[:n], self.flow)

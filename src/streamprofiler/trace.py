@@ -282,34 +282,34 @@ def _text_lines(source) -> Iterator[Iterator[str]]:
             wrapper.detach()
 
 
-def _check_header(row: list[str], expected: tuple[str, ...]) -> None:
-    got = tuple(f.strip() for f in row)
-    if got != expected:
-        raise TraceParseError(1, f"expected header {','.join(expected)!r}, got {','.join(got)!r}")
+def _rows(lines: Iterable[str], line_no: int,
+          n_fields: int | None) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank CSV rows of ``lines`` as (line number, stripped fields).
 
-
-def _is_blank(row: list[str]) -> bool:
-    return not row or (len(row) == 1 and not row[0].strip())
+    A row is numbered by its last physical line, counting on from ``line_no``,
+    so a quoted field that spans lines moves every later number on. A row of
+    other than ``n_fields`` fields raises ``TraceParseError``; ``None`` takes
+    any number.
+    """
+    reader = csv.reader(lines)
+    for row in reader:
+        fields = [f.strip() for f in row]
+        if len(fields) <= 1 and not any(fields):
+            continue
+        if n_fields is not None and len(fields) != n_fields:
+            raise TraceParseError(line_no + reader.line_num,
+                                  f"expected {n_fields} fields, got {len(fields)}")
+        yield line_no + reader.line_num, fields
 
 
 def _read_header(lines: Iterator[str], expected: tuple[str, ...]) -> int:
     """Consume rows up to the first non-blank one, check it, return its line number."""
-    for line_no, row in enumerate(csv.reader(lines), start=1):
-        if not _is_blank(row):
-            _check_header(row, expected)
-            return line_no
+    for line_no, got in _rows(lines, 0, None):
+        if tuple(got) != expected:
+            raise TraceParseError(
+                line_no, f"expected header {','.join(expected)!r}, got {','.join(got)!r}")
+        return line_no
     raise TraceParseError(1, "missing header")
-
-
-def _parse_addr(text: str, line_no: int, column: str, seen: set[str]) -> str:
-    if text in seen:
-        return text
-    try:
-        ipaddress.ip_address(text)
-    except ValueError:
-        raise TraceParseError(line_no, f"{column} is not an IP address: {text!r}") from None
-    seen.add(text)
-    return text
 
 
 _CHUNK_LINES = 16384
@@ -321,31 +321,36 @@ class _FlowTable:
     """Flow ids in order of first appearance, shared by both parse paths."""
 
     def __init__(self):
-        self.flows: list[FlowKey] = []
         self.index: dict[FlowKey, int] = {}
         self.valid_addrs: set[str] = set()
-        # raw "src,dst,dst_port" text of a line -> flow id, for the columnar path
-        self.id_of_tail: dict[str, int] = {}
+        # flow text -> flow id: the columnar path keys the raw "src,dst,dst_port"
+        # text of a line, the row path the tuple of its stripped fields
+        self.id_of_text: dict[str | tuple[str, str, str], int] = {}
 
-    def flow(self, src: str, dst: str, port_text: str, line_no: int) -> FlowKey:
-        src = _parse_addr(src, line_no, "src", self.valid_addrs)
-        dst = _parse_addr(dst, line_no, "dst", self.valid_addrs)
-        if not port_text:
-            return FlowKey(src, dst, None)
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise TraceParseError(line_no, f"bad dst_port {port_text!r}") from None
-        if not 1 <= port <= 65535:
-            raise TraceParseError(line_no, f"dst_port out of range: {port}")
-        return FlowKey(src, dst, port)
+    @property
+    def flows(self) -> list[FlowKey]:
+        return list(self.index)
 
-    def id_of(self, flow: FlowKey) -> int:
-        fid = self.index.get(flow)
-        if fid is None:
-            fid = self.index[flow] = len(self.flows)
-            self.flows.append(flow)
-        return fid
+    def id_of(self, src: str, dst: str, port_text: str, line_no: int) -> int:
+        """The id of the flow with these stripped fields, numbering a new flow
+        next; raise ``TraceParseError`` at ``line_no`` for a field that is bad."""
+        for column, addr in (("src", src), ("dst", dst)):
+            if addr not in self.valid_addrs:
+                try:
+                    ipaddress.ip_address(addr)
+                except ValueError:
+                    raise TraceParseError(
+                        line_no, f"{column} is not an IP address: {addr!r}") from None
+                self.valid_addrs.add(addr)
+        port = None
+        if port_text:
+            try:
+                port = int(port_text)
+            except ValueError:
+                raise TraceParseError(line_no, f"bad dst_port {port_text!r}") from None
+            if not 1 <= port <= 65535:
+                raise TraceParseError(line_no, f"dst_port out of range: {port}")
+        return self.index.setdefault(FlowKey(src, dst, port), len(self.index))
 
 
 def _parse_columns(chunk: list[str], table: _FlowTable
@@ -389,34 +394,30 @@ def _parse_columns(chunk: list[str], table: _FlowTable
     times, sizes = numeric["t"], numeric["size"]
     if not (np.isfinite(times).all() and (times >= 0.0).all() and (sizes >= 1).all()):
         return None
-    id_of_tail = table.id_of_tail
+    id_of_text = table.id_of_text
     for tail in dict.fromkeys(tails):
-        if tail in id_of_tail:
+        if tail in id_of_text:
             continue
         fields = [f.strip() for f in tail.split(",")]
         if len(fields) != 3:
             return None
         try:
-            id_of_tail[tail] = table.id_of(table.flow(*fields, line_no=0))
+            id_of_text[tail] = table.id_of(*fields, line_no=0)
         except TraceParseError:
             return None
-    ids = (np.full(n, id_of_tail[first_tail], np.int32) if one_flow
-           else np.array([id_of_tail[tail] for tail in tails], dtype=np.int32))
+    ids = (np.full(n, id_of_text[first_tail], np.int32) if one_flow
+           else np.array([id_of_text[tail] for tail in tails], dtype=np.int32))
     return np.ascontiguousarray(times), np.ascontiguousarray(sizes), ids
 
 
 def _parse_rows(lines: Iterable[str], line_no: int,
                 table: _FlowTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse data rows one by one; ``line_no`` is the number of the row before them."""
+    """Parse data rows one by one; ``line_no`` is the number of the line before them."""
     times: list[float] = []
     sizes: list[int] = []
     ids: list[int] = []
-    for line_no, row in enumerate(csv.reader(lines), start=line_no + 1):
-        if _is_blank(row):
-            continue
-        if len(row) != len(TRACE_HEADER):
-            raise TraceParseError(line_no, f"expected {len(TRACE_HEADER)} fields, got {len(row)}")
-        t_text, size_text, src, dst, port_text = (f.strip() for f in row)
+    id_of_text = table.id_of_text
+    for line_no, (t_text, size_text, *flow) in _rows(lines, line_no, len(TRACE_HEADER)):
         try:
             t = float(t_text)
         except ValueError:
@@ -433,7 +434,11 @@ def _parse_rows(lines: Iterable[str], line_no: int,
             raise TraceParseError(line_no, f"payload size must be <= {_INT64_MAX}, got {size}")
         times.append(t)
         sizes.append(size)
-        ids.append(table.id_of(table.flow(src, dst, port_text, line_no)))
+        key = tuple(flow)
+        fid = id_of_text.get(key)
+        if fid is None:
+            fid = id_of_text[key] = table.id_of(*flow, line_no)
+        ids.append(fid)
     return (np.asarray(times, dtype=np.float64), np.asarray(sizes, dtype=np.int64),
             np.asarray(ids, dtype=np.int32))
 
@@ -498,12 +503,7 @@ def parse_labels(source: str | bytes | IO) -> list[PhaseSpan]:
     with _text_lines(source) as lines:
         line_no = _read_header(lines, LABEL_HEADER)
         spans: list[PhaseSpan] = []
-        for line_no, row in enumerate(csv.reader(lines), start=line_no + 1):
-            if _is_blank(row):
-                continue
-            if len(row) != 3:
-                raise TraceParseError(line_no, f"expected 3 fields, got {len(row)}")
-            a, b, phase = (f.strip() for f in row)
+        for line_no, (a, b, phase) in _rows(lines, line_no, len(LABEL_HEADER)):
             try:
                 t0, t1 = float(a), float(b)
             except ValueError:

@@ -1,8 +1,10 @@
 import argparse
 import json
+from unittest import mock
 
 import pytest
 
+import streamprofiler.trace as trace_mod
 from streamprofiler import (BurstParams, FusionParams, GeneratorDefaults, RateParams, classify,
                             filter_small, profile, segment)
 from streamprofiler.rate import analyze
@@ -343,6 +345,14 @@ class TestAnalyze:
         assert run(["analyze", path, "--out", tmp_path / "out"]) == 2
         assert "line 2: payload size" in capsys.readouterr().err
 
+    def test_payload_total_past_int64_max_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("t,size,src,dst,dst_port\n"
+                        + "".join(f"{t},{2**62},10.0.0.1,10.0.0.2,443\n" for t in (0, 0.1, 0.2)))
+        assert run(["analyze", path, "--out", tmp_path / "out"]) == 2
+        assert f"must total <= {2**63 - 1} bytes" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_directory_input_exits_2(self, tmp_path, capsys):
         assert run(["analyze", tmp_path, "--out", tmp_path / "out"]) == 2
         assert str(tmp_path) in capsys.readouterr().err
@@ -362,6 +372,22 @@ class TestAnalyze:
         assert run(["analyze", trace_path, "--out", plain]) == 0
         assert [p.read_bytes() for p in sorted(plain.iterdir())] == [
             p.read_bytes() for p in sorted(out.glob("*.json"))]
+
+    def test_row_parser_writes_the_same_files(self, tmp_path, trace_path):
+        # a quoted size sends the whole trace through the row-by-row parser
+        header, first, rest = trace_path.read_text().split("\n", 2)
+        t, size, flow = first.split(",", 2)
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(f'{header}\n{t},"{size}",{flow}\n{rest}')
+        plain, rows = tmp_path / "plain", tmp_path / "rows"
+        assert run(["analyze", trace_path, "--out", plain, "--debug"]) == 0
+        with mock.patch.object(trace_mod, "_parse_rows", wraps=trace_mod._parse_rows) as parse:
+            assert run(["analyze", quoted, "--out", rows, "--debug"]) == 0
+        assert parse.call_count == 1
+        names = sorted(p.name for p in plain.iterdir())
+        assert len(names) == 5 and names == sorted(p.name for p in rows.iterdir())
+        for name in names:
+            assert (rows / name).read_bytes() == (plain / name).read_bytes(), name
 
     def test_parameter_override_changes_result(self, tmp_path, trace_path):
         out = tmp_path / "strict"

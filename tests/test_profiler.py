@@ -761,7 +761,6 @@ def _targeted_flows():
         ("confirming decrease moves out of reach", receding, [5_000] * len(receding), {}),
         ("confirming event in the last packet's bin", last_bin, last_bin_sizes,
          {"rate_params": RateParams(a=1.0)}),
-        ("a burst's size wraps as int64 sums do", [0.0, 1.0, 1.2, 2.0, 4.0], [2**62] * 5, {}),
     ]
 
 
@@ -800,6 +799,23 @@ class TestLiveTargeted:
         whole = profile(flow_trace(times, sizes=sizes))
         assert [(s.phase, s.t_start) for s in whole.segments if s.phase == STEADY] == [
             (STEADY, steady[0].t_start)]
+
+    def test_byte_total_past_int64_max_raises(self):
+        # the first two packets, one burst, total 2**63 - 1 bytes; the third passes that
+        times = [0.0, 1.0, 1.2, 2.0, 4.0]
+        sizes = [2**62, 2**62 - 1, 1, 2**62, 5]
+        assert_queries_match_prefixes(np.asarray(times[:2]), sizes[:2])
+        prof, message = StreamProfiler(flow=TEST_FLOW), f"must total <= {2**63 - 1} bytes"
+        for n, (t, s) in enumerate(zip(times, sizes), start=1):
+            prof.feed(t, s)
+            if n < 3:
+                assert prof.report().total_bytes == sum(sizes[:n])
+                continue
+            with pytest.raises(ValueError, match=message):
+                profile(flow_trace(times[:n], sizes=sizes[:n]))
+            for _ in range(2):  # the same query again raises again
+                with pytest.raises(ValueError, match=message):
+                    prof.report()
 
     def test_tail_bins_hold_events_of_their_own(self):
         times, sizes, params = _targeted_flows()[4][1:]

@@ -241,6 +241,17 @@ class TestParse:
         with pytest.raises(TraceParseError, match="header"):
             parse_trace("0.1,10,10.0.0.1,10.0.0.2,1\n")
 
+    def test_bad_header_names_its_own_line(self):
+        with pytest.raises(TraceParseError, match="^line 3: expected header "):
+            parse_trace("\n\nt,size,src,dst\n")
+
+    def test_rows_are_numbered_by_physical_line(self):
+        # the quoted timestamp spans lines 2 and 3, so the bad row is line 4
+        text = HEADER + '"0.2\n",1400,10.0.0.1,10.0.0.2,443\n0.3,0,10.0.0.1,10.0.0.2,443\n'
+        for parse in (parse_trace, row_parse):
+            assert parse_outcome(parse, text) == (
+                TraceParseError, "line 4: payload size must be >= 1, got 0")
+
     def test_bytes_input(self):
         trace = parse_trace((HEADER + "0.25,99,10.0.0.1,10.0.0.2,80\n").encode())
         assert trace.sizes.tolist() == [99]
@@ -560,6 +571,10 @@ class TestLabels:
     def test_bad_phase_rejected(self):
         with pytest.raises(TraceParseError, match="line 2"):
             parse_labels("t_start,t_end,phase\n0,1,depletion\n")
+
+    def test_rows_are_numbered_by_physical_line(self):
+        with pytest.raises(TraceParseError, match="^line 4: phase must be one of "):
+            parse_labels('t_start,t_end,phase\n"0\n",1,filling\n1,2,bogus\n')
 
     def test_empty_interval_rejected(self):
         with pytest.raises(TraceParseError, match="t_end"):
