@@ -374,7 +374,8 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
 
     Deterministic: identical trace and parameters give an identical report.
     Degenerate traces (empty, single packet) yield empty or absent fields,
-    never an error. This is a ``StreamProfiler`` query that sees the whole
+    never an error; a flow whose payload totals more than 2**63 - 1 bytes
+    raises ``ValueError``. This is a ``StreamProfiler`` query that sees the whole
     flow at once, so the rate method runs only if the burst method proposes
     a candidate for it to confirm. The stage outputs themselves come from
     ``rate.analyze`` and the ``bursts`` stage functions.
@@ -445,11 +446,11 @@ class StreamProfiler:
     far; once they total more than 2**63 - 1 bytes, every query raises
     ``ValueError``, as ``profile()`` does. A query with no packet fed since
     the last one returns that report object again, so treat reports as
-    read-only. Besides the stage outputs
-    (the retained ``Burst`` list, which a query extends in place, candidates,
-    rate events, decisions), the profiler holds the packets, the burst resume
-    point (``_k``, ``_open``), the rate ``_horizon``, the buffer samples'
-    ``_arrived`` bytes (the first ``_final`` final) and the last report.
+    read-only. Besides the stage outputs (the retained ``Burst`` list, which
+    a query extends in place, candidates, rate events, decisions), the
+    profiler holds the packets, the burst resume point (``_k``, ``_open``),
+    the rate ``_horizon``, the buffer samples' ``_arrived`` bytes (the first
+    ``_final`` final) and the last report.
     """
 
     def __init__(self, rate_params: RateParams | None = None,
