@@ -8,8 +8,9 @@ A run of consecutive steady bursts of minimum length confirms a
 steady-state phase candidate.
 
 Bursts are held as a list of ``Burst`` records ``(t_start, t_end, size,
-duration, rate, klass)`` of Python floats and ints, in time order; a burst's
-number is its position plus one. ``segment`` builds them once from arrays.
+klass)`` of Python floats and ints, in time order; a burst's number is its
+position plus one. ``segment`` builds them once from arrays; ``burst_rate``
+is the only code that computes a burst's rate.
 """
 
 from __future__ import annotations
@@ -66,22 +67,17 @@ class PhaseCandidate:
 
 
 class Burst(NamedTuple):
-    """One burst: first and last packet times, payload bytes, duration, rate and class."""
+    """One burst: first and last packet times, payload bytes and class."""
 
     t_start: float
     t_end: float
     size: int
-    duration: float
-    rate: float
     klass: int
 
 
-def merge(first: Burst, last: Burst, params: BurstParams) -> Burst:
-    """``first`` continued by ``last``: one unclassified burst, as ``segment`` makes it."""
-    size = first.size + last.size
-    duration = last.t_end - first.t_start
-    return Burst(first.t_start, last.t_end, size, duration,
-                 size / max(duration, params.rate_duration_floor), KLASS_UNSET)
+def burst_rate(burst: Burst, params: BurstParams) -> float:
+    """Bytes per second over ``t_end - t_start``, floored at ``rate_duration_floor``."""
+    return burst.size / max(burst.t_end - burst.t_start, params.rate_duration_floor)
 
 
 def segment(times: np.ndarray, sizes: np.ndarray, params: BurstParams) -> list[Burst]:
@@ -107,10 +103,7 @@ def segment(times: np.ndarray, sizes: np.ndarray, params: BurstParams) -> list[B
     t_end[:-1] = times[starts[1:] - 1]
     t_end[-1] = times[-1]
     size = np.add.reduceat(sizes, starts).astype(np.int64, copy=False)
-    duration = t_end - t_start
-    rate = size / np.maximum(duration, params.rate_duration_floor)
-    return list(map(Burst, t_start.tolist(), t_end.tolist(), size.tolist(), duration.tolist(),
-                    rate.tolist(), repeat(KLASS_UNSET)))
+    return list(map(Burst, t_start.tolist(), t_end.tolist(), size.tolist(), repeat(KLASS_UNSET)))
 
 
 def filter_small(bursts: list[Burst], params: BurstParams) -> list[Burst]:
@@ -121,7 +114,7 @@ def filter_small(bursts: list[Burst], params: BurstParams) -> list[Burst]:
 def classify(bursts: list[Burst], params: BurstParams) -> list[Burst]:
     """Return the retained bursts with each burst's class set.
 
-    With r1 the rate of the first retained burst: a burst at rate >= h_r * r1
+    With r1 the first retained burst's ``burst_rate``: a burst at rate >= h_r * r1
     is filling (+1) when its duration reaches h_d and steady (-1) otherwise;
     bursts below the rate bar stay unclassified (0). r1 is fixed for the whole
     session, so a throttled stretch falls to class 0 on the rate criterion.
@@ -130,11 +123,11 @@ def classify(bursts: list[Burst], params: BurstParams) -> list[Burst]:
     """
     if not bursts:
         return []
-    bar, h_d = params.h_r * bursts[0].rate, params.h_d
-    return [Burst(t0, t1, size, duration, rate,
-                  (KLASS_FILLING if duration >= h_d else KLASS_STEADY) if rate >= bar
-                  else KLASS_NONE)
-            for t0, t1, size, duration, rate, _ in bursts]
+    bar, h_d = params.h_r * burst_rate(bursts[0], params), params.h_d
+    return [Burst(b.t_start, b.t_end, b.size,
+                  (KLASS_FILLING if b.t_end - b.t_start >= h_d else KLASS_STEADY)
+                  if burst_rate(b, params) >= bar else KLASS_NONE)
+            for b in bursts]
 
 
 def confirm_steady(bursts: list[Burst], params: BurstParams) -> list[PhaseCandidate]:

@@ -17,7 +17,7 @@ import numpy as np
 from . import evaluate as evaluate_mod
 from . import synth as synth_mod
 from . import rate as rate_mod
-from .bursts import BurstParams, classify, filter_small, segment
+from .bursts import BurstParams, burst_rate, classify, filter_small, segment
 from .profiler import UNIT_NOTE, FusionParams, ProfileReport, profile, to_kbps
 from .rate import RateParams
 from .synth import GeneratorDefaults, ScenarioSpec
@@ -133,7 +133,8 @@ def _write_debug_csvs(report: ProfileReport, flow: Trace, cfg: Config, prefix: P
                       cfg.burst)
     _write_csv(f"{prefix}_bursts.csv",
                ["n", "t_start", "t_end", "size", "duration", "rate", "klass"],
-               ((n, *row) for n, row in enumerate(bursts, 1)))
+               ((n, *b[:3], b.t_end - b.t_start, burst_rate(b, cfg.burst), b.klass)
+                for n, b in enumerate(bursts, 1)))
     _write_csv(f"{prefix}_segments.csv",
                ["phase", "t_start", "t_end", "volume_bytes", "duration_s", "mean_rate_Bps",
                 "mean_rate_kbps"],

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bursts as bursts_mod
 from . import rate as rate_mod
-from .bursts import Burst, BurstParams, PhaseCandidate
+from .bursts import KLASS_UNSET, Burst, BurstParams, PhaseCandidate
 from .rate import DECREASE, INCREASE, RateChange, RateParams
 from .trace import (_INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace, check_int, check_positive,
                     check_real)
@@ -393,8 +393,8 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
 
 
 def _check_total(cum: np.ndarray) -> None:
-    """Raise ``ValueError`` if the int64 byte sums ``cum`` passed 2**63 - 1. Each
-    size is >= 1 and <= 2**63 - 1, so the first sum past the bound wraps negative."""
+    """Raise ``ValueError`` if the int64 byte sums ``cum`` passed 2**63 - 1. ``Trace``
+    and ``feed`` keep each size in [1, 2**63 - 1], so the first sum past it wraps negative."""
     if len(cum) and cum.min() < 0:
         raise ValueError(f"a flow's payload must total <= {_INT64_MAX} bytes")
 
@@ -428,9 +428,9 @@ class StreamProfiler:
     each into the same arrays. A query resumes the burst stages on the
     packets fed since the last one, keeping what is final: bursts closed by
     a gap of at least ``h_t``, and buffer arrivals before the last packet.
-    Once the first retained burst has closed, its rate (the classification
-    reference) is final, so closed bursts keep their classes and a query
-    classifies only the bursts that are new since the last one. The rate
+    Once the first retained burst has closed, its ``burst_rate`` (the
+    classification reference) is final, so closed bursts keep their classes
+    and a query classifies only the bursts new since the last one. The rate
     method only confirms burst candidates, so its stages run, over every
     packet held, only while some candidate's confirmation is not settled
     (see ``decide``), then decide again; if they raise (``aggregate``: 2**63
@@ -446,11 +446,11 @@ class StreamProfiler:
     far; once they total more than 2**63 - 1 bytes, every query raises
     ``ValueError``, as ``profile()`` does. A query with no packet fed since
     the last one returns that report object again, so treat reports as
-    read-only. Besides the stage outputs (the retained ``Burst`` list, which
-    a query extends in place, candidates, rate events, decisions), the
-    profiler holds the packets, the burst resume point (``_k``, ``_open``),
-    the rate ``_horizon``, the buffer samples' ``_arrived`` bytes (the first
-    ``_final`` final) and the last report.
+    read-only. Besides the stage outputs (the retained ``Burst`` records
+    ``(t_start, t_end, size, klass)``, a list a query extends in place,
+    candidates, rate events, decisions), the profiler holds the packets, the
+    burst resume point (``_k``, ``_open``), the rate ``_horizon``, the buffer
+    samples' ``_arrived`` bytes (the first ``_final`` final) and the last report.
     """
 
     def __init__(self, rate_params: RateParams | None = None,
@@ -581,7 +581,7 @@ class StreamProfiler:
             # the first new packet continues the open burst: it is classified anew
             if open_.size >= bp.h_s:  # it ends ``_bursts``
                 bursts.pop()
-            rows[0] = bursts_mod.merge(open_, rows[0], bp)
+            rows[0] = Burst(open_.t_start, rows[0].t_end, open_.size + rows[0].size, KLASS_UNSET)
         self._open = rows[-1]
         # once the reference burst has closed, the closed bursts keep their
         # classes and only the new rows are classified, after the reference

@@ -162,7 +162,7 @@ def check_int(name: str, value, minimum: int | None = None, maximum: int | None 
 class Trace:
     """Columnar packet trace: parallel arrays plus a flow table.
 
-    ``flow_ids[i]`` indexes into ``flows`` for packet ``i``.
+    ``flow_ids[i]`` indexes into ``flows`` for packet ``i``; every size is >= 1.
     """
 
     times: np.ndarray
@@ -176,6 +176,8 @@ class Trace:
         self.flow_ids = np.asarray(self.flow_ids, dtype=np.int32)
         if not (self.times.shape == self.sizes.shape == self.flow_ids.shape):
             raise ValueError("times, sizes and flow_ids must have equal length")
+        if self.sizes.min(initial=1) < 1:
+            raise ValueError(f"sizes must be >= 1, got {self.sizes.min()}")
 
     # -- construction -----------------------------------------------------
 
@@ -288,18 +290,21 @@ def _rows(lines: Iterable[str], line_no: int,
 
     A row is numbered by its last physical line, counting on from ``line_no``,
     so a quoted field that spans lines moves every later number on. A row of
-    other than ``n_fields`` fields raises ``TraceParseError``; ``None`` takes
-    any number.
+    other than ``n_fields`` fields (``None`` takes any), or one ``csv`` cannot
+    read (a bare carriage return inside a line of a str), raises ``TraceParseError``.
     """
     reader = csv.reader(lines)
-    for row in reader:
-        fields = [f.strip() for f in row]
-        if len(fields) <= 1 and not any(fields):
-            continue
-        if n_fields is not None and len(fields) != n_fields:
-            raise TraceParseError(line_no + reader.line_num,
-                                  f"expected {n_fields} fields, got {len(fields)}")
-        yield line_no + reader.line_num, fields
+    try:
+        for row in reader:
+            fields = [f.strip() for f in row]
+            if len(fields) <= 1 and not any(fields):
+                continue
+            if n_fields is not None and len(fields) != n_fields:
+                raise TraceParseError(line_no + reader.line_num,
+                                      f"expected {n_fields} fields, got {len(fields)}")
+            yield line_no + reader.line_num, fields
+    except csv.Error as exc:
+        raise TraceParseError(line_no + reader.line_num, str(exc)) from None
 
 
 def _read_header(lines: Iterator[str], expected: tuple[str, ...]) -> int:

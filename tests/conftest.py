@@ -118,11 +118,13 @@ def reference_write_rate_csv(series, path):
                              int(series.flags[i])])
 
 
-def reference_write_bursts_csv(bursts, path):
+def reference_write_bursts_csv(bursts, params, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "t_start", "t_end", "size", "duration", "rate", "klass"])
-        for n, (t_start, t_end, size, duration, rate, klass) in enumerate(bursts, 1):
+        for n, (t_start, t_end, size, klass) in enumerate(bursts, 1):
+            duration = t_end - t_start
+            rate = size / max(duration, params.rate_duration_floor)
             writer.writerow([n, repr(t_start), repr(t_end), size, repr(duration), repr(rate),
                              "" if klass == KLASS_UNSET else klass])
 

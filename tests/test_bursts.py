@@ -22,15 +22,20 @@ from streamprofiler.bursts import (
     KLASS_STEADY,
     KLASS_UNSET,
     Burst,
+    burst_rate,
 )
 from streamprofiler.trace import FILLING, STEADY
 from conftest import (UNUSABLE_TIMES, columns, flow_trace, random_trace,
                       reference_write_bursts_csv)
 
 
-def burst(duration, rate, size=10**6, t_start=0.0, klass=KLASS_UNSET):
-    """One burst's fields in ``Burst`` field order."""
-    return (t_start, t_start + duration, size, duration, rate, klass)
+def burst(duration, rate, size=None, t_start=0.0, klass=KLASS_UNSET):
+    """One burst's fields in ``Burst`` field order: ``size`` bytes, or by
+    default the bytes that give ``rate`` over ``duration``."""
+    if size is None:
+        size = round(rate * duration)
+        assert burst_rate(Burst(0.0, duration, size, klass), BurstParams()) == rate
+    return (t_start, t_start + duration, size, klass)
 
 
 def as_bursts(*rows):
@@ -126,9 +131,10 @@ def ref_write_bursts_csv(bursts, path):
                              "" if b.klass is None else b.klass])
 
 
-def rows_of(bursts):
-    """Exact (bit-level) burst fields, ignoring the class."""
-    return [(t0, t1, size, dur, rate) for t0, t1, size, dur, rate, _ in bursts]
+def rows_of(bursts, params):
+    """Exact (bit-level) burst fields, duration and rate, ignoring the class."""
+    return [(b.t_start, b.t_end, b.size, b.t_end - b.t_start, burst_rate(b, params))
+            for b in bursts]
 
 
 def ref_rows_of(bursts):
@@ -182,21 +188,21 @@ class TestSegment:
 
     def test_sizes_and_rates(self, burst_params):
         bursts = segment(*columns([0.0, 1.0], sizes=[600, 400]), burst_params)
-        assert [type(v) for v in bursts[0]] == [float, float, int, float, float, int]
+        assert [type(v) for v in bursts[0]] == [float, float, int, int]
         assert bursts[0].size == 1000
-        assert bursts[0].duration == 1.0
-        assert bursts[0].rate == 1000.0
+        assert bursts[0].t_end - bursts[0].t_start == 1.0
+        assert burst_rate(bursts[0], burst_params) == 1000.0
 
     def test_float_sizes_sum_and_truncate_per_burst(self, burst_params):
         # each burst's summed payload is truncated to an integer, as an int64 cast does
         bursts = segment([0.0, 0.5, 3.0], np.array([100.7, 200.6, 50.9]), burst_params)
-        assert [tuple(b)[2:5] for b in bursts] == [(301, 0.5, 602.0),
-                                                  (50, 0.0, 50 / burst_params.rate_duration_floor)]
+        assert rows_of(bursts, burst_params) == [
+            (0.0, 0.5, 301, 0.5, 602.0), (3.0, 3.0, 50, 0.0, 50 / burst_params.rate_duration_floor)]
 
     def test_single_packet_burst_uses_duration_floor(self, burst_params):
         bursts = segment(*columns([0.0], sizes=[500]), burst_params)
-        assert bursts[0].duration == 0.0
-        assert bursts[0].rate == 500 / burst_params.rate_duration_floor
+        assert bursts[0].t_end - bursts[0].t_start == 0.0
+        assert burst_rate(bursts[0], burst_params) == 500 / burst_params.rate_duration_floor
 
     def test_bursts_start_unclassified(self, burst_params):
         bursts = segment(*columns([0.0, 0.5, 3.0]), burst_params)
@@ -211,6 +217,28 @@ class TestSegment:
         for times, message in UNUSABLE_TIMES:
             with pytest.raises(ValueError, match=message):
                 segment(*columns(times), burst_params)
+
+
+class TestBurstRate:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(
+            st.one_of(st.integers(1, 2**53), st.integers(2**53, 2**63 - 1)),
+            st.sampled_from([0.0, 1.7e9]) | st.floats(0.0, 2e9),
+            st.sampled_from([0.0, 0.1]) | st.floats(0.0, 1.0) | st.floats(0.0, 1e3)),
+            min_size=1, max_size=30),
+        floor=st.sampled_from([0.1, 1e-3]) | st.floats(1e-9, 10.0),
+    )
+    def test_equals_numpy_rate_bit_for_bit(self, rows, floor):
+        # the rate segment once computed for all bursts at once, from int64 sizes
+        params = BurstParams(rate_duration_floor=floor)
+        size = np.array([s for s, _, _ in rows], dtype=np.int64)
+        t_start = np.array([t for _, t, _ in rows])
+        t_end = t_start + np.array([d for _, _, d in rows])
+        want = size / np.maximum(t_end - t_start, floor)
+        got = [burst_rate(Burst(t0, t1, s, KLASS_UNSET), params)
+               for t0, t1, s in zip(t_start.tolist(), t_end.tolist(), size.tolist())]
+        assert [r.hex() for r in got] == [r.hex() for r in want.tolist()]
 
 
 class TestFilterSmall:
@@ -321,7 +349,7 @@ class TestDetectPipeline:
             got = classify(filter_small(segment(trace.times, trace.sizes, bp), bp), bp)
             want = ref_classify(ref_filter_small(ref_segment(trace, bp), bp), bp)
         assert len(want) > 3
-        reference_write_bursts_csv(got, tmp_path / "got.csv")
+        reference_write_bursts_csv(got, bp, tmp_path / "got.csv")
         ref_write_bursts_csv(want, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -348,11 +376,11 @@ class TestDetectPipeline:
         params = BurstParams(h_n=h_n, h_s=h_s, h_d=h_d)
 
         raw, ref_raw = segment(trace.times, trace.sizes, params), ref_segment(trace, params)
-        assert rows_of(raw) == ref_rows_of(ref_raw)
+        assert rows_of(raw, params) == ref_rows_of(ref_raw)
         retained, ref_retained = filter_small(raw, params), ref_filter_small(ref_raw, params)
-        assert rows_of(retained) == ref_rows_of(ref_retained)
+        assert rows_of(retained, params) == ref_rows_of(ref_retained)
         classified, ref_classified = classify(retained, params), ref_classify(ref_retained, params)
-        assert rows_of(classified) == ref_rows_of(ref_classified)
+        assert rows_of(classified, params) == ref_rows_of(ref_classified)
         assert field(classified, "klass") == [b.klass for b in ref_classified]
 
         ref_cands = ref_confirm_steady(ref_classified, params)

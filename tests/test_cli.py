@@ -506,7 +506,7 @@ class TestCsvDumps:
         reference_write_rate_csv(analyze(flow.times, flow.sizes, RateParams(), tail=bp.h_t),
                                  ref / "rate.csv")
         reference_write_bursts_csv(classify(filter_small(segment(flow.times, flow.sizes, bp), bp),
-                                            bp), ref / "bursts.csv")
+                                            bp), bp, ref / "bursts.csv")
         reference_write_segments_csv(report, ref / "segments.csv")
         reference_write_buffer_csv(report, ref / "buffer.csv")
         [stem] = [p.stem for p in out.glob("*.json")]

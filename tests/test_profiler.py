@@ -317,6 +317,18 @@ class TestProfile:
         assert params == RateParams()
         assert profile(labeled.trace, rate_params=params).to_json() == report.to_json()
 
+    def test_h_t_tail_confirms_a_short_steady_run(self):
+        # 6 s of fill, then one steady burst 3 s later (h_n = 1): the only rate
+        # decrease falls in the h_t of empty bins that aggregate appends past
+        # the last packet, 2.35 s after the steady burst starts; without those
+        # bins the steady candidate is not confirmed and the flow reads
+        # filling, other
+        times = np.concatenate([np.arange(120) * 0.05, 5.95 + 3.0 + np.arange(10) * 0.1])
+        report = profile(flow_trace(times, sizes=np.full(130, 5000)),
+                         burst_params=BurstParams(h_n=1))
+        assert [s.phase for s in report.segments] == [FILLING, OTHER, STEADY]
+        assert report.segments[-1].t_start == 8.95
+
     def test_segments_tile_and_are_disjoint(self, mq):
         labeled, report = mq
         segments = report.segments

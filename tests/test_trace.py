@@ -252,6 +252,19 @@ class TestParse:
             assert parse_outcome(parse, text) == (
                 TraceParseError, "line 4: payload size must be >= 1, got 0")
 
+    @pytest.mark.parametrize("encode", [False, True], ids=["str", "bytes"])
+    @pytest.mark.parametrize("text,line", [
+        (HEADER + "0.1,10,10.0.0.1,10.0.0.2,1\r0.2,10,10.0.0.1,10.0.0.2,1\n", 2),
+        (HEADER + "0.1,10,10.0.0.1,10.0.0.2,1\n0.2,10,10.0.0.1,10.0.0.2,1\r0.3,10\n", 3),
+        ("t,size,src,dst,dst_port\r0.1,10,10.0.0.1,10.0.0.2,1\n", 1),
+    ], ids=["first_row", "later_row", "header"])
+    def test_bare_carriage_return_raises_parse_error(self, encode, text, line):
+        # csv refuses a carriage return inside a line; a str or bytes source is
+        # split at newlines only, so the line reaches csv whole
+        with pytest.raises(TraceParseError,
+                           match=f"^line {line}: new-line character seen in unquoted field"):
+            parse_trace(text.encode() if encode else text)
+
     def test_bytes_input(self):
         trace = parse_trace((HEADER + "0.25,99,10.0.0.1,10.0.0.2,80\n").encode())
         assert trace.sizes.tolist() == [99]
@@ -457,6 +470,22 @@ class TestColumnarParse:
         assert str(exc.value) == f"trace {path}: line 3: payload size must be >= 1, got 0"
 
 
+class TestTraceSizes:
+    @pytest.mark.parametrize("sizes", [[-5, 3], [0, 0], [3, 0], [1, INT64_MAX, -(2**63)]])
+    def test_size_below_1_rejected(self, sizes):
+        times = np.arange(len(sizes), dtype=np.float64)
+        with pytest.raises(ValueError, match="^sizes must be >= 1, got "):
+            Trace.single_flow(times, sizes, TEST_FLOW)
+        with pytest.raises(ValueError, match="^sizes must be >= 1, got "):
+            Trace(times, sizes, [0] * len(sizes), [TEST_FLOW])
+
+    def test_empty_and_positive_sizes_valid(self):
+        assert profile(Trace.single_flow([], [], TEST_FLOW)).total_bytes == 0
+        assert profile(Trace.empty()).total_bytes == 0
+        trace = Trace.single_flow([0.0, 1.0], [1, INT64_MAX - 1], TEST_FLOW)
+        assert profile(trace).total_bytes == INT64_MAX
+
+
 class TestRoundTrip:
     def test_mixed_flows(self):
         body = ("0.125,1200,10.0.0.1,192.168.1.5,443\n"
@@ -571,6 +600,10 @@ class TestLabels:
     def test_bad_phase_rejected(self):
         with pytest.raises(TraceParseError, match="line 2"):
             parse_labels("t_start,t_end,phase\n0,1,depletion\n")
+
+    def test_bare_carriage_return_raises_parse_error(self):
+        with pytest.raises(TraceParseError, match="^line 3: new-line character seen"):
+            parse_labels("t_start,t_end,phase\n0,1,filling\n1,2,other\r2,3,other\n")
 
     def test_rows_are_numbered_by_physical_line(self):
         with pytest.raises(TraceParseError, match="^line 4: phase must be one of "):
