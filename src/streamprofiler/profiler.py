@@ -244,8 +244,10 @@ def decide(candidates: list[PhaseCandidate], rate_events: list[RateChange],
     is not final. A decision is settled when an event before the horizon
     confirms it, when the horizon lies more than ``match_tolerance`` past the
     candidate start (so no event from it on can confirm it), or when the
-    candidate spans no time. With the default horizon every decision is
-    settled. A refill reads filling to both methods only if the smoothed rate
+    candidate spans no time. ``StreamProfiler`` passes the start of the last
+    packet's rate bin, or, when it stops the rate stages at a cut before the
+    last packet, the cut minus one bin. With the default horizon every
+    decision is settled. A refill reads filling to both methods only if the smoothed rate
     flags it before the burst lasts ``h_d``: ``(delta_t / a) * ln(1 / (1 - c))
     <= h_d``, 4.58 s against 5 s at the defaults. Nothing checks this.
     """
@@ -377,8 +379,11 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
     never an error; a flow whose payload totals more than 2**63 - 1 bytes
     raises ``ValueError``. This is a ``StreamProfiler`` query that sees the whole
     flow at once, so the rate method runs only if the burst method proposes
-    a candidate for it to confirm. The stage outputs themselves come from
-    ``rate.analyze`` and the ``bursts`` stage functions.
+    a candidate for it to confirm, and then bins only the packets before the
+    cut: the first rate-bin boundary at least one bin past the latest
+    candidate start plus ``match_tolerance``, or every packet, with ``h_t`` of
+    empty bins, when the cut lies past the last one. The stage outputs
+    themselves come from ``rate.analyze`` and the ``bursts`` stage functions.
     """
     if len(trace) and len(trace.flows) > 1:
         raise ValueError("rate analysis expects a single-flow trace; demux first")
@@ -431,10 +436,14 @@ class StreamProfiler:
     Once the first retained burst has closed, its ``burst_rate`` (the
     classification reference) is final, so closed bursts keep their classes
     and a query classifies only the bursts new since the last one. The rate
-    method only confirms burst candidates, so its stages run, over every
-    packet held, only while some candidate's confirmation is not settled
-    (see ``decide``), then decide again; if they raise (``aggregate``: 2**63
-    bins or more), the next query reruns them. Any other query costs what
+    method only confirms burst candidates, so its stages run only while some
+    candidate's confirmation is not settled (see ``decide``), then decide
+    again. They bin the packets before the cut, a bin past the latest
+    unsettled candidate start plus ``match_tolerance``, and the rate horizon
+    becomes the cut minus a bin; when the cut lies past the last packet they
+    bin every packet held, with ``h_t`` of empty bins, and the horizon is the
+    last packet's bin start (see ``_advance``). If they raise (``aggregate``:
+    2**63 bins or more), the next query reruns them. Any other query costs what
     the new packets and bursts cost, plus the candidates (``confirm_steady``
     over every burst held), one ``decide`` (O(candidates × events): at most
     2 × 2 on the benchmark's HQ session, 4 × 4 on its scenario batch) and
@@ -557,19 +566,36 @@ class StreamProfiler:
         )
 
     def _advance(self, times: np.ndarray, sizes: np.ndarray) -> None:
-        """Bring the burst stages up to ``times``; run the rate stages over
-        every packet in ``times`` if a candidate's confirmation is unsettled.
+        """Bring the burst stages up to ``times``; if a candidate's confirmation
+        is unsettled, run the rate stages up to the cut and decide again.
 
-        Rate bins before the last packet's bin are final, with their events,
-        so any event still to come lies at or after ``_horizon``."""
+        Binning, the filter and the flags are causal, and an event confirms a
+        candidate only within ``match_tolerance`` (tol) of its start. So the
+        cut is the first boundary of ``aggregate``'s bins at least one bin past
+        the latest unsettled candidate start plus tol, and the stages bin the
+        packets before it, with a tail that ends the series there. The bins
+        before the last are final, so every event still to come lies at or
+        after ``_horizon``, the cut minus a bin, and every candidate is
+        settled. An unsettled candidate starts at most tol before the old
+        horizon, so the new one lies past it and every event that settled a
+        decision is kept. When the cut lies past the last packet, the stages
+        bin every packet with ``h_t`` of empty bins, and the horizon is the
+        last packet's bin start.
+        """
         if len(times) > self._k:
             self._advance_bursts(times, sizes)
             self._decisions = decide(self._candidates, self._events, self.fusion_params,
                                      self._horizon)
         if not all(d.settled for d in self._decisions):
-            series = rate_mod.analyze(times, sizes, self.rate_params, self.burst_params.h_t)
-            self._events, t0, dt = series.events, series.t0, series.delta_t
-            self._horizon = t0 + math.floor((times[-1] - t0) / dt) * dt
+            need = max(d.candidate.t_start for d in self._decisions if not d.settled)
+            t0, dt = float(times[0]), self.rate_params.delta_t
+            # np.floor: a quotient past the float range makes the cut infinite, not an error
+            cut = t0 + (np.floor((need + self.fusion_params.match_tolerance - t0) / dt) + 2) * dt
+            m = int(times.searchsorted(cut))
+            tail = self.burst_params.h_t if m == len(times) else float(cut - times[m - 1])
+            self._events = rate_mod.analyze(times[:m], sizes[:m], self.rate_params, tail).events
+            self._horizon = (t0 + math.floor((times[-1] - t0) / dt) * dt if m == len(times)
+                             else float(cut - dt))
             self._decisions = decide(self._candidates, self._events, self.fusion_params,
                                      self._horizon)
 

@@ -158,11 +158,30 @@ def check_int(name: str, value, minimum: int | None = None, maximum: int | None 
     return n
 
 
+def _int64_sizes(sizes) -> np.ndarray:
+    """``sizes`` as an int64 array, no copy for one. An integer array that int64
+    holds passes as it is; others must hold whole values in [1, 2**63 - 1], checked
+    at once for floats and one by one with ``check_int`` for anything else."""
+    sizes = np.asarray(sizes)
+    if sizes.dtype.kind in "iu" and np.can_cast(sizes.dtype, np.int64):
+        return sizes.astype(np.int64, copy=False)
+    if sizes.dtype.kind == "f":
+        # NaN fails every comparison; 2.0**63 is the first float past the int64 range
+        bad = ~((sizes >= 1) & (sizes < 2.0**63) & (np.floor(sizes) == sizes))
+        if bad.any():
+            check_int("sizes", sizes[bad][0].item(), 1, _INT64_MAX)
+        return sizes.astype(np.int64)
+    return np.array([check_int("sizes", v, 1, _INT64_MAX) for v in sizes.ravel().tolist()],
+                    dtype=np.int64).reshape(sizes.shape)
+
+
 @dataclass(eq=False)
 class Trace:
     """Columnar packet trace: parallel arrays plus a flow table.
 
-    ``flow_ids[i]`` indexes into ``flows`` for packet ``i``; every size is >= 1.
+    ``flow_ids[i]`` indexes into ``flows`` for packet ``i``; every size is an
+    integer in [1, 2**63 - 1], by ``check_int``'s rule (``1400.0`` is 1400,
+    ``0.5``, NaN and ``2.0**63`` raise ``ValueError``).
     """
 
     times: np.ndarray
@@ -172,7 +191,7 @@ class Trace:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
-        self.sizes = np.asarray(self.sizes, dtype=np.int64)
+        self.sizes = _int64_sizes(self.sizes)
         self.flow_ids = np.asarray(self.flow_ids, dtype=np.int32)
         if not (self.times.shape == self.sizes.shape == self.flow_ids.shape):
             raise ValueError("times, sizes and flow_ids must have equal length")

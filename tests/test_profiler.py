@@ -444,6 +444,15 @@ PACKETS = st.lists(st.tuples(st.sampled_from(GAPS), st.integers(1, 70_000)),
 OFFSETS = st.sampled_from([0.0, 3.25, 1.7e9])
 
 
+# 6 s of fill, then 10 packets of one steady burst 3 s later: with h_n 1 the
+# steady candidate's only rate decrease lies in the h_t tail past the last packet
+TAIL_CONFIRMED = [(0.0, 5000)] + [(0.05, 5000)] * 119 + [(3.0, 5000)] + [(0.1, 5000)] * 9
+# a lone packet, then a steady burst from 7.6 s to 8.09 s: at a = 1 its rate
+# decrease is timed 8.1 s, tol 0.5 past its start, but (7.6 + 0.5) / 0.1 floors
+# to 80, a bin before the decrease's; the cut's second bin past it keeps that one
+CUT_EDGE = [(0.0, 1), (7.6, 2000)] + [(0.01, 2000)] * 49 + [(3.0, 1)]
+
+
 def packets_trace(packets, offset, scale=1):
     gaps, sizes = zip(*packets)
     return flow_trace(offset + np.cumsum((0.0,) + gaps[1:]), sizes=np.multiply(sizes, scale))
@@ -602,6 +611,15 @@ def exact(bursts) -> list:
 def rate_events(times, sizes, rate_params: RateParams, burst_params: BurstParams) -> list:
     """The rate events ``profile()`` fuses when it runs the rate stages."""
     return rate_mod.analyze(times, sizes, rate_params, burst_params.h_t).events
+
+
+def rate_cut(times, need: float, rate_params: RateParams = RateParams(),
+             fusion_params: FusionParams = FusionParams()) -> float:
+    """Where the rate stages stop for the latest unsettled candidate start
+    ``need``: the first boundary of the rate bins from ``times[0]`` at least
+    one bin past ``need + match_tolerance``."""
+    t0, dt = float(times[0]), rate_params.delta_t
+    return t0 + (math.floor((need + fusion_params.match_tolerance - t0) / dt) + 2) * dt
 
 
 def assert_queries_match_prefixes(times, sizes, cuts=None, **params):
@@ -933,10 +951,18 @@ class TestDeferredRate:
                             trace.sizes[fed_so_far:cut].tolist()):
                 prof.feed(t, s)
             fed_so_far, before = cut, len(calls)
+            events, horizon = prof._events, prof._horizon
             report = prof.report()
             binned += len(calls) > before
-            # a query that runs the rate stages bins every packet fed so far
-            assert calls[before:] == [cut] * (len(calls) - before)
+            # a query that runs the rate stages bins exactly the packets before
+            # its cut, which the candidates left unsettled by the last run place
+            open_ = [d.candidate.t_start for d in decide(prof._candidates, events,
+                                                         FusionParams(), horizon)
+                     if not d.settled]
+            fed_times = trace.times[:cut]
+            assert calls[before:] == ([] if idle or not open_ else
+                                      [int(fed_times.searchsorted(rate_cut(fed_times,
+                                                                           max(open_))))])
             if idle:
                 assert report is previous, f"repeated query after {cut} packets"
             else:
@@ -961,7 +987,7 @@ class TestDeferredRate:
         for t, s in zip(trace.times[:5000].tolist(), trace.sizes[:5000].tolist()):
             prof.feed(t, s)
         for _ in range(2):  # the second query runs the rate stages on the same candidates
-            with pytest.raises(ValueError, match=r"^delta_t 1e-300 and tail 1\.5 give"):
+            with pytest.raises(ValueError, match=r"^delta_t 1e-300 and tail \S+ give"):
                 prof.report()
 
     def test_query_after_a_rate_stage_error_matches_profile(self, monkeypatch):
@@ -1014,6 +1040,48 @@ class TestDeferredRate:
                             rate_events(times[:n], sizes[:n], params["rate_params"], bp),
                             FusionParams()):
                 assert settled.get(d.candidate, d.confirmed) == d.confirmed
+
+
+class TestRateCut:
+    """The rate stages bin only the packets before the cut, a bin past the
+    latest unsettled candidate start plus ``match_tolerance``."""
+
+    def test_profile_bins_only_the_packets_before_the_cut(self, monkeypatch):
+        trace = generate(scenario_spec("HQ", seed=0)).trace
+        bp = BurstParams()
+        candidates = confirm_steady(retained_bursts(trace.times, trace.sizes, bp), bp)
+        # with no rate event yet, every candidate that spans time is unsettled
+        need = max(c.t_start for c in candidates if c.t_end > c.t_start)
+        binned = int(trace.times.searchsorted(rate_cut(trace.times, need)))
+        calls = count_packets(monkeypatch, rate_mod, "aggregate")
+        profile(trace)
+        assert calls == [binned] and binned < len(trace)
+
+    def test_cut_past_the_float_range_bins_every_packet_and_raises(self):
+        # (need + tol - t0) / 5e-324 overflows: the cut is infinite, and
+        # ``aggregate`` names the infinite bin count of the whole flow
+        trace = generate(scenario_spec("MQ", seed=0)).trace
+        with pytest.raises(ValueError, match=r"^delta_t 5e-324 and tail 1\.5 give inf rate bins"):
+            profile(trace, RateParams(delta_t=5e-324))
+
+    @settings(max_examples=300, deadline=None)
+    @given(packets=st.lists(st.tuples(st.sampled_from(GAPS), st.integers(1, 70_000)),
+                            min_size=1, max_size=60),
+           offset=OFFSETS, h_n=st.integers(1, 4), a=st.sampled_from([0.02, 0.5, 1.0]),
+           delta_t=st.sampled_from([0.01, 0.1, 1.0]), tol=st.sampled_from([0.5, 2.0, 5.0, 10.0]))
+    # the only confirming decrease lies in the h_t of empty bins past the last packet
+    @example(packets=TAIL_CONFIRMED, offset=0.0, h_n=1, a=0.02, delta_t=0.1, tol=5.0)
+    @example(packets=TAIL_CONFIRMED, offset=1.7e9, h_n=1, a=0.02, delta_t=0.1, tol=2.0)
+    @example(packets=CUT_EDGE, offset=0.0, h_n=1, a=1.0, delta_t=0.1, tol=0.5)
+    def test_profile_matches_the_whole_flow_reference(self, packets, offset, h_n, a, delta_t,
+                                                      tol):
+        trace = packets_trace(packets, offset)
+        times, sizes = trace.times, trace.sizes
+        rp, bp, fp = RateParams(delta_t, a), BurstParams(h_n=h_n), FusionParams(tol)
+        decisions = decide(confirm_steady(retained_bursts(times, sizes, bp), bp),
+                           rate_events(times, sizes, rp, bp), fp)
+        expected = fuse(times, np.cumsum(sizes), decisions)
+        assert profile(trace, rp, bp, fp).segments == expected
 
 
 class TestToJson:

@@ -476,6 +476,25 @@ class TestTraceSizes:
         with pytest.raises(ValueError, match="^sizes must be >= 1, got "):
             Trace.single_flow(np.arange(len(sizes), dtype=np.float64), sizes, TEST_FLOW)
 
+    @pytest.mark.parametrize("sizes, message", [
+        ([1.9, 2.7], "an integer, got 1.9"),  # was truncated to a total of 3 bytes
+        ([1.0, 0.5], "an integer, got 0.5"),  # was truncated to 0
+        ([1.0, math.nan], "an integer, got nan"),
+        ([2**63, 1 << 63], f"in [1, {INT64_MAX}], got 9223372036854775808"),
+    ], ids=["fractions", "half", "nan", "2**63"])
+    def test_size_that_is_no_int64_integer_names_sizes(self, sizes, message):
+        with pytest.raises(ValueError, match=f"^sizes must be {re.escape(message)}$"):
+            Trace.single_flow([0.0, 1.0], sizes, TEST_FLOW)
+
+    def test_whole_sizes_are_taken_and_int64_ones_kept(self):
+        trace = Trace.single_flow([0.0, 1.0, 2.0], [1400.0, Fraction(6, 2), np.float32(7)],
+                                  TEST_FLOW)
+        assert trace.sizes.dtype == np.int64 and trace.sizes.tolist() == [1400, 3, 7]
+        assert profile(Trace.single_flow([0.0, 1.0], np.array([1.0, 2.0]), TEST_FLOW)
+                       ).total_bytes == 3
+        sizes = np.array([5, 6], dtype=np.int64)
+        assert Trace.single_flow([0.0, 1.0], sizes, TEST_FLOW).sizes is sizes
+
     def test_empty_and_positive_sizes_valid(self):
         assert profile(Trace.single_flow([], [], TEST_FLOW)).total_bytes == 0
         assert profile(Trace.empty()).total_bytes == 0
