@@ -121,11 +121,12 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_debug_csvs(report: ProfileReport, flow: Trace, cfg: Config, prefix: Path) -> None:
-    """Rate series, with the running maximum of the smoothed rate that its
-    flags compare against, and retained bursts of one flow, from the stage
-    functions run on its packets; then the ``report``'s segments and buffer samples."""
-    series = rate_mod.analyze(flow.times, flow.sizes, cfg.rate, cfg.burst.h_t)
+def _write_debug_csvs(report: ProfileReport, flow: Trace, series: rate_mod.RateSeries,
+                      cfg: Config, prefix: Path) -> None:
+    """Rate ``series`` of one flow, with the running maximum of the smoothed
+    rate that its flags compare against, and its retained bursts, from the
+    stage functions run on its packets; then the ``report``'s segments and
+    buffer samples."""
     _write_csv(f"{prefix}_rate.csv", ["bin", "rho", "r_smooth", "r_smooth_max", "flag"],
                zip(range(1, len(series) + 1), series.rho.tolist(), series.r_smooth.tolist(),
                    np.maximum.accumulate(series.r_smooth).tolist(), series.flags.tolist()))
@@ -151,12 +152,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"{len(flows)} flow(s) in {args.input} ({UNIT_NOTE})")
     for i, (key, sub) in enumerate(flows.items()):
         report = profile(sub, cfg.rate, cfg.burst, cfg.fusion)
+        # the dump's rate series bins the whole flow with the h_t tail and may
+        # raise: it runs before any of the flow's files is written
+        series = (rate_mod.analyze(sub.times, sub.sizes, cfg.rate, cfg.burst.h_t)
+                  if args.debug else None)
         if not i:  # once, after a flow has profiled: a failing first flow leaves no directory
             out_dir.mkdir(parents=True, exist_ok=True)
         slug = _flow_slug(i, key)
         (out_dir / f"{slug}.json").write_text(report.to_json() + "\n", encoding="utf-8")
         if args.debug:
-            _write_debug_csvs(report, sub, cfg, out_dir / slug)
+            _write_debug_csvs(report, sub, series, cfg, out_dir / slug)
         session = report.rate_estimate.session
         rate_text = ("no steady state" if session is None
                      else f"{session:.0f} B/s = {to_kbps(session):.0f} kbps")

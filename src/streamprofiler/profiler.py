@@ -333,24 +333,29 @@ def estimate_rate(segments: list[PhaseSegment]) -> RateEstimate:
     return RateEstimate(per_steady=tuple(per), session=session)
 
 
-def _sample_times(times: np.ndarray, sample_dt: float, start: int = 0) -> np.ndarray:
-    """Buffer sample times ``times[0] + sample_dt * i``, from ``i = start`` to one
-    sample past the last packet."""
-    t0 = float(times[0])
-    n = math.floor((float(times[-1]) - t0) / float(sample_dt)) + 1
-    return t0 + sample_dt * np.arange(start, n + 1)
+def _sample_count(times: np.ndarray, sample_dt: float) -> int:
+    """How many buffer samples, one every ``sample_dt`` from the first packet of
+    ``times``, reach one sample past the last."""
+    return math.floor((float(times[-1]) - float(times[0])) / sample_dt) + 2
+
+
+def _sample_times(times: np.ndarray, sample_dt: float, count: int) -> np.ndarray:
+    """The first ``count`` buffer sample times ``times[0] + sample_dt * i``."""
+    return float(times[0]) + sample_dt * np.arange(count)
 
 
 def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, playout_start: float,
-                    sample_dt: float, arrived: np.ndarray | None = None) -> BufferTrajectory:
+                    sample_dt: float, samples: tuple[np.ndarray, np.ndarray] | None = None
+                    ) -> BufferTrajectory:
     """Play-back buffer level: cumulative arrivals minus modeled play-out.
 
     Play-out is linear at ``encode_rate`` (finite, > 0) from ``playout_start``
     (finite) onward; the level is clamped at zero (stalls absorb the deficit).
     Sampled every ``sample_dt`` (finite, > 0) from the flow's first packet of
-    ``times``, with ``cum`` bytes by each packet. ``arrived`` may pass in the
-    payload bytes arrived by each sample time when the caller already has
-    them.
+    ``times``, with ``cum`` bytes by each packet. ``samples`` may pass in the
+    sample times with the payload bytes arrived by each, ``(sample_times,
+    arrived)``, when the caller already has them; the trajectory keeps that
+    ``sample_times`` array as its ``times``.
     """
     times, cum = _checked_cum(times, cum)
     check_positive("encode_rate", encode_rate)
@@ -360,11 +365,17 @@ def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, play
     encode_rate, playout_start, sample_dt = map(float, (encode_rate, playout_start, sample_dt))
     if len(times) == 0:
         return BufferTrajectory(np.zeros(0), np.zeros(0), playout_start, encode_rate)
-    ts = _sample_times(times, sample_dt)
-    if arrived is None:
+    if samples is None:
+        ts = _sample_times(times, sample_dt, _sample_count(times, sample_dt))
         arrived = cum[times.searchsorted(ts, side="right") - 1]
-    played = encode_rate * np.maximum(ts - playout_start, 0.0)
-    levels = np.maximum(arrived - played, 0.0)
+    else:
+        ts, arrived = samples
+    # arrived - encode_rate * max(ts - playout_start, 0), clamped at 0, in one array
+    levels = ts - playout_start
+    np.maximum(levels, 0.0, out=levels)
+    levels *= encode_rate
+    np.subtract(arrived, levels, out=levels)
+    np.maximum(levels, 0.0, out=levels)
     return BufferTrajectory(times=ts, levels=levels, playout_start=playout_start,
                             encode_rate_used=encode_rate)
 
@@ -459,7 +470,11 @@ class StreamProfiler:
     ``(t_start, t_end, size, klass)``, a list a query extends in place,
     candidates, rate events, decisions), the profiler holds the packets, the
     burst resume point (``_k``, ``_open``), the rate ``_horizon``, the buffer
-    samples' ``_arrived`` bytes (the first ``_final`` final) and the last report.
+    sample ``_grid`` ``t0 + delta_t * i``, the bytes ``_arrived`` by each sample
+    (the first ``_final`` final) and the last report. The grid is built whole,
+    at double its size or at once to the samples a query needs, and never
+    written after, so every report's ``buffer.times`` is a read-only view of it
+    that keeps its values; only the levels are new per report.
     """
 
     def __init__(self, rate_params: RateParams | None = None,
@@ -487,9 +502,11 @@ class StreamProfiler:
         self._open: Burst | None = None  # the last packet's, of any size; ends ``_bursts`` if kept
         self._candidates: list[PhaseCandidate] = []
         self._decisions: list[Decision] = []  # of ``_candidates`` against ``_events``
-        # bytes arrived by each buffer sample of the last query, as float64; the
-        # first ``_final`` are final, the rest is room to grow into
-        self._arrived = np.empty(0)
+        # buffer sample times from the first packet, whose views are every
+        # report's ``buffer.times``, and the bytes arrived by each as of the last
+        # query, as float64; the first ``_final`` are final, the rest is room to
+        # grow into
+        self._grid = self._arrived = np.empty(0)
         self._final = 0
         self._last_report: tuple[int, ProfileReport | None] = (-1, None)  # n_packets, report
 
@@ -552,7 +569,7 @@ class StreamProfiler:
         if rate_estimate.session is not None:
             dt = self.rate_params.delta_t
             buffer = estimate_buffer(times, cum, rate_estimate.session, t_start + dt, dt,
-                                     arrived=self._arrivals(times, cum))
+                                     samples=self._arrivals(times, cum))
         return ProfileReport(
             flow=flow,
             n_packets=n,
@@ -616,15 +633,22 @@ class StreamProfiler:
         self._candidates = bursts_mod.confirm_steady(bursts, bp)
         self._k = len(times)
 
-    def _arrivals(self, times: np.ndarray, cum: np.ndarray) -> np.ndarray:
-        """Payload bytes arrived by each buffer sample time, as float64."""
-        start = self._final
-        ts = _sample_times(times, self.rate_params.delta_t, start=start)
-        end = start + len(ts)
-        if end > len(self._arrived):  # grow by doubling, keeping the final samples
-            grown = np.empty(max(end, 2 * start))
+    def _arrivals(self, times: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The buffer sample times of packets ``times``, a read-only view of
+        ``_grid``, and the payload bytes arrived by each, as float64."""
+        dt, start = self.rate_params.delta_t, self._final
+        end = _sample_count(times, dt)
+        if end > len(self._grid):
+            # both grow by doubling; the grid is built whole and never written
+            # after, so the views earlier reports hold keep their values
+            size = max(end, 2 * len(self._grid))
+            self._grid = _sample_times(times, dt, size)
+            self._grid.flags.writeable = False
+            grown = np.empty(size)
             grown[:start] = self._arrived[:start]
             self._arrived = grown
-        self._arrived[start:end] = cum[times.searchsorted(ts, side="right") - 1]
-        self._final += int(ts.searchsorted(times[-1]))  # later packets arrive after these
-        return self._arrived[:end]
+        ts = self._grid[:end]
+        new = ts[start:]
+        self._arrived[start:end] = cum[times.searchsorted(new, side="right") - 1]
+        self._final += int(new.searchsorted(times[-1]))  # later packets arrive after these
+        return ts, self._arrived[:end]

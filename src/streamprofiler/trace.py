@@ -161,8 +161,16 @@ def check_int(name: str, value, minimum: int | None = None, maximum: int | None 
 def _int64_sizes(sizes) -> np.ndarray:
     """``sizes`` as an int64 array, no copy for one. An integer array that int64
     holds passes as it is; others must hold whole values in [1, 2**63 - 1], checked
-    at once for floats and one by one with ``check_int`` for anything else."""
-    sizes = np.asarray(sizes)
+    at once for float arrays and one by one with ``check_int`` for anything else.
+    A sequence that is no array is checked before numpy converts it, which would
+    take ``True`` as 1 and ``[1, 2**63]`` as floats."""
+    if not isinstance(sizes, np.ndarray):
+        sizes = [check_int("sizes", v) for v in sizes]
+        # past the int64 range; a value in it below 1 is left to ``Trace``'s own message
+        for v in sizes:
+            if not -_INT64_MAX - 1 <= v <= _INT64_MAX:
+                check_int("sizes", v, 1, _INT64_MAX)
+        return np.array(sizes, dtype=np.int64)
     if sizes.dtype.kind in "iu" and np.can_cast(sizes.dtype, np.int64):
         return sizes.astype(np.int64, copy=False)
     if sizes.dtype.kind == "f":

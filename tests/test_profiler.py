@@ -27,13 +27,13 @@ from streamprofiler import (
     scenario_spec,
 )
 from streamprofiler.bursts import PhaseCandidate, classify, confirm_steady, filter_small, segment
-from streamprofiler.cli import Config, _write_debug_csvs
+from streamprofiler.cli import main as cli_main
 from streamprofiler.profiler import _INITIAL_CAPACITY, BufferTrajectory
 from streamprofiler import bursts as bursts_mod
 from streamprofiler import profiler as profiler_mod
 from streamprofiler import rate as rate_mod
 from streamprofiler.rate import DECREASE, INCREASE, RateChange
-from streamprofiler.trace import FILLING, OTHER, STEADY, FlowKey
+from streamprofiler.trace import FILLING, OTHER, STEADY, FlowKey, write_trace
 from conftest import (TEST_FLOW, assert_tiles_and_partitions, flow_arrays, flow_trace,
                       single_packet_steady_trace)
 
@@ -283,6 +283,41 @@ class TestEstimateBuffer:
         for got, want in ((as_fractions.times, as_floats.times),
                           (as_fractions.levels, as_floats.levels)):
             assert got.dtype == np.float64 and np.array_equal(got, want)
+
+    @staticmethod
+    def assert_samples_give_the_plain_trajectory(times, sizes, encode_rate, playout_start,
+                                                 sample_dt):
+        times, cum = flow_arrays(flow_trace(times, sizes=sizes))
+        plain = estimate_buffer(times, cum, encode_rate, playout_start, sample_dt)
+        ts = times[0] + sample_dt * np.arange(len(plain.times))
+        # the bytes of the packets at or before each sample time, summed one by one
+        arrived = np.array([float(sum(int(s) for t, s in zip(times, sizes) if t <= sample))
+                            for sample in ts.tolist()])
+        given = estimate_buffer(times, cum, encode_rate, playout_start, sample_dt,
+                                samples=(ts, arrived))
+        assert given.times is ts
+        assert plain.times.tobytes() == ts.tobytes()
+        assert plain.levels.tobytes() == given.levels.tobytes()
+
+    def test_samples_on_the_packet_ties_give_the_plain_trajectory(self):
+        # packets on the 0.1 s sample grid, two at each of the last ten samples
+        times = 0.1 * np.concatenate([np.arange(80), np.repeat(240 + np.arange(10), 2)])
+        self.assert_samples_give_the_plain_trajectory(times, [5_000] * len(times), 80750.0,
+                                                      0.1, 0.1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(packets=st.lists(st.tuples(st.sampled_from([0.0, 0.05, 0.1, 0.37, 2.0]),
+                                      st.integers(1, 70_000)), min_size=1, max_size=40),
+           offset=st.sampled_from([0.0, 3.25, 1.7e9]),
+           encode_rate=st.floats(1.0, 1e6),
+           playout_delay=st.floats(-5.0, 5.0),
+           sample_dt=st.sampled_from([0.05, 0.1, 1.0]))
+    def test_samples_give_the_plain_trajectory(self, packets, offset, encode_rate,
+                                               playout_delay, sample_dt):
+        gaps, sizes = zip(*packets)
+        times = offset + np.cumsum((0.0,) + gaps[1:])
+        self.assert_samples_give_the_plain_trajectory(times, sizes, encode_rate,
+                                                      offset + playout_delay, sample_dt)
 
 
 # the stages that take cumulative bytes, each reduced to a comparable result
@@ -754,6 +789,61 @@ class TestLiveStorage:
                                       burst_params=BurstParams(h_n=h_n))
 
 
+def buffered_reports(trace, step: float, on_report=None) -> tuple[StreamProfiler, list]:
+    """The profiler fed ``trace`` and the reports with a buffer that it gave,
+    queried every ``step`` s of trace time; ``on_report`` sees each new one."""
+    prof, done, reports = StreamProfiler(flow=TEST_FLOW), 0, []
+    for cut in _cuts_every(trace, step):
+        for k in range(done, cut):
+            prof.feed(float(trace.times[k]), int(trace.sizes[k]))
+        done = cut
+        report = prof.report()
+        if report.buffer is not None and (not reports or report is not reports[-1]):
+            reports.append(report)
+            if on_report is not None:
+                on_report(report)
+    return prof, reports
+
+
+class TestSampleGrid:
+    """Live reports' buffer sample times are read-only views of one grid that
+    is built anew, at double the size, when a query needs more samples."""
+
+    @pytest.fixture(scope="class")
+    def mq_150s(self):
+        trace = generate(scenario_spec("MQ", seed=0)).trace
+        keep = trace.times < 150.0
+        return flow_trace(trace.times[keep], sizes=trace.sizes[keep])
+
+    def test_live_sample_times_are_read_only_views_of_one_grid(self, mq_150s):
+        prof, reports = buffered_reports(mq_150s, 2.0)
+        assert len(reports) > 20
+        for report in reports:
+            assert not report.buffer.times.flags.writeable
+            with pytest.raises(ValueError):
+                report.buffer.times[0] = 1.0
+        # one grid per doubling, and the reports between two growths share it
+        grids = [r.buffer.times.base for r in reports]
+        assert len({id(g) for g in grids}) <= math.ceil(math.log2(len(prof._grid))) + 1
+        for (a, grid_a), (b, grid_b) in zip(zip(reports, grids), zip(reports[1:], grids[1:])):
+            assert np.shares_memory(a.buffer.times, b.buffer.times) == (grid_a is grid_b)
+        assert np.shares_memory(reports[-2].buffer.times, reports[-1].buffer.times)
+        assert np.shares_memory(reports[-1].buffer.times, prof._grid)
+
+    def test_earlier_buffer_survives_the_grid_growing(self, mq_150s):
+        snapshots = []
+        prof, reports = buffered_reports(mq_150s, 2.0, lambda r: snapshots.append(
+            (r.buffer.times.tobytes(), r.buffer.levels.tobytes())))
+        # the grid grows past 1,024 samples (102.4 s) after the first buffered report
+        assert len(reports[0].buffer.times) < 1024 < len(reports[-1].buffer.times)
+        for report, (times, levels) in zip(reports, snapshots):
+            assert report.buffer.times.tobytes() == times
+            assert report.buffer.levels.tobytes() == levels
+        n = reports[0].n_packets
+        first = profile(flow_trace(mq_150s.times[:n], sizes=mq_150s.sizes[:n])).buffer
+        assert (first.times.tobytes(), first.levels.tobytes()) == snapshots[0]
+
+
 def _targeted_flows():
     """(id, times, sizes, params) of flows whose queries hit one resumption edge each."""
     train = 0.05 * np.arange(160)  # an 8 s burst at 100 kB/s
@@ -1017,7 +1107,9 @@ class TestDeferredRate:
         report = profile(trace)
         assert calls == []
         # the rate dump of ``analyze --debug`` bins it
-        _write_debug_csvs(report, trace, Config(), tmp_path / "flow")
+        write_trace(trace, tmp_path / "flow.csv")
+        assert cli_main(["analyze", str(tmp_path / "flow.csv"), "--out", str(tmp_path / "out"),
+                         "--debug"]) == 0
         assert calls == [5]
 
     @settings(max_examples=60, deadline=None)

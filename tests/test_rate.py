@@ -351,10 +351,10 @@ class TestAnalyze:
         # the debug rate dump's r_smooth_max column, which ``analyze`` leaves to its writer
         trace = random_trace(seed=21, duration=8.0)
         cfg = Config(rate=rate_params)
-        _write_debug_csvs(profile(trace, rate_params), trace, cfg, tmp_path / "flow")
+        series = analyze(trace.times, trace.sizes, rate_params, tail=cfg.burst.h_t)
+        _write_debug_csvs(profile(trace, rate_params), trace, series, cfg, tmp_path / "flow")
         with open(tmp_path / "flow_rate.csv", encoding="utf-8", newline="") as fh:
             r_max = np.array([float(row["r_smooth_max"]) for row in csv.DictReader(fh)])
-        series = analyze(trace.times, trace.sizes, rate_params, tail=cfg.burst.h_t)
         brute = np.array([series.r_smooth[: i + 1].max() for i in range(len(series))])
         assert np.array_equal(r_max, brute)
         assert np.all(np.diff(r_max) >= 0)

@@ -481,7 +481,10 @@ class TestTraceSizes:
         ([1.0, 0.5], "an integer, got 0.5"),  # was truncated to 0
         ([1.0, math.nan], "an integer, got nan"),
         ([2**63, 1 << 63], f"in [1, {INT64_MAX}], got 9223372036854775808"),
-    ], ids=["fractions", "half", "nan", "2**63"])
+        # numpy would take these lists as [1, 2] and as floats [1.0, 9.223372036854776e+18]
+        ([True, 2], "an integer, got True"),
+        ([1, 2**63], f"in [1, {INT64_MAX}], got 9223372036854775808"),
+    ], ids=["fractions", "half", "nan", "2**63", "bool-in-list", "2**63-after-1"])
     def test_size_that_is_no_int64_integer_names_sizes(self, sizes, message):
         with pytest.raises(ValueError, match=f"^sizes must be {re.escape(message)}$"):
             Trace.single_flow([0.0, 1.0], sizes, TEST_FLOW)
