@@ -55,6 +55,8 @@ def test_pairs_by_workload_and_seed(tmp_path, capsys):
     wall = live["metrics"]["wall_s"]
     assert wall["parent_median"] == 2.5 and wall["parent_quartiles"] == [1.75, 3.25]
     assert wall["change_median"] == 2.5 and wall["change_won"] == 2 and wall["pairs"] == 4
+    assert wall["change_quartiles"] == pytest.approx([1.725, 3.075])
+    assert summary["traced"] == {}
     assert not wall["worse_beyond_bound"]
 
 
@@ -85,6 +87,20 @@ def test_wide_parent_spread_is_unresolved(tmp_path, capsys, change_wall, unresol
     metrics = summary["workloads"]["live_monitor"]["metrics"]
     assert code == 0 and metrics["wall_s"]["unresolved"] is unresolved
     assert not any(v["unresolved"] for m, v in metrics.items() if m != "wall_s")
+
+
+def test_traced_records_of_both_sides_are_listed(tmp_path, capsys):
+    def traced(seed, buffer_s, **kwargs):
+        return {**record(seed, **kwargs), "per_layer": {"profiler.buffer_s": buffer_s}}
+
+    write(tmp_path / "parent", [traced(0, 0.5), traced(1, 0.5)], trace=1)
+    write(tmp_path / "change", [traced(0, 0.25, correct=False)], trace=1)
+    code, summary, _ = run(tmp_path, [record(0)], [record(0)], capsys)
+    # the change's traced record is not correct; the parent's unpaired one is not listed
+    assert code == 1 and summary["all_correct"] is False
+    assert summary["traced"] == {"live_monitor-seed0": {
+        "parent": {"correct": True, "per_layer": {"profiler.buffer_s": 0.5}},
+        "change": {"correct": False, "per_layer": {"profiler.buffer_s": 0.25}}}}
 
 
 def test_incorrect_record_exits_1(tmp_path, capsys):
