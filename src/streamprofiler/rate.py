@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -112,61 +111,19 @@ def smooth(rho: np.ndarray, params: RateParams) -> np.ndarray:
     zero over ~1/a bins.
 
     Operation order: with c = 1 - a, each bin computes ``c*r[t-1]``, then
-    ``a*rho[t]``, then their sum, each rounded on its own (so r[1] =
-    c*rho[1] + a*rho[1], not exactly rho[1]). This is the order of
-    ``scipy.signal.lfilter([a], [1, -c], rho, zi=[c*rho[1]])``, whose state
-    ``0*rho[t] - (-c)*r[t]`` is c*r[t] for rho[t] >= 0, so on non-negative
-    finite rates the result is bit-identical to it.
-
-    An empty bin adds a*0.0 = +0.0, and fl(fl(c*r) + 0.0) == fl(c*r) for
-    r >= 0, so the empty bins after r read exactly c*r, c*(c*r), ... Only
-    the non-empty bins go through a Python loop; ``math.prod`` carries the
-    filter across each run of empty bins, and ``_decay_runs`` writes the
-    runs' values. On finite input of either sign the values still equal
-    lfilter's, but a zero can carry the other sign: an empty bin after a
-    -0.0 reads -0.0 where lfilter gives +0.0.
+    adds ``a*rho[t]``, each rounded on its own (so r[1] = c*rho[1] + a*rho[1],
+    not exactly rho[1]). This is the order of
+    ``scipy.signal.lfilter([a], [1, -c], rho, zi=[c*rho[1]])``, so on finite
+    rates of either sign the result is bit-identical to it.
     """
     rho = np.asarray(rho, dtype=np.float64)
     out = np.empty(rho.size)
     if rho.size == 0:
         return out
-    a = params.a
-    c = 1.0 - a
-    full = rho != 0.0
-    where = np.flatnonzero(full)
-    # each run of empty bins ends at a non-empty bin or one past the last bin
-    ends = np.append(where, rho.size)
-    gaps = ends.copy()
-    gaps[1:] -= where + 1  # empty bins just before each end
-    r, prod = float(rho[0]), math.prod
-    out[full] = [(r := c * (prod(repeat(c, g), start=r) if g else r) + x)
-                 for x, g in zip((a * rho[full]).tolist(), gaps.tolist())]
-    runs = gaps > 0
-    if runs.any():
-        lens = gaps[runs]
-        before = np.concatenate((rho[:1], out[where]))[runs]  # the bin before each run
-        _decay_runs(out, ends[runs] - lens, lens, c * before, c)
+    c = 1.0 - params.a
+    r = float(rho[0])
+    out[:] = [(r := c * r + x) for x in (params.a * rho).tolist()]
     return out
-
-
-def _decay_runs(out: np.ndarray, starts: np.ndarray, lens: np.ndarray, heads, c: float) -> None:
-    """Write ``h, c*h, c*(c*h), ...`` (``n`` values, each product rounded) to
-    ``out[s:s+n]`` for every run's start ``s``, length ``n`` and head ``h``.
-
-    One ``np.multiply.accumulate`` along the rows of a block, a row per run,
-    of at most ``4 * out.size`` cells; runs longer than its width carry on,
-    from c times their last value, in a recursive call. Each call holds at
-    most a quarter of its caller's runs, so the depth is O(log runs).
-    """
-    cols = np.arange(min(int(lens.max()), 4 * out.size // lens.size))
-    block = np.full((lens.size, cols.size), c)
-    block[:, 0] = heads
-    np.multiply.accumulate(block, axis=1, out=block)
-    keep = cols < lens[:, None]
-    out[(starts[:, None] + cols)[keep]] = block[keep]
-    more = lens > cols.size
-    if more.any():
-        _decay_runs(out, starts[more] + cols.size, lens[more] - cols.size, c * block[more, -1], c)
 
 
 def detect_changes(r_smooth: np.ndarray,

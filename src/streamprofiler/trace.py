@@ -159,19 +159,16 @@ def check_int(name: str, value, minimum: int | None = None, maximum: int | None 
 
 
 def _int64_sizes(sizes) -> np.ndarray:
-    """``sizes`` as an int64 array, no copy for one. An integer array that int64
-    holds passes as it is; others must hold whole values in [1, 2**63 - 1], checked
-    at once for float arrays and one by one with ``check_int`` for anything else.
+    """``sizes`` as an int64 array, no copy for one. Every value must be a whole
+    number in [1, 2**63 - 1], by ``check_int``'s rule and message: checked at once
+    for integer and float arrays and one by one for anything else.
     A sequence that is no array is checked before numpy converts it, which would
     take ``True`` as 1 and ``[1, 2**63]`` as floats."""
     if not isinstance(sizes, np.ndarray):
-        sizes = [check_int("sizes", v) for v in sizes]
-        # past the int64 range; a value in it below 1 is left to ``Trace``'s own message
-        for v in sizes:
-            if not -_INT64_MAX - 1 <= v <= _INT64_MAX:
-                check_int("sizes", v, 1, _INT64_MAX)
-        return np.array(sizes, dtype=np.int64)
+        return np.array([check_int("sizes", v, 1, _INT64_MAX) for v in sizes], dtype=np.int64)
     if sizes.dtype.kind in "iu" and np.can_cast(sizes.dtype, np.int64):
+        if (low := sizes.min(initial=1)) < 1:
+            check_int("sizes", low.item(), 1, _INT64_MAX)
         return sizes.astype(np.int64, copy=False)
     if sizes.dtype.kind == "f":
         # NaN fails every comparison; 2.0**63 is the first float past the int64 range
@@ -203,8 +200,6 @@ class Trace:
         self.flow_ids = np.asarray(self.flow_ids, dtype=np.int32)
         if not (self.times.shape == self.sizes.shape == self.flow_ids.shape):
             raise ValueError("times, sizes and flow_ids must have equal length")
-        if self.sizes.min(initial=1) < 1:
-            raise ValueError(f"sizes must be >= 1, got {self.sizes.min()}")
 
     # -- construction -----------------------------------------------------
 

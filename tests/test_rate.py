@@ -231,22 +231,18 @@ class TestSmooth:
     @settings(max_examples=200, deadline=None)
     @given(signed_runs, attenuations)
     @example(np.array([-1e-300, 0.0, 0.0]), 0.5)
-    def test_matches_lfilter_value_for_value_on_any_finite_input(self, rho, a):
-        # an empty bin after a -0.0 may read -0.0 where lfilter gives +0.0
-        assert np.array_equal(smooth(rho, RateParams(a=a)), lfilter_smooth(rho, a))
+    def test_matches_lfilter_bit_for_bit_on_any_finite_input(self, rho, a):
+        out = smooth(rho, RateParams(a=a))
+        assert out.view(np.int64).tolist() == lfilter_smooth(rho, a).view(np.int64).tolist()
 
-    def test_one_long_run_among_short_ones(self):
-        # the first block of empty runs is capped at 4x the series' length and
-        # the two long runs carry on in a second block
-        rho = runs_of([(1.0, 1), *[(0.0, 1), (2.0, 1)] * 300, (0.0, 20000), (3.0, 2), (0.0, 9000)])
-        assert smooth(rho, RateParams()).tolist() == plain_smooth(rho, RateParams())
-
-    def test_runs_that_need_three_blocks(self):
-        # 2,000 one-bin runs cap the first block at 50 columns; the eight runs
-        # longer than that fill a second block of 12,704, and the longest run
-        # carries on in a third
-        rho = runs_of([(1.0, 1), *[(0.0, 1), (2.0, 1)] * 2000, *[(0.0, 200), (4.0, 1)] * 7,
-                       (0.0, 20000), (3.0, 1)])
+    @pytest.mark.parametrize("rho", [
+        runs_of([(1.0, 1), *[(0.0, 1), (2.0, 1)] * 300, (0.0, 20000), (3.0, 2), (0.0, 9000)]),
+        runs_of([(1.0, 1), *[(0.0, 1), (2.0, 1)] * 2000, *[(0.0, 200), (4.0, 1)] * 7,
+                 (0.0, 20000), (3.0, 1)]),
+    ], ids=["one-long-run-among-short-ones", "runs-of-many-lengths"])
+    def test_long_empty_runs_match_the_plain_loop(self, rho):
+        # empty runs of thousands of bins, as a whole-flow series with an idle tail
+        # has, are longer than rate_runs draws; plain_smooth checks them without scipy
         assert smooth(rho, RateParams()).tolist() == plain_smooth(rho, RateParams())
 
     def test_import_leaves_scipy_unloaded(self):

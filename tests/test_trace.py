@@ -471,9 +471,14 @@ class TestColumnarParse:
 
 
 class TestTraceSizes:
-    @pytest.mark.parametrize("sizes", [[-5, 3], [0, 0], [3, 0], [1, INT64_MAX, -(2**63)]])
+    @pytest.mark.parametrize("sizes", [
+        [-5, 3], [0, 0], [3, 0], [1, INT64_MAX, -(2**63)],
+        np.array([3, 0, -2]), np.array([0.0, 5.0]), np.array([5, 0], dtype=object),
+    ])
     def test_size_below_1_rejected(self, sizes):
-        with pytest.raises(ValueError, match="^sizes must be >= 1, got "):
+        # one message, naming the smallest size here, whatever the input's type
+        message = f"in [1, {INT64_MAX}], got {min(np.asarray(sizes).tolist())}"
+        with pytest.raises(ValueError, match=f"^sizes must be {re.escape(message)}$"):
             Trace.single_flow(np.arange(len(sizes), dtype=np.float64), sizes, TEST_FLOW)
 
     @pytest.mark.parametrize("sizes, message", [
