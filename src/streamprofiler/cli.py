@@ -136,10 +136,10 @@ def _write_debug_csvs(report: ProfileReport, flow: Trace, series: rate_mod.RateS
                ["n", "t_start", "t_end", "size", "duration", "rate", "klass"],
                ((n, *b[:3], b.t_end - b.t_start, burst_rate(b, cfg.burst), b.klass)
                 for n, b in enumerate(bursts, 1)))
-    _write_csv(f"{prefix}_segments.csv",
-               ["phase", "t_start", "t_end", "volume_bytes", "duration_s", "mean_rate_Bps",
-                "mean_rate_kbps"],
-               (s.to_dict().values() for s in report.segments))
+    header = ["phase", "t_start", "t_end", "volume_bytes", "duration_s", "mean_rate_Bps",
+              "mean_rate_kbps"]
+    _write_csv(f"{prefix}_segments.csv", header,
+               ([d[k] for k in header] for d in (s.to_dict() for s in report.segments)))
     _write_csv(f"{prefix}_buffer.csv", ["t", "buffered_bytes"],
                () if report.buffer is None else report.buffer.samples())
 

@@ -24,8 +24,8 @@ from . import bursts as bursts_mod
 from . import rate as rate_mod
 from .bursts import KLASS_UNSET, Burst, BurstParams, PhaseCandidate
 from .rate import DECREASE, INCREASE, RateChange, RateParams
-from .trace import (_INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace, check_int, check_positive,
-                    check_real)
+from .trace import (_INT64_MAX, FILLING, OTHER, STEADY, FlowKey, Trace, check_1d, check_int,
+                    check_positive, check_real)
 
 _EPS = 1e-9
 _INITIAL_CAPACITY = 1024  # packets a StreamProfiler makes room for at its first feed
@@ -91,9 +91,12 @@ class PhaseSegment:
 class StreamVerdict:
     """Whether the flow looks like a video stream (filling then steady state)."""
 
-    is_video_stream: bool
     first_filling: int | None = None  # index into the segment list
     first_steady: int | None = None
+
+    @property
+    def is_video_stream(self) -> bool:
+        return self.first_steady is not None
 
     def to_dict(self) -> dict:
         return {
@@ -200,8 +203,10 @@ class ProfileReport:
 
 
 def _checked_cum(times, cum) -> tuple[np.ndarray, np.ndarray]:
-    """``times`` and ``cum`` as arrays, if ``cum`` holds one value per packet."""
+    """``times`` and ``cum`` as arrays, if both are 1-d and ``cum`` holds one value per packet."""
     times, cum = np.asarray(times), np.asarray(cum)
+    check_1d("times", times)
+    check_1d("cum", cum)
     if len(cum) != len(times):
         raise ValueError(f"cum must match times in length, got {len(cum)} and {len(times)}")
     return times, cum
@@ -306,8 +311,7 @@ def detect_stream(segments: list[PhaseSegment]) -> StreamVerdict:
     if first_filling is not None:
         first_steady = next((i for i, s in enumerate(segments)
                              if i > first_filling and s.phase == STEADY), None)
-    return StreamVerdict(is_video_stream=first_steady is not None,
-                         first_filling=first_filling, first_steady=first_steady)
+    return StreamVerdict(first_filling, first_steady)
 
 
 def estimate_rate(segments: list[PhaseSegment]) -> RateEstimate:
@@ -326,7 +330,7 @@ def estimate_rate(segments: list[PhaseSegment]) -> RateEstimate:
     for i, seg in enumerate(segments):
         if seg.phase != STEADY:
             continue
-        per.append((i, seg.volume / seg.duration))
+        per.append((i, seg.mean_rate))
         total_bytes += seg.volume
         total_dur += seg.duration
     session = (total_bytes / total_dur) if total_dur > 0 else None
@@ -370,6 +374,10 @@ def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, play
         arrived = cum[times.searchsorted(ts, side="right") - 1]
     else:
         ts, arrived = samples
+        ts, arrived = np.asarray(ts), np.asarray(arrived)
+        if not (ts.ndim == arrived.ndim == 1 and len(ts) == len(arrived)):
+            raise ValueError(f"samples must be two 1-d arrays of equal length, got shapes "
+                             f"{ts.shape} and {arrived.shape}")
     # arrived - encode_rate * max(ts - playout_start, 0), clamped at 0, in one array
     levels = ts - playout_start
     np.maximum(levels, 0.0, out=levels)
@@ -468,13 +476,14 @@ class StreamProfiler:
     the last one returns that report object again, so treat reports as
     read-only. Besides the stage outputs (the retained ``Burst`` records
     ``(t_start, t_end, size, klass)``, a list a query extends in place,
-    candidates, rate events, decisions), the profiler holds the packets, the
-    burst resume point (``_k``, ``_open``), the rate ``_horizon``, the buffer
-    sample ``_grid`` ``t0 + delta_t * i``, the bytes ``_arrived`` by each sample
-    (the first ``_final`` final) and the last report. The grid is built whole,
-    at double its size or at once to the samples a query needs, and never
-    written after, so every report's ``buffer.times`` is a read-only view of it
-    that keeps its values; only the levels are new per report.
+    rate events, the decisions on the current candidates), the profiler
+    holds the packets, the burst resume point (``_k``, ``_open``), the rate
+    ``_horizon``, the buffer sample ``_grid`` ``t0 + delta_t * i``, the bytes
+    ``_arrived`` by each sample (the first ``_final`` final) and the last
+    report. The grid is built whole, at double its size or at once to the
+    samples a query needs, and never written after, so every report's
+    ``buffer.times`` is a read-only view of it that keeps its values; only the
+    levels are new per report.
     """
 
     def __init__(self, rate_params: RateParams | None = None,
@@ -500,8 +509,7 @@ class StreamProfiler:
         self._k = 0
         self._bursts: list[Burst] = []  # of >= h_s bytes, classified
         self._open: Burst | None = None  # the last packet's, of any size; ends ``_bursts`` if kept
-        self._candidates: list[PhaseCandidate] = []
-        self._decisions: list[Decision] = []  # of ``_candidates`` against ``_events``
+        self._decisions: list[Decision] = []  # of the current candidates against ``_events``
         # buffer sample times from the first packet, whose views are every
         # report's ``buffer.times``, and the bytes arrived by each as of the last
         # query, as float64; the first ``_final`` are final, the rest is room to
@@ -600,9 +608,8 @@ class StreamProfiler:
         last packet's bin start.
         """
         if len(times) > self._k:
-            self._advance_bursts(times, sizes)
-            self._decisions = decide(self._candidates, self._events, self.fusion_params,
-                                     self._horizon)
+            self._decisions = decide(self._advance_bursts(times, sizes), self._events,
+                                     self.fusion_params, self._horizon)
         if not all(d.settled for d in self._decisions):
             need = max(d.candidate.t_start for d in self._decisions if not d.settled)
             t0, dt = float(times[0]), self.rate_params.delta_t
@@ -613,11 +620,12 @@ class StreamProfiler:
             self._events = rate_mod.analyze(times[:m], sizes[:m], self.rate_params, tail).events
             self._horizon = (t0 + math.floor((times[-1] - t0) / dt) * dt if m == len(times)
                              else float(cut - dt))
-            self._decisions = decide(self._candidates, self._events, self.fusion_params,
-                                     self._horizon)
+            self._decisions = decide([d.candidate for d in self._decisions], self._events,
+                                     self.fusion_params, self._horizon)
 
-    def _advance_bursts(self, times: np.ndarray, sizes: np.ndarray) -> None:
-        """Resume the burst stages on the packets after the first ``_k``."""
+    def _advance_bursts(self, times: np.ndarray, sizes: np.ndarray) -> list[PhaseCandidate]:
+        """Resume the burst stages on the packets after the first ``_k``; return
+        the phase candidates of every burst held."""
         bp, open_, bursts = self.burst_params, self._open, self._bursts
         rows = bursts_mod.segment(times[self._k:], sizes[self._k:], bp)
         if open_ is not None and rows[0].t_start - open_.t_end < bp.h_t:
@@ -630,8 +638,8 @@ class StreamProfiler:
         # classes and only the new rows are classified, after the reference
         ref = bursts[:1]
         bursts += bursts_mod.classify(ref + bursts_mod.filter_small(rows, bp), bp)[len(ref):]
-        self._candidates = bursts_mod.confirm_steady(bursts, bp)
         self._k = len(times)
+        return bursts_mod.confirm_steady(bursts, bp)
 
     def _arrivals(self, times: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The buffer sample times of packets ``times``, a read-only view of

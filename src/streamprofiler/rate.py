@@ -44,9 +44,8 @@ class RateParams:
 
 @dataclass(frozen=True)
 class RateChange:
-    """A detected rate change: 1-based bin index, direction, bin start time."""
+    """A detected rate change: its direction and the start time of the bin it flags."""
 
-    bin_index: int
     direction: str
     time: float
 
@@ -58,8 +57,6 @@ class RateSeries:
     Holds arrays, so ``==`` is identity.
     """
 
-    t0: float
-    delta_t: float
     rho: np.ndarray
     r_smooth: np.ndarray
     flags: np.ndarray
@@ -158,5 +155,4 @@ def analyze(times: np.ndarray, sizes: np.ndarray, params: RateParams,
     r_smooth = smooth(rho, params)
     flags, raw = detect_changes(r_smooth, params)
     t0, dt = (float(times[0]) if len(times) else 0.0), params.delta_t
-    return RateSeries(t0, dt, rho, r_smooth, flags,
-                      [RateChange(b, d, t0 + (b - 1) * dt) for b, d in raw])
+    return RateSeries(rho, r_smooth, flags, [RateChange(d, t0 + (b - 1) * dt) for b, d in raw])

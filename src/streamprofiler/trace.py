@@ -63,8 +63,11 @@ class FlowKey:
         return FlowKey(self.src, self.dst, None)
 
     def __str__(self) -> str:
-        port = "" if self.dst_port is None else f":{self.dst_port}"
-        return f"{self.src}->{self.dst}{port}"
+        """``src->dst:port``; an IPv6 destination is bracketed before a port."""
+        if self.dst_port is None:
+            return f"{self.src}->{self.dst}"
+        dst = f"[{self.dst}]" if ":" in self.dst else self.dst
+        return f"{self.src}->{dst}:{self.dst_port}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,14 +91,23 @@ class PhaseSpan:
         return self.t_end - self.t_start
 
 
+def check_1d(name: str, column) -> None:
+    """Raise ``ValueError`` naming the column ``name`` unless it is one-dimensional."""
+    if np.asarray(column).ndim != 1:  # np.ndim costs three times as much on an array
+        raise ValueError(f"{name} must be a 1-d array, got shape {np.shape(column)}")
+
+
 def check_times(times, sizes) -> np.ndarray:
     """Packet ``times`` (any real array-like) as a float64 array, no copy for one.
 
-    Raise ``ValueError`` unless the times are as many as ``sizes``, non-decreasing
-    and finite. A sorted array with finite ends is finite throughout, and a NaN
-    among two or more times fails the order check, so only the ends are tested.
+    Raise ``ValueError`` unless the times and ``sizes`` are 1-d and as many,
+    and the times non-decreasing and finite. A sorted array with finite ends is
+    finite throughout, and a NaN among two or more times fails the order check,
+    so only the ends are tested.
     """
     times = np.asarray(times, dtype=np.float64)
+    check_1d("times", times)
+    check_1d("sizes", sizes)
     if len(sizes) != len(times):
         raise ValueError(f"sizes must match times in length, got {len(sizes)} and {len(times)}")
     if not (times[1:] >= times[:-1]).all():
@@ -159,7 +171,7 @@ def check_int(name: str, value, minimum: int | None = None, maximum: int | None 
 
 
 def _int64_sizes(sizes) -> np.ndarray:
-    """``sizes`` as an int64 array, no copy for one. Every value must be a whole
+    """1-d ``sizes`` as an int64 array, no copy for one. Every value must be a whole
     number in [1, 2**63 - 1], by ``check_int``'s rule and message: checked at once
     for integer and float arrays and one by one for anything else.
     A sequence that is no array is checked before numpy converts it, which would
@@ -176,8 +188,7 @@ def _int64_sizes(sizes) -> np.ndarray:
         if bad.any():
             check_int("sizes", sizes[bad][0].item(), 1, _INT64_MAX)
         return sizes.astype(np.int64)
-    return np.array([check_int("sizes", v, 1, _INT64_MAX) for v in sizes.ravel().tolist()],
-                    dtype=np.int64).reshape(sizes.shape)
+    return np.array([check_int("sizes", v, 1, _INT64_MAX) for v in sizes.tolist()], dtype=np.int64)
 
 
 @dataclass(eq=False)
@@ -196,6 +207,8 @@ class Trace:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
+        check_1d("times", self.times)
+        check_1d("sizes", self.sizes)  # before ``_int64_sizes`` iterates them
         self.sizes = _int64_sizes(self.sizes)
         self.flow_ids = np.asarray(self.flow_ids, dtype=np.int32)
         if not (self.times.shape == self.sizes.shape == self.flow_ids.shape):

@@ -5,8 +5,8 @@ from unittest import mock
 import pytest
 
 import streamprofiler.trace as trace_mod
-from streamprofiler import (BurstParams, FusionParams, GeneratorDefaults, RateParams, classify,
-                            filter_small, profile, segment)
+from streamprofiler import (BurstParams, FusionParams, GeneratorDefaults, PhaseSegment, RateParams,
+                            classify, filter_small, profile, segment)
 from streamprofiler.rate import analyze
 from streamprofiler.cli import Config, build_parser, main
 from streamprofiler.trace import demux, load_trace, normalize, write_trace
@@ -421,6 +421,15 @@ class TestAnalyze:
         assert "error: delta_t" in err and "below 2**63" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_ipv6_flow_text_brackets_the_destination(self, tmp_path, capsys):
+        path = tmp_path / "v6.csv"
+        path.write_text("t,size,src,dst,dst_port\n"
+                        + "".join(f"{t},1400,2001:db8::1,2001:db8::2,443\n" for t in (0.0, 0.1)))
+        assert run(["analyze", path, "--out", tmp_path / "out"]) == 0
+        assert "\n  2001:db8::1->[2001:db8::2]:443: packets=2 " in capsys.readouterr().out
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [
+            "flow00_2001-db8--1_2001-db8--2_443.json"]
+
     def test_single_packet_steady_run_with_h_n_1(self, tmp_path):
         path = tmp_path / "lone.csv"
         write_trace(single_packet_steady_trace(), path)
@@ -525,6 +534,15 @@ class TestCsvDumps:
             assert (out / f"{stem}_{name}.csv").read_bytes() == (ref / f"{name}.csv").read_bytes()
         if scenario == "bulk":  # no steady state, so no buffer: the header alone
             assert (out / f"{stem}_buffer.csv").read_bytes() == b"t,buffered_bytes\r\n"
+
+    def test_segments_dump_binds_columns_by_name(self, tmp_path, monkeypatch):
+        run(["generate", "MQ", "--seed", 1, "--out", tmp_path / "s"])
+        assert run(["analyze", tmp_path / "s.csv", "--out", tmp_path / "plain", "--debug"]) == 0
+        to_dict = PhaseSegment.to_dict
+        monkeypatch.setattr(PhaseSegment, "to_dict", lambda s: dict(reversed(to_dict(s).items())))
+        assert run(["analyze", tmp_path / "s.csv", "--out", tmp_path / "reversed", "--debug"]) == 0
+        [plain] = (tmp_path / "plain").glob("*_segments.csv")
+        assert (tmp_path / "reversed" / plain.name).read_bytes() == plain.read_bytes()
 
     def test_evaluate_cdfs_match_reference_writer(self, tmp_path):
         out, ref = tmp_path / "out", tmp_path / "ref"

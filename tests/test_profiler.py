@@ -55,7 +55,7 @@ class TestPhaseSegment:
 class TestFuse:
     def test_agreeing_methods_tile_the_span(self, fusion_params):
         trace = flow_trace([0.0, 10.0, 41.0, 44.0, 100.0, 560.0])
-        events = [RateChange(4, "increase", 0.3), RateChange(431, "decrease", 43.0)]
+        events = [RateChange("increase", 0.3), RateChange("decrease", 43.0)]
         candidates = [PhaseCandidate(FILLING, 0.0, 41.0),
                       PhaseCandidate(STEADY, 44.0, 560.0)]
         segments = fuse(*flow_arrays(trace), decide(candidates, events, fusion_params))
@@ -71,14 +71,14 @@ class TestFuse:
 
     def test_event_outside_tolerance_is_no_match(self, fusion_params):
         trace = flow_trace([0.0, 44.0, 560.0])
-        events = [RateChange(1, "decrease", 44.0 + fusion_params.match_tolerance + 0.5)]
+        events = [RateChange("decrease", 44.0 + fusion_params.match_tolerance + 0.5)]
         candidates = [PhaseCandidate(STEADY, 44.0, 560.0)]
         segments = fuse(*flow_arrays(trace), decide(candidates, events, fusion_params))
         assert [s.phase for s in segments] == [OTHER]
 
     def test_wrong_event_type_is_no_match(self, fusion_params):
         trace = flow_trace([0.0, 44.0, 560.0])
-        events = [RateChange(1, "increase", 44.0)]
+        events = [RateChange("increase", 44.0)]
         candidates = [PhaseCandidate(STEADY, 44.0, 560.0)]
         segments = fuse(*flow_arrays(trace), decide(candidates, events, fusion_params))
         assert [s.phase for s in segments] == [OTHER]
@@ -88,7 +88,7 @@ class TestFuse:
 
     def test_volumes_partition_payload(self, fusion_params):
         trace = flow_trace([0.0, 10.0, 41.0, 44.0, 100.0, 560.0], sizes=[10] * 6)
-        events = [RateChange(1, "increase", 0.0), RateChange(431, "decrease", 43.0)]
+        events = [RateChange("increase", 0.0), RateChange("decrease", 43.0)]
         candidates = [PhaseCandidate(FILLING, 0.0, 41.0),
                       PhaseCandidate(STEADY, 44.0, 560.0)]
         segments = fuse(*flow_arrays(trace), decide(candidates, events, fusion_params))
@@ -100,7 +100,7 @@ class TestFuse:
 
     def test_zero_span_candidate_is_not_confirmed(self, fusion_params):
         trace = flow_trace([0.0, 11.9, 30.0], sizes=[10, 20, 30])
-        events = [RateChange(120, "decrease", 11.9)]
+        events = [RateChange("decrease", 11.9)]
         candidates = [PhaseCandidate(STEADY, 11.9, 11.9)]
         segments = fuse(*flow_arrays(trace), decide(candidates, events, fusion_params))
         assert [s.phase for s in segments] == [OTHER]
@@ -140,7 +140,7 @@ class TestDecide:
     def test_matches_a_scan_of_every_event(self, candidates, events, offset):
         cands = [PhaseCandidate(kind, offset + t, offset + t + span)
                  for kind, t, span in candidates]
-        evs = [RateChange(i + 1, d, offset + t) for i, (d, t) in enumerate(events)]  # any order
+        evs = [RateChange(d, offset + t) for d, t in events]  # any order
         params = FusionParams()
         decisions = decide(cands, evs, params)
         assert [d.candidate for d in decisions] == cands
@@ -159,21 +159,21 @@ class TestDecide:
 
     def test_tie_goes_to_the_earlier_event(self):
         cand = PhaseCandidate(STEADY, 10.0, 20.0)
-        events = [RateChange(121, DECREASE, 12.0), RateChange(81, DECREASE, 8.0)]
+        events = [RateChange(DECREASE, 12.0), RateChange(DECREASE, 8.0)]
         (d,) = decide([cand], events, FusionParams(), horizon=11.0)
         assert d.event == events[1] and d.distance == -2.0 and d.confirmed and d.settled
 
     @pytest.mark.parametrize("t", [8.0, 12.0])
     def test_events_at_the_same_time_go_to_the_first_in_the_list(self, t):
         cand = PhaseCandidate(FILLING, 10.0, 20.0)
-        events = [RateChange(7, INCREASE, t), RateChange(3, INCREASE, t)]
+        events = [RateChange(INCREASE, t), RateChange(INCREASE, t)]
         (d,) = decide([cand], events, FusionParams())
         assert d.event is events[0] and d.distance == t - 10.0 and d.confirmed
 
     def test_settled_once_no_later_event_can_change_it(self):
         params = FusionParams()  # match_tolerance 5 s
         steady, lone = PhaseCandidate(STEADY, 10.0, 20.0), PhaseCandidate(STEADY, 12.0, 12.0)
-        final, pending = RateChange(90, DECREASE, 8.9), RateChange(120, DECREASE, 11.9)
+        final, pending = RateChange(DECREASE, 8.9), RateChange(DECREASE, 11.9)
 
         def settled(events, horizon):
             return [d.settled for d in decide([steady, lone], events, params, horizon)]
@@ -283,6 +283,24 @@ class TestEstimateBuffer:
         for got, want in ((as_fractions.times, as_floats.times),
                           (as_fractions.levels, as_floats.levels)):
             assert got.dtype == np.float64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ts, arrived", [
+        (0.1 * np.arange(4), np.array([7.0])), (0.1 * np.arange(4), np.zeros(3)),
+        (0.1 * np.arange(4), np.zeros(5)), (0.1 * np.arange(4), np.zeros((4, 1))),
+        (0.1 * np.arange(4).reshape(4, 1), np.zeros(4)), (np.float64(0.0), np.float64(7.0)),
+    ], ids=["one-value", "short", "long", "2-d-arrived", "2-d-times", "0-d"])
+    def test_samples_pair_each_time_with_its_bytes(self, ts, arrived):
+        # a one-value ``arrived`` would broadcast over every sample time
+        times, cum = flow_arrays(flow_trace([0.0, 0.3], sizes=[7, 5]))
+        with pytest.raises(ValueError, match="^samples must be two 1-d arrays of equal length"):
+            estimate_buffer(times, cum, 50.0, 0.0, 0.1, samples=(ts, arrived))
+
+    def test_samples_take_lists(self):
+        times, cum = flow_arrays(flow_trace([0.0, 0.3], sizes=[7, 5]))
+        want = estimate_buffer(times, cum, 50.0, 0.0, 0.1)
+        samples = (want.times.tolist(), [7, 7, 7, 12])
+        got = estimate_buffer(times, cum, 50.0, 0.0, 0.1, samples=samples)
+        assert np.array_equal(got.times, want.times) and np.array_equal(got.levels, want.levels)
 
     @staticmethod
     def assert_samples_give_the_plain_trajectory(times, sizes, encode_rate, playout_start,
@@ -940,8 +958,9 @@ class TestLiveTargeted:
     def test_tail_bins_hold_events_of_their_own(self):
         times, sizes, params = _targeted_flows()[4][1:]
         events = rate_events(times[:11], sizes[:11], params["rate_params"], BurstParams())
-        last_bin = int(np.floor((times[10] - times[0]) / RateParams().delta_t)) + 1
-        assert any(ev.bin_index > last_bin for ev in events)
+        dt = RateParams().delta_t
+        last_bin_start = times[0] + np.floor((times[10] - times[0]) / dt) * dt
+        assert any(ev.time > last_bin_start for ev in events)
 
     @pytest.mark.parametrize("preset", ["MQ", "QC", "AQ", "bulk"])
     def test_preset_queried_every_2s_matches_profile(self, preset):
@@ -1046,9 +1065,9 @@ class TestDeferredRate:
             binned += len(calls) > before
             # a query that runs the rate stages bins exactly the packets before
             # its cut, which the candidates left unsettled by the last run place
-            open_ = [d.candidate.t_start for d in decide(prof._candidates, events,
-                                                         FusionParams(), horizon)
-                     if not d.settled]
+            candidates = [d.candidate for d in prof._decisions]
+            open_ = [d.candidate.t_start
+                     for d in decide(candidates, events, FusionParams(), horizon) if not d.settled]
             fed_times = trace.times[:cut]
             assert calls[before:] == ([] if idle or not open_ else
                                       [int(fed_times.searchsorted(rate_cut(fed_times,
@@ -1124,7 +1143,7 @@ class TestDeferredRate:
         for n, (t, s) in enumerate(zip(times.tolist(), sizes), 1):
             prof.feed(t, s)
             prof.report()
-            for d in decide(prof._candidates, prof._events, prof.fusion_params, prof._horizon):
+            for d in prof._decisions:  # decided against the events and horizon held
                 if d.settled:
                     settled.setdefault(d.candidate, d.confirmed)
             bp = params["burst_params"]

@@ -356,11 +356,13 @@ class TestAnalyze:
         assert np.all(np.diff(r_max) >= 0)
 
     def test_event_times_are_bin_starts(self, rate_params):
+        # one busy bin, then empty ones: the filter decays by 1 - a = 0.98 a bin and
+        # falls below 1 - c = 0.4 of its peak 46 bins after the first (0.98**46 < 0.4)
         trace = flow_trace([10.0, 10.01, 10.02], sizes=[1000, 1000, 1000])
-        series = analyze(trace.times, trace.sizes, rate_params)
-        assert series.events[0].bin_index == 1
+        series = analyze(trace.times, trace.sizes, rate_params, tail=10.0)
+        assert [ev.direction for ev in series.events] == [INCREASE, DECREASE]
         assert series.events[0].time == 10.0
-        assert series.t0 + (3 - 1) * series.delta_t == pytest.approx(10.2)
+        assert series.events[1].time == 10.0 + 46 * rate_params.delta_t
 
     def test_runs_the_three_stages(self, rate_params):
         trace = random_trace(seed=5, duration=4.0)
@@ -370,9 +372,9 @@ class TestAnalyze:
         assert series.rho.tobytes() == rho.tobytes()
         assert series.r_smooth.tobytes() == smooth(rho, rate_params).tobytes()
         assert series.flags.tobytes() == flags.tobytes()
-        assert [(ev.bin_index, ev.direction) for ev in series.events] == events
-        assert (series.t0, series.delta_t) == (trace.t_start, rate_params.delta_t)
+        assert [(ev.direction, ev.time) for ev in series.events] == [
+            (d, trace.t_start + (b - 1) * rate_params.delta_t) for b, d in events]
 
     def test_empty_flow(self, rate_params):
         series = analyze([], [], rate_params, tail=1.5)
-        assert len(series) == 0 and series.events == [] and series.t0 == 0.0
+        assert len(series) == 0 and series.events == [] and series.flags.size == 0

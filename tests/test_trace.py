@@ -23,6 +23,8 @@ from streamprofiler import (
     TraceParseError,
     aggregate,
     demux,
+    estimate_buffer,
+    fuse,
     generate,
     generate_bulk,
     load_trace,
@@ -84,6 +86,32 @@ def test_stages_take_real_times_with_one_size_each(stage, params, times, sizes):
         return
     expected = stage(np.array([0.0, 1.0, 5.0]), np.array([1, 2, 3]), params)
     assert np.array_equal(stage(times, sizes, params), expected)
+
+
+# each entry point that takes packet columns, with the name of its second column
+COLUMN_ENTRY_POINTS = {
+    "Trace.single_flow": (lambda t, s: Trace.single_flow(t, s, TEST_FLOW), "sizes"),
+    "aggregate": (lambda t, s: aggregate(t, s, RateParams()), "sizes"),
+    "segment": (lambda t, s: segment(t, s, BurstParams()), "sizes"),
+    "fuse": (lambda t, cum: fuse(t, cum, []), "cum"),
+    "estimate_buffer": (lambda t, cum: estimate_buffer(t, cum, 1e5, 0.0, 0.1), "cum"),
+}
+
+
+@pytest.mark.parametrize("entry", COLUMN_ENTRY_POINTS.values(), ids=COLUMN_ENTRY_POINTS)
+@pytest.mark.parametrize("times, other, bad, shape", [
+    (np.zeros((2, 2)), np.ones((2, 2), np.int64), "times", "(2, 2)"),
+    (np.array(1.0), np.array(5), "times", "()"),
+    (1.0, 5, "times", "()"),
+    (np.zeros(2), np.ones((2, 1), np.int64), "other", "(2, 1)"),
+    ([0.0, 1.0], 5, "other", "()"),
+], ids=["2-d", "0-d", "scalars", "2-d-other", "scalar-other"])
+def test_packet_columns_must_be_1d(entry, times, other, bad, shape):
+    call, other_name = entry
+    name = other_name if bad == "other" else bad
+    message = f"^{name} must be a 1-d array, got shape {re.escape(shape)}$"
+    with pytest.raises(ValueError, match=message):
+        call(times, other)
 
 
 @pytest.mark.parametrize("value, message", [
@@ -552,6 +580,17 @@ class TestNormalize:
 
     def test_empty(self):
         assert len(normalize(Trace.empty())) == 0
+
+
+@pytest.mark.parametrize("key, text", [
+    (FlowKey("10.0.0.1", "10.0.0.2", 443), "10.0.0.1->10.0.0.2:443"),
+    (FlowKey("10.0.0.1", "10.0.0.2"), "10.0.0.1->10.0.0.2"),
+    (FlowKey("2001:db8::1", "2001:db8::2", 443), "2001:db8::1->[2001:db8::2]:443"),
+    (FlowKey("2001:db8::1", "2001:db8::2"), "2001:db8::1->2001:db8::2"),
+    (FlowKey("10.0.0.1", "::ffff:10.0.0.2", 80), "10.0.0.1->[::ffff:10.0.0.2]:80"),
+], ids=["ipv4", "ipv4-no-port", "ipv6", "ipv6-no-port", "ipv4-mapped"])
+def test_flow_text_brackets_an_ipv6_destination_before_its_port(key, text):
+    assert str(key) == text
 
 
 class TestDemux:
