@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -124,17 +125,51 @@ class RateEstimate:
         }
 
 
-@dataclass(eq=False)
 class BufferTrajectory:
-    """Estimated play-back buffer level over time. Holds arrays, so ``==`` is identity."""
+    """Estimated play-back buffer level over time. Holds arrays, so ``==`` is identity.
 
-    times: np.ndarray
-    levels: np.ndarray  # bytes, clamped at 0
-    playout_start: float
-    encode_rate_used: float
+    A live report's trajectory is deferred: it holds ``playout_start``,
+    ``encode_rate_used`` and a function that returns the built trajectory,
+    which the first read of ``times``, ``levels`` or ``samples()`` calls; the
+    arrays are kept after that. A build that raises is tried again on the
+    next read.
+    """
+
+    __slots__ = ("_arrays", "_build", "playout_start", "encode_rate_used")
+
+    def __init__(self, times: np.ndarray, levels: np.ndarray, playout_start: float,
+                 encode_rate_used: float):
+        self._arrays, self._build = (times, levels), None
+        self.playout_start = playout_start
+        self.encode_rate_used = encode_rate_used
+
+    @classmethod
+    def _deferred(cls, build: Callable[[], BufferTrajectory], playout_start: float,
+                  encode_rate_used: float) -> BufferTrajectory:
+        trajectory = cls.__new__(cls)
+        trajectory._arrays, trajectory._build = None, build
+        trajectory.playout_start = playout_start
+        trajectory.encode_rate_used = encode_rate_used
+        return trajectory
+
+    def _built(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(times, levels)``, built by the first call of a deferred trajectory."""
+        if self._build is not None:
+            self._arrays, self._build = self._build()._arrays, None
+        return self._arrays
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._built()[0]
+
+    @property
+    def levels(self) -> np.ndarray:
+        """Bytes, clamped at 0."""
+        return self._built()[1]
 
     def samples(self) -> Iterable[tuple[float, float]]:
-        return zip(self.times.tolist(), self.levels.tolist())
+        times, levels = self._built()
+        return zip(times.tolist(), levels.tolist())
 
 
 @dataclass(eq=False)
@@ -339,8 +374,12 @@ def estimate_rate(segments: list[PhaseSegment]) -> RateEstimate:
 
 def _sample_count(times: np.ndarray, sample_dt: float) -> int:
     """How many buffer samples, one every ``sample_dt`` from the first packet of
-    ``times``, reach one sample past the last."""
-    return math.floor((float(times[-1]) - float(times[0])) / sample_dt) + 2
+    ``times``, reach one sample past the last; ``ValueError`` for 2**63 or more."""
+    span = float(times[-1]) - float(times[0])
+    if (steps := span / sample_dt) >= 2**63 - 2:  # int64 sample indices
+        raise ValueError(f"sample_dt {sample_dt} gives {steps + 2:.3g} buffer samples over a "
+                         f"{span} s span; the count must be below 2**63")
+    return math.floor(steps) + 2
 
 
 def _sample_times(times: np.ndarray, sample_dt: float, count: int) -> np.ndarray:
@@ -356,10 +395,13 @@ def estimate_buffer(times: np.ndarray, cum: np.ndarray, encode_rate: float, play
     Play-out is linear at ``encode_rate`` (finite, > 0) from ``playout_start``
     (finite) onward; the level is clamped at zero (stalls absorb the deficit).
     Sampled every ``sample_dt`` (finite, > 0) from the flow's first packet of
-    ``times``, with ``cum`` bytes by each packet. ``samples`` may pass in the
-    sample times with the payload bytes arrived by each, ``(sample_times,
-    arrived)``, when the caller already has them; the trajectory keeps that
-    ``sample_times`` array as its ``times``.
+    ``times``, with ``cum`` bytes by each packet, to one sample past the last;
+    a sample count of 2**63 or more raises ``ValueError``. ``samples`` may
+    pass in the sample times with the payload bytes arrived by each,
+    ``(sample_times, arrived)``, when the caller already has them; the
+    trajectory keeps that ``sample_times`` array as its ``times``. Always
+    built at once, in O(samples); a ``StreamProfiler`` report defers its call
+    to the first read of the samples.
     """
     times, cum = _checked_cum(times, cum)
     check_positive("encode_rate", encode_rate)
@@ -403,6 +445,10 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
     candidate start plus ``match_tolerance``, or every packet, with ``h_t`` of
     empty bins, when the cut lies past the last one. The stage outputs
     themselves come from ``rate.analyze`` and the ``bursts`` stage functions.
+    The buffer trajectory is built before it returns, as the first read of a
+    live report's samples builds it, since the caller may write to its
+    trace's arrays after; so a buffer sample count of 2**63 or more raises
+    ``ValueError`` here.
     """
     if len(trace) and len(trace.flows) > 1:
         raise ValueError("rate analysis expects a single-flow trace; demux first")
@@ -413,7 +459,10 @@ def profile(trace: Trace, rate_params: RateParams | None = None,
     # temporaries, they left malloc faulting fresh pages in on every call
     cum = np.cumsum(trace.sizes)
     _check_total(cum)
-    return prof._report(trace.times, cum, trace.flows[0] if trace.flows else None)
+    report = prof._report(trace.times, cum, trace.flows[0] if trace.flows else None)
+    if report.buffer is not None:
+        report.buffer._built()  # now: the caller may write to its trace's arrays after
+    return report
 
 
 def _check_total(cum: np.ndarray) -> None:
@@ -451,7 +500,7 @@ class StreamProfiler:
     were; a ``float`` time and an ``int`` size take a fast path of one check
     each into the same arrays. A query resumes the burst stages on the
     packets fed since the last one, keeping what is final: bursts closed by
-    a gap of at least ``h_t``, and buffer arrivals before the last packet.
+    a gap of at least ``h_t``.
     Once the first retained burst has closed, its ``burst_rate`` (the
     classification reference) is final, so closed bursts keep their classes
     and a query classifies only the bursts new since the last one. The rate
@@ -466,24 +515,37 @@ class StreamProfiler:
     the new packets and bursts cost, plus the candidates (``confirm_steady``
     over every burst held), one ``decide`` (O(candidates × events): at most
     2 × 2 on the benchmark's HQ session, 4 × 4 on its scenario batch) and
-    ``fuse`` of its decisions, and the buffer levels (O(samples held)), not
-    the packets held. The levels cannot be kept: the session rate behind the
-    modelled play-out changes with every steady burst. On the HQ preset
-    queried every 2 s, the median query that computes a report takes ~88 us
-    (raw, 2-vCPU host). Every report equals ``profile()`` of the packets so
-    far; once they total more than 2**63 - 1 bytes, every query raises
-    ``ValueError``, as ``profile()`` does. A query with no packet fed since
-    the last one returns that report object again, so treat reports as
-    read-only. Besides the stage outputs (the retained ``Burst`` records
-    ``(t_start, t_end, size, klass)``, a list a query extends in place,
-    rate events, the decisions on the current candidates), the profiler
-    holds the packets, the burst resume point (``_k``, ``_open``), the rate
-    ``_horizon``, the buffer sample ``_grid`` ``t0 + delta_t * i``, the bytes
-    ``_arrived`` by each sample (the first ``_final`` final) and the last
-    report. The grid is built whole, at double its size or at once to the
-    samples a query needs, and never written after, so every report's
-    ``buffer.times`` is a read-only view of it that keeps its values; only the
-    levels are new per report.
+    ``fuse`` of its decisions, not the packets held or the buffer samples.
+
+    A report's buffer trajectory is built when its samples are first read
+    (``buffer.times``, ``buffer.levels``, ``samples()``, ``to_json()``), from
+    views of the packet times and cumulative bytes it was queried on, which
+    are never written again; ``buffer is None``, ``playout_start``,
+    ``encode_rate_used`` and ``to_dict(include_buffer_samples=False)`` build
+    nothing. Until then the report holds the profiler and those views, so
+    they keep the packet arrays of its time alive. The read costs O(samples
+    of the report): the levels cannot be kept, as the session rate behind
+    the modelled play-out changes with every steady burst. Reports may be
+    read in any order, after any later feed or query. The first read of a
+    report whose sample count is 2**63 or more raises ``ValueError``. On
+    the HQ preset queried every 2 s, the
+    median query that computes a report takes ~60 us, and ~85 us with its
+    samples read, as before the deferral (raw, 2-vCPU host). Every report
+    equals ``profile()`` of the packets so far; once they total more than
+    2**63 - 1 bytes, every query raises ``ValueError``, as ``profile()``
+    does. A query with no packet fed since the last one returns that report
+    object again, so treat reports as read-only.
+
+    Besides the stage outputs (the retained ``Burst`` records ``(t_start,
+    t_end, size, klass)``, a list a query extends in place, rate events, the
+    decisions on the current candidates), the profiler holds the packets,
+    the burst resume point (``_k``, ``_open``), the rate ``_horizon``, the
+    buffer sample ``_grid`` ``t0 + delta_t * i``, the bytes ``_arrived`` by
+    each sample (the first ``_final`` final: those before the last packet of
+    the longest report read) and the last report. The grid is built whole, at
+    double its size or at once to the samples a read needs, and never written
+    after, so every report's ``buffer.times`` is a read-only view of it that
+    keeps its values; only the levels are new per report.
     """
 
     def __init__(self, rate_params: RateParams | None = None,
@@ -511,8 +573,8 @@ class StreamProfiler:
         self._open: Burst | None = None  # the last packet's, of any size; ends ``_bursts`` if kept
         self._decisions: list[Decision] = []  # of the current candidates against ``_events``
         # buffer sample times from the first packet, whose views are every
-        # report's ``buffer.times``, and the bytes arrived by each as of the last
-        # query, as float64; the first ``_final`` are final, the rest is room to
+        # report's ``buffer.times``, and the bytes arrived by each, as float64,
+        # filled by reads; the first ``_final`` are final, the rest is room to
         # grow into
         self._grid = self._arrived = np.empty(0)
         self._final = 0
@@ -574,10 +636,10 @@ class StreamProfiler:
         rate_estimate = estimate_rate(segments)
         buffer = None
         t_start, t_end = (float(times[0]), float(times[-1])) if n else (0.0, 0.0)
-        if rate_estimate.session is not None:
-            dt = self.rate_params.delta_t
-            buffer = estimate_buffer(times, cum, rate_estimate.session, t_start + dt, dt,
-                                     samples=self._arrivals(times, cum))
+        if (session := rate_estimate.session) is not None:
+            playout_start = float(t_start + self.rate_params.delta_t)
+            buffer = BufferTrajectory._deferred(
+                partial(self._buffer, times, cum, session, playout_start), playout_start, session)
         return ProfileReport(
             flow=flow,
             n_packets=n,
@@ -589,6 +651,13 @@ class StreamProfiler:
             rate_estimate=rate_estimate,
             buffer=buffer,
         )
+
+    def _buffer(self, times: np.ndarray, cum: np.ndarray, encode_rate: float,
+                playout_start: float) -> BufferTrajectory:
+        """``estimate_buffer`` of packets ``times``, any prefix of those held, with
+        the samples from ``_arrivals``."""
+        return estimate_buffer(times, cum, encode_rate, playout_start, self.rate_params.delta_t,
+                               samples=self._arrivals(times, cum))
 
     def _advance(self, times: np.ndarray, sizes: np.ndarray) -> None:
         """Bring the burst stages up to ``times``; if a candidate's confirmation
@@ -643,7 +712,16 @@ class StreamProfiler:
 
     def _arrivals(self, times: np.ndarray, cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The buffer sample times of packets ``times``, a read-only view of
-        ``_grid``, and the payload bytes arrived by each, as float64."""
+        ``_grid``, and the payload bytes arrived by each, as float64.
+
+        ``times`` may be any prefix of the packets held, read in any order.
+        Only the samples before its last packet count as stored in
+        ``_arrived``: later packets arrive after them, so those values are
+        final and nothing writes them again. The samples at or after the last
+        packet take ``cum[-1]``, written past ``_final`` or, when a longer
+        prefix was read first, into a copy; so the bytes returned hold only
+        until the next call.
+        """
         dt, start = self.rate_params.delta_t, self._final
         end = _sample_count(times, dt)
         if end > len(self._grid):
@@ -656,7 +734,13 @@ class StreamProfiler:
             grown[:start] = self._arrived[:start]
             self._arrived = grown
         ts = self._grid[:end]
-        new = ts[start:]
-        self._arrived[start:end] = cum[times.searchsorted(new, side="right") - 1]
-        self._final += int(new.searchsorted(times[-1]))  # later packets arrive after these
+        final = int(ts.searchsorted(times[-1]))
+        if final < start:  # a longer prefix was read first
+            arrived = self._arrived[:end].copy()
+            arrived[final:] = cum[-1]
+            return ts, arrived
+        # the slots from ``start`` on are free: they hold the last read's samples
+        # at or after its last packet, which that read has used
+        self._arrived[start:end] = cum[times.searchsorted(ts[start:], side="right") - 1]
+        self._final = final
         return ts, self._arrived[:end]

@@ -130,6 +130,8 @@ def check_real(name: str, *values) -> None:
     real number: a bool (numeric checks would take it as 1 or 0), a non-number, a NaN,
     an infinity, or a number no float can hold."""
     for value in values:
+        if type(value) is float and math.isfinite(value):  # the common case, without the ABC
+            continue
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} takes numbers, not {value!r}")
         try:

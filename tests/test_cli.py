@@ -421,6 +421,17 @@ class TestAnalyze:
         assert "error: delta_t" in err and "below 2**63" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_sample_count_beyond_int64_exits_2(self, tmp_path, trace_path, capsys):
+        # the last packet again, 1e20 s later: 1e21 buffer samples at the default delta_t
+        text = trace_path.read_text()
+        t, rest = text.rstrip("\n").rsplit("\n", 1)[1].split(",", 1)
+        gap, out = tmp_path / "gap.csv", tmp_path / "out"
+        gap.write_text(f"{text}{float(t) + 1e20!r},{rest}\n")
+        assert run(["analyze", gap, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: sample_dt 0.1 gives 1e+21 buffer samples" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_ipv6_flow_text_brackets_the_destination(self, tmp_path, capsys):
         path = tmp_path / "v6.csv"
         path.write_text("t,size,src,dst,dst_port\n"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -807,11 +808,12 @@ class TestLiveStorage:
                                       burst_params=BurstParams(h_n=h_n))
 
 
-def buffered_reports(trace, step: float, on_report=None) -> tuple[StreamProfiler, list]:
+def buffered_reports(trace, step: float, on_report=None,
+                     phase: float = 0.0) -> tuple[StreamProfiler, list]:
     """The profiler fed ``trace`` and the reports with a buffer that it gave,
-    queried every ``step`` s of trace time; ``on_report`` sees each new one."""
+    queried as ``_cuts_every(trace, step, phase)``; ``on_report`` sees each new one."""
     prof, done, reports = StreamProfiler(flow=TEST_FLOW), 0, []
-    for cut in _cuts_every(trace, step):
+    for cut in _cuts_every(trace, step, phase):
         for k in range(done, cut):
             prof.feed(float(trace.times[k]), int(trace.sizes[k]))
         done = cut
@@ -862,6 +864,90 @@ class TestSampleGrid:
         assert (first.times.tobytes(), first.levels.tobytes()) == snapshots[0]
 
 
+class TestDeferredBuffer:
+    """A live report's buffer trajectory is built from the packets it was
+    queried on when its samples are first read, whatever was fed or read since."""
+
+    # queries halfway between two buffer samples, so that packets arrive
+    # between a report's last packet and its next sample
+    PHASE = RateParams().delta_t / 2
+
+    @pytest.fixture(scope="class", params=["MQ", "QC", "AQ"])
+    def session(self, request):
+        """A preset's seed-0 session and ``profile()``'s JSON of each prefix a
+        query every 2 s sees, by packet count."""
+        trace = generate(scenario_spec(request.param, seed=0)).trace
+        return trace, {n: profile(flow_trace(trace.times[:n], sizes=trace.sizes[:n])).to_json()
+                       for n in set(_cuts_every(trace, 2.0, self.PHASE))}
+
+    @pytest.mark.parametrize("order", ["reverse", "shuffled"])
+    def test_reads_after_the_last_feed_equal_profile_of_each_prefix(self, session, order):
+        trace, want = session
+        prof, reports = buffered_reports(trace, 2.0, phase=self.PHASE)
+        assert len(reports) > 100
+        if order == "reverse":
+            reports.reverse()
+        else:
+            np.random.default_rng(0).shuffle(reports)
+        stored = []  # the final arrivals after each read
+        for report in reports:
+            assert report.to_json() == want[report.n_packets], f"{report.n_packets} packets"
+            stored.append(prof._arrived[:prof._final].tobytes())
+        for values in stored:
+            assert prof._arrived[:len(values) // 8].tobytes() == values
+
+    def test_estimate_buffer_runs_once_per_report_on_its_first_read(self, monkeypatch):
+        calls = count_packets(monkeypatch, profiler_mod, "estimate_buffer")
+        trace = generate(scenario_spec("MQ", seed=0)).trace
+        n = int(trace.times.searchsorted(150.0))
+        report = fed(zip(trace.times[:n].tolist(), trace.sizes[:n].tolist())).report()
+        assert report.buffer is not None and calls == []
+        data = report.to_dict(include_buffer_samples=False)
+        assert "samples" not in data["buffer"] and calls == []
+        assert data["buffer"]["playout_start"] == trace.times[0] + RateParams().delta_t
+        assert len(report.buffer.times) > 0 and calls == [n]
+        report.buffer.levels, report.buffer.samples(), report.to_json()
+        assert calls == [n]
+        profile(flow_trace(trace.times[:n], sizes=trace.sizes[:n]))
+        assert calls == [n, n]
+
+
+class TestSampleCount:
+    """A buffer sample count of 2**63 or more raises ``ValueError``, not numpy's error."""
+
+    # profile() and a live query sample the buffer every delta_t, 0.1 s by default
+    MESSAGE = r"^sample_dt 0.1 gives 1e\+21 buffer samples over a 1e\+20 s span; the count must"
+
+    def test_count_below_2_63(self):
+        # no float lies between 2**63 - 1024 and 2**63
+        assert profiler_mod._sample_count(np.array([0.0, 2.0**63 - 1024]), 1.0) == 2**63 - 1022
+        for times, dt, count in (([0.0, 2.0**63], 1.0, "9.22e+18"), ([0.0, 1e300], 1e-300, "inf")):
+            with pytest.raises(ValueError, match=rf"^sample_dt {dt} gives {re.escape(count)} "):
+                profiler_mod._sample_count(np.array(times), dt)
+
+    @pytest.fixture(scope="class")
+    def gap(self):
+        """The MQ seed-1 session and one more packet 1e20 s after its last."""
+        trace = generate(scenario_spec("MQ", seed=1)).trace
+        return flow_trace(np.append(trace.times, trace.times[-1] + 1e20),
+                          sizes=np.append(trace.sizes, 1400))
+
+    def test_profile_raises(self, gap):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            profile(gap)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            estimate_buffer(*flow_arrays(gap), 1e5, 0.0, 0.1)
+
+    def test_live_query_returns_and_a_sample_read_raises(self, gap):
+        report = fed(zip(gap.times.tolist(), gap.sizes.tolist())).report()
+        assert report.n_packets == len(gap) and report.verdict.is_video_stream
+        assert report.to_dict(include_buffer_samples=False)["buffer"]["encode_rate_used_Bps"] > 0
+        for read in (lambda: report.buffer.times, lambda: report.buffer.levels,
+                     report.buffer.samples, report.to_json, report.to_dict):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                read()
+
+
 def _targeted_flows():
     """(id, times, sizes, params) of flows whose queries hit one resumption edge each."""
     train = 0.05 * np.arange(160)  # an 8 s burst at 100 kB/s
@@ -902,10 +988,10 @@ def _targeted_flows():
     ]
 
 
-def _cuts_every(trace, step):
+def _cuts_every(trace, step, phase: float = 0.0):
     """The packets fed before each query of a monitor that queries every
-    ``step`` s of trace time, and once after the last packet."""
-    cuts = np.searchsorted(trace.times, np.arange(trace.t_start + step, trace.t_end, step))
+    ``step`` s of trace time, ``phase`` s late, and once after the last packet."""
+    cuts = np.searchsorted(trace.times, np.arange(trace.t_start + step + phase, trace.t_end, step))
     return [*cuts.tolist(), len(trace)]
 
 
